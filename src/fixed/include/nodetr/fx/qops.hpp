@@ -6,11 +6,55 @@
 // at the layer boundary. All kernels are deterministic and platform
 // independent, so the software simulation reproduces the accelerator's
 // numerics exactly.
+//
+// The GEMMs accumulate in int64 when a bound on the operands' magnitudes
+// proves no partial sum can overflow it, and in __int128 otherwise; both give
+// the same bits (DESIGN.md, "Bit-exact fixed point").
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "nodetr/fx/fixed_tensor.hpp"
 
 namespace nodetr::fx {
+
+/// The right-hand operand of a fixed GEMM packed once as a row-major k x n
+/// panel of codes — int32 when every code fits, int64 otherwise — with its
+/// largest |code| cached for the accumulation bound. Pack a weight once and
+/// reuse it across calls; qmatmul/qmatmul_nt/qlinear pack per call.
+class PackedB {
+ public:
+  PackedB() = default;
+  /// Pack B (k x n), the operand of qmatmul.
+  [[nodiscard]] static PackedB from_kn(const FixedTensor& b);
+  /// Pack B from Bt (n x k), the operand of qmatmul_nt and qlinear.
+  [[nodiscard]] static PackedB from_nk(const FixedTensor& bt);
+
+  [[nodiscard]] index_t k() const { return k_; }
+  [[nodiscard]] index_t n() const { return n_; }
+  [[nodiscard]] const FixedFormat& format() const { return format_; }
+  [[nodiscard]] std::uint64_t max_abs() const { return max_abs_; }
+  /// True when every code fits int32 and codes32() holds the panel;
+  /// otherwise codes64() does.
+  [[nodiscard]] bool is_int32() const { return codes64_.empty(); }
+  [[nodiscard]] const std::int32_t* codes32() const { return codes32_.data(); }
+  [[nodiscard]] const std::int64_t* codes64() const { return codes64_.data(); }
+
+ private:
+  /// Pack `src` as B (k x n), or as Bt (n x k) when `nk`.
+  static PackedB pack(const FixedTensor& src, bool nk);
+
+  index_t k_ = 0, n_ = 0;
+  FixedFormat format_{};
+  std::uint64_t max_abs_ = 0;
+  std::vector<std::int32_t> codes32_;
+  std::vector<std::int64_t> codes64_;
+};
+
+/// C(MxN) = A(MxK) * B(KxN) for a B packed ahead of time.
+[[nodiscard]] FixedTensor qmatmul(const FixedTensor& a, const PackedB& b,
+                                  FixedFormat out_format);
 
 /// C(MxN) = A(MxK) * B(KxN); A and B may use different formats. The exact
 /// wide-product accumulation is rounded once into `out_format`.

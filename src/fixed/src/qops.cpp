@@ -2,116 +2,280 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
+#include "accum.hpp"
+#include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/arena.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/tensor/parallel.hpp"
 
 namespace nodetr::fx {
 
+namespace detail {
+
+void count_wide_fallback() {
+  static auto& fallbacks = obs::Registry::instance().counter("fx.accum.wide_fallbacks");
+  fallbacks.add();
+}
+
+}  // namespace detail
+
 namespace {
 
-using wide_t = __int128;
+using detail::narrow;
+using detail::wide_t;
 using nodetr::tensor::ScratchArena;
-
-/// Round a wide accumulator at `from_frac` fractional bits into `to`.
-std::int64_t narrow(wide_t acc, int from_frac, const FixedFormat& to) {
-  const int shift = from_frac - to.frac_bits();
-  wide_t r = acc;
-  if (shift > 0) {
-    const wide_t half = wide_t{1} << (shift - 1);
-    r = (r + (r >= 0 ? half : half - 1)) >> shift;
-  } else if (shift < 0) {
-    r <<= -shift;
-  }
-  if (r > to.raw_max()) return to.raw_max();
-  if (r < to.raw_min()) return to.raw_min();
-  return static_cast<std::int64_t>(r);
-}
 
 void check_rank2(const FixedTensor& t, const char* who) {
   if (t.shape().rank() != 2) throw std::invalid_argument(std::string(who) + ": rank must be 2");
 }
 
-/// C(m x n) = A(m x k) * Bt(n x k)^T where both operands are row-major, so
-/// every inner product runs over two unit-stride spans. Fixed-point
-/// accumulation is exact integer arithmetic — the result is bitwise identical
-/// to any other accumulation order, so packing/blocking never perturbs the
-/// bit-accurate datapath. When `bias` is non-null it holds n per-column
-/// offsets already expressed at `prod_frac` fractional bits; they seed the
-/// accumulators so the whole affine sum is rounded exactly once at the
-/// output boundary (ap_fixed semantics — rounding the matmul and the bias
-/// separately double-rounds).
-void qgemm_nt(const std::int64_t* a, const std::int64_t* bt, std::int64_t* out, index_t m,
-              index_t k, index_t n, int prod_frac, const FixedFormat& out_format,
-              const wide_t* bias = nullptr) {
-  nodetr::tensor::parallel_for(0, m, [&](index_t lo, index_t hi) {
-    for (index_t i = lo; i < hi; ++i) {
-      const std::int64_t* arow = a + i * k;
-      std::int64_t* crow = out + i * n;
-      index_t j = 0;
-      // Two columns per pass share the A-row loads.
-      for (; j + 2 <= n; j += 2) {
-        const std::int64_t* b0 = bt + j * k;
-        const std::int64_t* b1 = b0 + k;
-        wide_t acc0 = bias ? bias[j] : 0, acc1 = bias ? bias[j + 1] : 0;
-        for (index_t p = 0; p < k; ++p) {
-          const wide_t av = arow[p];
-          acc0 += av * b0[p];
-          acc1 += av * b1[p];
-        }
-        crow[j] = narrow(acc0, prod_frac, out_format);
-        crow[j + 1] = narrow(acc1, prod_frac, out_format);
+/// Rows of C handed to one pool chunk: enough MACs that a fork/join pays for
+/// itself. The MHSA IP's GEMMs (36x64x64 and smaller) stay on the caller.
+index_t row_grain(index_t k, index_t n) {
+  constexpr index_t kMacsPerChunk = index_t{1} << 18;
+  return std::max<index_t>(1, kMacsPerChunk / std::max<index_t>(k * n, 1));
+}
+
+/// Arguments of one GEMM C = A * B (+ bias): A row-major m x k int64 codes,
+/// B a packed k x n panel, and the optional bias already at `prod_frac`.
+struct Gemm {
+  const std::int64_t* a;
+  const PackedB* b;
+  const wide_t* bias;
+  std::int64_t* out;
+  index_t k, n;
+  int prod_frac;
+  FixedFormat out_format;
+};
+
+/// Columns of one output row accumulated at a time.
+constexpr index_t kCols = 16;
+
+/// Round `w` int64 accumulators into row `i`, columns [j0, j0 + w).
+void store_cols(const Gemm& g, const std::int64_t* acc, index_t i, index_t j0, index_t w) {
+  std::int64_t* dst = g.out + i * g.n + j0;
+  for (index_t j = 0; j < w; ++j) dst[j] = narrow(acc[j], g.prod_frac, g.out_format);
+}
+
+/// Rows [lo, hi), columns [j_begin, n) of an int64-accumulated GEMM, in axpy
+/// order: each step broadcasts one A code over kCols columns of one panel row.
+/// Valid only when fits_int64() holds and every A code fits int32.
+void narrow_cols(const Gemm& g, index_t lo, index_t hi, index_t j_begin) {
+  const std::int32_t* b = g.b->codes32();
+  for (index_t i = lo; i < hi; ++i) {
+    const std::int64_t* arow = g.a + i * g.k;
+    for (index_t j0 = j_begin; j0 < g.n; j0 += kCols) {
+      const index_t w = std::min(kCols, g.n - j0);
+      std::int64_t acc[kCols];
+      for (index_t j = 0; j < w; ++j) {
+        acc[j] = g.bias ? static_cast<std::int64_t>(g.bias[j0 + j]) : 0;
       }
-      for (; j < n; ++j) {
-        const std::int64_t* brow = bt + j * k;
-        wide_t acc = bias ? bias[j] : 0;
-        for (index_t p = 0; p < k; ++p) acc += static_cast<wide_t>(arow[p]) * brow[p];
-        crow[j] = narrow(acc, prod_frac, out_format);
+      for (index_t p = 0; p < g.k; ++p) {
+        const std::int64_t av = arow[p];
+        const std::int32_t* brow = b + p * g.n + j0;
+        for (index_t j = 0; j < w; ++j) acc[j] += av * brow[j];
       }
+      store_cols(g, acc, i, j0, w);
     }
-  }, /*grain=*/8);
+  }
+}
+
+void narrow_rows(const Gemm& g, index_t lo, index_t hi) { narrow_cols(g, lo, hi, 0); }
+
+#if defined(__x86_64__) || defined(__i386__)
+
+/// Rows [i, i + R) x columns [j0, j0 + kCols) of an int64-accumulated GEMM.
+/// A 256-bit load of 8 int32 panel codes holds column pairs in its 64-bit
+/// lanes: vpmuldq (signed 32 x 32 -> 64 on the low halves) takes the even
+/// columns, and the same lanes shifted down by 32 give the odd ones, so even
+/// and odd columns accumulate in separate registers with no shuffles.
+template <int R>
+__attribute__((target("avx2"))) void avx2_tile(const Gemm& g, index_t i, index_t j0) {
+  const std::int32_t* b = g.b->codes32() + j0;
+  __m256i even[R][2], odd[R][2];
+  for (int r = 0; r < R; ++r) {
+    even[r][0] = even[r][1] = odd[r][0] = odd[r][1] = _mm256_setzero_si256();
+  }
+  for (index_t p = 0; p < g.k; ++p) {
+    const auto* brow = reinterpret_cast<const __m256i*>(b + p * g.n);
+    const __m256i b0 = _mm256_loadu_si256(brow);
+    const __m256i b1 = _mm256_loadu_si256(brow + 1);
+    const __m256i b0_odd = _mm256_srli_epi64(b0, 32);
+    const __m256i b1_odd = _mm256_srli_epi64(b1, 32);
+    for (int r = 0; r < R; ++r) {
+      const __m256i av = _mm256_set1_epi64x(g.a[(i + r) * g.k + p]);
+      even[r][0] = _mm256_add_epi64(even[r][0], _mm256_mul_epi32(av, b0));
+      odd[r][0] = _mm256_add_epi64(odd[r][0], _mm256_mul_epi32(av, b0_odd));
+      even[r][1] = _mm256_add_epi64(even[r][1], _mm256_mul_epi32(av, b1));
+      odd[r][1] = _mm256_add_epi64(odd[r][1], _mm256_mul_epi32(av, b1_odd));
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    alignas(32) std::int64_t lanes[4][4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[0]), even[r][0]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[1]), odd[r][0]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[2]), even[r][1]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[3]), odd[r][1]);
+    std::int64_t acc[kCols];
+    for (int q = 0; q < 4; ++q) {
+      acc[2 * q] = lanes[0][q];
+      acc[2 * q + 1] = lanes[1][q];
+      acc[8 + 2 * q] = lanes[2][q];
+      acc[8 + 2 * q + 1] = lanes[3][q];
+    }
+    if (g.bias) {
+      for (index_t j = 0; j < kCols; ++j) acc[j] += static_cast<std::int64_t>(g.bias[j0 + j]);
+    }
+    store_cols(g, acc, i + r, j0, kCols);
+  }
+}
+
+/// AVX2 twin of narrow_rows: full 16-column tiles two rows at a time (one
+/// for a last odd row), and the scalar loop for a partial tile. Same integer
+/// sums, so the same bits.
+__attribute__((target("avx2"))) void narrow_rows_avx2(const Gemm& g, index_t lo, index_t hi) {
+  const index_t full = g.n - g.n % kCols;
+  for (index_t j0 = 0; j0 < full; j0 += kCols) {
+    index_t i = lo;
+    for (; i + 2 <= hi; i += 2) avx2_tile<2>(g, i, j0);
+    if (i < hi) avx2_tile<1>(g, i, j0);
+  }
+  if (full < g.n) narrow_cols(g, lo, hi, full);
+}
+
+#endif
+
+using RowsFn = void (*)(const Gemm&, index_t, index_t);
+
+RowsFn select_narrow_rows() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) return narrow_rows_avx2;
+#endif
+  return narrow_rows;
+}
+
+/// Rows [lo, hi) accumulated in __int128: the overflow fallback for operands
+/// the int64 proof rejects. `B` is the panel's code type.
+template <typename B>
+void wide_rows(const Gemm& g, const B* b, index_t lo, index_t hi) {
+  auto& arena = ScratchArena::local();
+  ScratchArena::Scope scope(arena);
+  wide_t* acc = arena.alloc<wide_t>(static_cast<std::size_t>(g.n));
+  for (index_t i = lo; i < hi; ++i) {
+    const std::int64_t* arow = g.a + i * g.k;
+    for (index_t j = 0; j < g.n; ++j) acc[j] = g.bias ? g.bias[j] : 0;
+    for (index_t p = 0; p < g.k; ++p) {
+      const wide_t av = arow[p];
+      const B* brow = b + p * g.n;
+      for (index_t j = 0; j < g.n; ++j) acc[j] += av * brow[j];
+    }
+    for (index_t j = 0; j < g.n; ++j) {
+      g.out[i * g.n + j] = narrow(acc[j], g.prod_frac, g.out_format);
+    }
+  }
+}
+
+/// C(m x n) = A(m x k) * B + bias, rounded once per element into
+/// `out_format`. Fixed-point accumulation is exact integer arithmetic, so the
+/// result is bitwise identical for any accumulation order or width that does
+/// not overflow. When `bias` is non-null it holds n per-column offsets already
+/// expressed at `prod_frac` fractional bits, with |bias| <= bias_max; they
+/// seed the accumulators so the whole affine sum is rounded exactly once
+/// (ap_fixed semantics — rounding the matmul and the bias separately
+/// double-rounds).
+void qgemm(const FixedTensor& a, const PackedB& b, FixedTensor& out, int prod_frac,
+           const wide_t* bias = nullptr, std::uint64_t bias_max = 0) {
+  const index_t m = a.shape().dim(0), k = b.k(), n = b.n();
+  const Gemm g{a.raw(), &b, bias, out.raw(), k, n, prod_frac, out.format()};
+  const std::uint64_t amax = detail::max_abs(a.raw(), m * k);
+  const bool int64_ok = b.is_int32() && detail::fits_int32(amax) &&
+                        detail::fits_int64(amax, b.max_abs(), k, bias_max,
+                                           prod_frac - out.format().frac_bits());
+  if (int64_ok) {
+    static const RowsFn rows = select_narrow_rows();
+    nodetr::tensor::parallel_for(0, m, [&](index_t lo, index_t hi) { rows(g, lo, hi); },
+                                 row_grain(k, n));
+    return;
+  }
+  detail::count_wide_fallback();
+  nodetr::tensor::parallel_for(0, m, [&](index_t lo, index_t hi) {
+    if (b.is_int32()) {
+      wide_rows(g, b.codes32(), lo, hi);
+    } else {
+      wide_rows(g, b.codes64(), lo, hi);
+    }
+  }, row_grain(k, n));
 }
 
 }  // namespace
 
+PackedB PackedB::pack(const FixedTensor& src, bool nk) {
+  PackedB p;
+  p.k_ = src.shape().dim(nk ? 1 : 0);
+  p.n_ = src.shape().dim(nk ? 0 : 1);
+  p.format_ = src.format();
+  p.max_abs_ = detail::max_abs(src.raw(), src.numel());
+  const auto fill = [&](auto& codes) {
+    using Code = typename std::decay_t<decltype(codes)>::value_type;
+    codes.resize(static_cast<std::size_t>(p.k_ * p.n_));
+    for (index_t r = 0; r < p.k_; ++r) {
+      for (index_t c = 0; c < p.n_; ++c) {
+        const std::int64_t v = nk ? src[c * p.k_ + r] : src[r * p.n_ + c];
+        codes[static_cast<std::size_t>(r * p.n_ + c)] = static_cast<Code>(v);
+      }
+    }
+  };
+  if (detail::fits_int32(p.max_abs_)) {
+    fill(p.codes32_);
+  } else {
+    fill(p.codes64_);
+  }
+  return p;
+}
+
+PackedB PackedB::from_kn(const FixedTensor& b) {
+  check_rank2(b, "PackedB::from_kn");
+  return pack(b, /*nk=*/false);
+}
+
+PackedB PackedB::from_nk(const FixedTensor& bt) {
+  check_rank2(bt, "PackedB::from_nk");
+  return pack(bt, /*nk=*/true);
+}
+
+FixedTensor qmatmul(const FixedTensor& a, const PackedB& b, FixedFormat out_format) {
+  check_rank2(a, "qmatmul: a");
+  if (a.shape().dim(1) != b.k()) throw std::invalid_argument("qmatmul: inner dimension mismatch");
+  FixedTensor c(Shape{a.shape().dim(0), b.n()}, out_format);
+  qgemm(a, b, c, a.format().frac_bits() + b.format().frac_bits());
+  return c;
+}
+
 FixedTensor qmatmul(const FixedTensor& a, const FixedTensor& b, FixedFormat out_format) {
   check_rank2(a, "qmatmul: a");
   check_rank2(b, "qmatmul: b");
-  const index_t m = a.shape().dim(0), k = a.shape().dim(1), n = b.shape().dim(1);
-  if (b.shape().dim(0) != k) throw std::invalid_argument("qmatmul: inner dimension mismatch");
-  const int prod_frac = a.format().frac_bits() + b.format().frac_bits();
-  FixedTensor c(Shape{m, n}, out_format);
-  // Pack B^T once (tiled transpose) so the inner product is unit-stride
-  // instead of striding by n through B, then reuse the _nt kernel.
-  auto& arena = ScratchArena::local();
-  ScratchArena::Scope scope(arena);
-  std::int64_t* bt = arena.alloc<std::int64_t>(static_cast<std::size_t>(k * n));
-  constexpr index_t kTile = 32;
-  for (index_t p0 = 0; p0 < k; p0 += kTile) {
-    const index_t p1 = std::min(p0 + kTile, k);
-    for (index_t j0 = 0; j0 < n; j0 += kTile) {
-      const index_t j1 = std::min(j0 + kTile, n);
-      for (index_t j = j0; j < j1; ++j) {
-        for (index_t p = p0; p < p1; ++p) bt[j * k + p] = b.raw()[p * n + j];
-      }
-    }
+  if (b.shape().dim(0) != a.shape().dim(1)) {
+    throw std::invalid_argument("qmatmul: inner dimension mismatch");
   }
-  qgemm_nt(a.raw(), bt, c.raw(), m, k, n, prod_frac, out_format);
-  return c;
+  return qmatmul(a, PackedB::from_kn(b), out_format);
 }
 
 FixedTensor qmatmul_nt(const FixedTensor& a, const FixedTensor& b, FixedFormat out_format) {
   check_rank2(a, "qmatmul_nt: a");
   check_rank2(b, "qmatmul_nt: b");
-  const index_t m = a.shape().dim(0), k = a.shape().dim(1), n = b.shape().dim(0);
-  if (b.shape().dim(1) != k) throw std::invalid_argument("qmatmul_nt: inner dimension mismatch");
-  const int prod_frac = a.format().frac_bits() + b.format().frac_bits();
-  FixedTensor c(Shape{m, n}, out_format);
-  qgemm_nt(a.raw(), b.raw(), c.raw(), m, k, n, prod_frac, out_format);
-  return c;
+  if (b.shape().dim(1) != a.shape().dim(1)) {
+    throw std::invalid_argument("qmatmul_nt: inner dimension mismatch");
+  }
+  return qmatmul(a, PackedB::from_nk(b), out_format);
 }
 
 FixedTensor qadd(const FixedTensor& a, const FixedTensor& b) {
@@ -134,6 +298,12 @@ FixedTensor qscale(const FixedTensor& a, float scale) {
   const std::int64_t qs = quantize(scale, a.format());
   const int prod_frac = 2 * a.format().frac_bits();
   FixedTensor c(a.shape(), a.format());
+  const std::uint64_t qs_abs = detail::max_abs(&qs, 1);
+  if (detail::fits_int64(detail::max_abs(a.raw(), a.numel()), qs_abs, 1, 0,
+                         prod_frac - a.format().frac_bits())) {
+    for (index_t i = 0; i < a.numel(); ++i) c[i] = narrow(a[i] * qs, prod_frac, a.format());
+    return c;
+  }
   for (index_t i = 0; i < a.numel(); ++i) {
     const wide_t p = static_cast<wide_t>(a[i]) * qs;
     c[i] = narrow(p, prod_frac, a.format());
@@ -150,7 +320,7 @@ FixedTensor qlayernorm_rows(const FixedTensor& x, const FixedTensor& gamma,
   }
   const auto& ff = x.format();
   FixedTensor out(x.shape(), ff);
-  const int gf = gamma.format().frac_bits();
+  const double gres = gamma.format().resolution();
   for (index_t r = 0; r < rows; ++r) {
     const std::int64_t* in = x.raw() + r * cols;
     std::int64_t* o = out.raw() + r * cols;
@@ -169,8 +339,8 @@ FixedTensor qlayernorm_rows(const FixedTensor& x, const FixedTensor& gamma,
     // Normalize, apply gain/bias, requantize into the feature format.
     for (index_t c = 0; c < cols; ++c) {
       const double xv = static_cast<double>(in[c]) * res;
-      const double g = static_cast<double>(gamma[c]) * std::ldexp(1.0, -gf);
-      const double b = static_cast<double>(beta[c]) * std::ldexp(1.0, -gf);
+      const double g = static_cast<double>(gamma[c]) * gres;
+      const double b = static_cast<double>(beta[c]) * gres;
       o[c] = quantize(static_cast<float>((xv - mean) * inv_std * g + b), ff);
     }
   }
@@ -195,15 +365,19 @@ FixedTensor qlinear(const FixedTensor& x, const FixedTensor& weight_t, const Fix
   // coarser accumulator would round the bias constant once here instead.
   const int bshift = prod_frac - bias.format().frac_bits();
   std::vector<wide_t> wide_bias(static_cast<std::size_t>(n));
+  std::uint64_t bias_max = 0;
   for (index_t j = 0; j < n; ++j) {
     const wide_t b = bias[j];
-    wide_bias[static_cast<std::size_t>(j)] =
-        bshift >= 0 ? b << bshift
-                    : (b + (b >= 0 ? (wide_t{1} << (-bshift - 1))
-                                   : (wide_t{1} << (-bshift - 1)) - 1)) >> -bshift;
+    const wide_t v = bshift >= 0 ? b << bshift
+                                 : (b + (b >= 0 ? (wide_t{1} << (-bshift - 1))
+                                                : (wide_t{1} << (-bshift - 1)) - 1)) >> -bshift;
+    wide_bias[static_cast<std::size_t>(j)] = v;
+    const wide_t mag = v < 0 ? -v : v;
+    constexpr auto kMax = static_cast<wide_t>(std::numeric_limits<std::uint64_t>::max());
+    bias_max = std::max(bias_max, static_cast<std::uint64_t>(std::min(mag, kMax)));
   }
   FixedTensor y(Shape{m, n}, out_format);
-  qgemm_nt(x.raw(), weight_t.raw(), y.raw(), m, k, n, prod_frac, out_format, wide_bias.data());
+  qgemm(x, PackedB::from_nk(weight_t), y, prod_frac, wide_bias.data(), bias_max);
   return y;
 }
 

@@ -14,6 +14,8 @@
 // the last invocation so callers (the rt::ZynqBoard) can account time.
 #pragma once
 
+#include <vector>
+
 #include "nodetr/fx/qops.hpp"
 #include "nodetr/hls/cycle_model.hpp"
 #include "nodetr/nn/attention.hpp"
@@ -77,8 +79,12 @@ class MhsaIpCore {
 
   MhsaDesignPoint point_;
   MhsaWeights weights_;
-  // Pre-quantized parameters for the fixed datapath.
-  fx::FixedTensor qwq_, qwk_, qwv_, qrel_h_, qrel_w_, qln_gamma_, qln_beta_;
+  // Fixed datapath parameters, quantized and packed once at construction:
+  // the projection weights, each head's relative-position matrix R_h (as the
+  // Bt of Q_h R_h^T), and the LayerNorm gain/bias.
+  fx::PackedB pwq_, pwk_, pwv_;
+  std::vector<fx::PackedB> prel_;
+  fx::FixedTensor qln_gamma_, qln_beta_;
   CycleBreakdown last_cycles_;
   CycleModel cycle_model_;
 };

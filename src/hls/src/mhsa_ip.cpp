@@ -31,6 +31,25 @@ MhsaWeights MhsaWeights::from_module(nodetr::nn::MultiHeadSelfAttention& mhsa) {
   return w;
 }
 
+namespace {
+
+/// R[(y,x),:] = rel_h[head,y,:] + rel_w[head,x,:].
+Tensor relative_matrix(const Tensor& rel_h, const Tensor& rel_w, index_t head, index_t h,
+                       index_t w, index_t dh) {
+  Tensor r(nt::Shape{h * w, dh});
+  for (index_t y = 0; y < h; ++y) {
+    const float* rh = rel_h.data() + (head * h + y) * dh;
+    for (index_t x = 0; x < w; ++x) {
+      const float* rw = rel_w.data() + (head * w + x) * dh;
+      float* dst = r.data() + (y * w + x) * dh;
+      for (index_t c = 0; c < dh; ++c) dst[c] = rh[c] + rw[c];
+    }
+  }
+  return r;
+}
+
+}  // namespace
+
 MhsaIpCore::MhsaIpCore(MhsaDesignPoint point, MhsaWeights weights)
     : point_(point), weights_(std::move(weights)) {
   const index_t d = point_.dim;
@@ -67,12 +86,19 @@ MhsaIpCore::MhsaIpCore(MhsaDesignPoint point, MhsaWeights weights)
     }
   }
   const auto pf = point_.scheme.param;
-  qwq_ = fx::FixedTensor::from_float(weights_.wq, pf);
-  qwk_ = fx::FixedTensor::from_float(weights_.wk, pf);
-  qwv_ = fx::FixedTensor::from_float(weights_.wv, pf);
+  pwq_ = fx::PackedB::from_kn(fx::FixedTensor::from_float(weights_.wq, pf));
+  pwk_ = fx::PackedB::from_kn(fx::FixedTensor::from_float(weights_.wk, pf));
+  pwv_ = fx::PackedB::from_kn(fx::FixedTensor::from_float(weights_.wv, pf));
   if (!weights_.rel_h.empty()) {
-    qrel_h_ = fx::FixedTensor::from_float(weights_.rel_h, pf);
-    qrel_w_ = fx::FixedTensor::from_float(weights_.rel_w, pf);
+    // R_h from the parameter-format tables, summed at float and requantized
+    // into the parameter format, as the IP builds it in its on-chip buffer.
+    const Tensor rel_h = fx::FixedTensor::from_float(weights_.rel_h, pf).to_float();
+    const Tensor rel_w = fx::FixedTensor::from_float(weights_.rel_w, pf).to_float();
+    for (index_t h = 0; h < point_.heads; ++h) {
+      const Tensor r =
+          relative_matrix(rel_h, rel_w, h, point_.height, point_.width, point_.head_dim());
+      prel_.push_back(fx::PackedB::from_nk(fx::FixedTensor::from_float(r, pf)));
+    }
   }
   if (!weights_.ln_gamma.empty()) {
     qln_gamma_ = fx::FixedTensor::from_float(weights_.ln_gamma, pf);
@@ -127,28 +153,31 @@ std::int64_t MhsaIpCore::output_dma_bytes_per_image() const {
 
 namespace {
 
-/// (B, D, H, W) -> (B*N, D) tokens.
-Tensor to_tokens(const Tensor& x, index_t d, index_t h, index_t w) {
-  return x.permute({0, 2, 3, 1}).reshape(nt::Shape{x.dim(0) * h * w, d});
-}
-
-Tensor from_tokens(const Tensor& tokens, index_t b, index_t d, index_t h, index_t w) {
-  return tokens.reshape(nt::Shape{b, h, w, d}).permute({0, 3, 1, 2});
-}
-
-/// R[(y,x),:] = rel_h[head,y,:] + rel_w[head,x,:].
-Tensor relative_matrix(const Tensor& rel_h, const Tensor& rel_w, index_t head, index_t h,
-                       index_t w, index_t dh) {
-  Tensor r(nt::Shape{h * w, dh});
-  for (index_t y = 0; y < h; ++y) {
-    const float* rh = rel_h.data() + (head * h + y) * dh;
-    for (index_t x = 0; x < w; ++x) {
-      const float* rw = rel_w.data() + (head * w + x) * dh;
-      float* dst = r.data() + (y * w + x) * dh;
-      for (index_t c = 0; c < dh; ++c) dst[c] = rh[c] + rw[c];
+/// (B, D, H, W) -> (B*N, D) tokens: one (D, N) -> (N, D) transpose per image.
+Tensor to_tokens(const Tensor& x, index_t b, index_t d, index_t n) {
+  Tensor tokens(nt::Shape{b * n, d});
+  for (index_t s = 0; s < b; ++s) {
+    const float* src = x.data() + s * d * n;
+    float* dst = tokens.data() + s * n * d;
+    for (index_t c = 0; c < d; ++c) {
+      for (index_t t = 0; t < n; ++t) dst[t * d + c] = src[c * n + t];
     }
   }
-  return r;
+  return tokens;
+}
+
+/// (B*N, D) tokens -> (B, D, H, W): the inverse transpose.
+Tensor from_tokens(const Tensor& tokens, index_t b, index_t d, index_t h, index_t w) {
+  const index_t n = h * w;
+  Tensor x(nt::Shape{b, d, h, w});
+  for (index_t s = 0; s < b; ++s) {
+    const float* src = tokens.data() + s * n * d;
+    float* dst = x.data() + s * d * n;
+    for (index_t t = 0; t < n; ++t) {
+      for (index_t c = 0; c < d; ++c) dst[c * n + t] = src[t * d + c];
+    }
+  }
+  return x;
 }
 
 Tensor gather_cols(const Tensor& m, index_t col0, index_t cols) {
@@ -238,22 +267,17 @@ fx::FixedTensor MhsaIpCore::run_fixed_tokens(const fx::FixedTensor& x) const {
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const auto ff = point_.scheme.feature;
   // Shared weight buffer dataflow: Q, K, V computed sequentially (Sec. V-B2).
-  fx::FixedTensor q = fx::qmatmul(x, qwq_, ff);
-  fx::FixedTensor k = fx::qmatmul(x, qwk_, ff);
-  fx::FixedTensor v = fx::qmatmul(x, qwv_, ff);
+  fx::FixedTensor q = fx::qmatmul(x, pwq_, ff);
+  fx::FixedTensor k = fx::qmatmul(x, pwk_, ff);
+  fx::FixedTensor v = fx::qmatmul(x, pwv_, ff);
   fx::FixedTensor out(nt::Shape{n, d}, ff);
   for (index_t h = 0; h < heads; ++h) {
     fx::FixedTensor qh = gather_cols_fx(q, h * dh, dh);
     fx::FixedTensor kh = gather_cols_fx(k, h * dh, dh);
     fx::FixedTensor vh = gather_cols_fx(v, h * dh, dh);
     fx::FixedTensor logits = fx::qmatmul_nt(qh, kh, ff);
-    if (!qrel_h_.empty()) {
-      // R built on the fly from the parameter-format tables, at feature scale.
-      Tensor r = relative_matrix(qrel_h_.to_float(), qrel_w_.to_float(), h, point_.height,
-                                 point_.width, dh);
-      fx::FixedTensor qr =
-          fx::qmatmul_nt(qh, fx::FixedTensor::from_float(r, point_.scheme.param), ff);
-      logits = fx::qadd(logits, qr);
+    if (!prel_.empty()) {
+      logits = fx::qadd(logits, fx::qmatmul(qh, prel_[static_cast<std::size_t>(h)], ff));
     }
     logits = fx::qscale(logits, scale);
     fx::FixedTensor a = fx::qrelu(logits);
@@ -289,7 +313,7 @@ Tensor MhsaIpCore::run(const Tensor& x) {
   }
   const index_t b = input.dim(0), d = point_.dim, h = point_.height, w = point_.width;
   const index_t n = point_.tokens();
-  Tensor tokens = to_tokens(input, d, h, w);
+  Tensor tokens = to_tokens(input, b, d, n);
   Tensor out_tokens(tokens.shape());
   for (index_t s = 0; s < b; ++s) {
     Tensor t = tokens.slice0(s * n, (s + 1) * n);

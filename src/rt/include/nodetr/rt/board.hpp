@@ -45,7 +45,9 @@ class OffloadedModel {
   OffloadedModel(const OffloadedModel&) = delete;
   OffloadedModel& operator=(const OffloadedModel&) = delete;
 
-  /// Inference with PS/PL time accounting.
+  /// Inference with PS/PL time accounting. Runs the model in eval mode and
+  /// restores a training-mode model afterwards, so BatchNorm uses (and never
+  /// updates) its running statistics.
   [[nodiscard]] Tensor forward(const Tensor& batch);
 
   [[nodiscard]] const InferenceTiming& last_timing() const { return timing_; }

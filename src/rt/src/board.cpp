@@ -14,6 +14,25 @@ double now_ms() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// Puts a model in eval mode for one scope and restores training mode on
+/// every exit path. A model already in eval mode is left untouched.
+class EvalScope {
+ public:
+  explicit EvalScope(nodetr::nn::Module& model) : model_(model), was_training_(model.training()) {
+    if (was_training_) model_.train(false);
+  }
+  ~EvalScope() {
+    if (was_training_) model_.train(true);
+  }
+  EvalScope(const EvalScope&) = delete;
+  EvalScope& operator=(const EvalScope&) = delete;
+
+ private:
+  nodetr::nn::Module& model_;
+  bool was_training_;
+};
+
 }  // namespace
 
 TimingStats summarize(const std::vector<double>& samples_ms) {
@@ -67,6 +86,10 @@ OffloadedModel::~OffloadedModel() {
 
 Tensor OffloadedModel::forward(const Tensor& batch) {
   obs::ScopedSpan span("rt.offload.forward");
+  // Offload is inference: BatchNorm must normalise with its running
+  // statistics and leave them unchanged, whatever mode the caller left the
+  // model in.
+  const EvalScope eval(model_);
   timing_ = InferenceTiming{};
   override_wall_ms_ = 0.0;
   const double t0 = now_ms();

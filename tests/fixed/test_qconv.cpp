@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/conv.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/tensor/rng.hpp"
@@ -101,4 +105,114 @@ TEST(QConvKernels, NarrowFormatsIncreaseError) {
     EXPECT_GE(err, prev * 0.5f);
     prev = std::max(prev, err);
   }
+}
+
+namespace {
+
+/// __int128 reference conv, one output at a time; `depthwise` selects the
+/// (C, K, K) weight layout. Bias joins at the product scale as in qconv2d.
+fx::FixedTensor wide_conv_ref(const fx::FixedTensor& x, const fx::FixedTensor& w,
+                              const fx::FixedTensor& bias, const nt::Conv2dGeom& g,
+                              bool depthwise, fx::FixedFormat out) {
+  const nt::index_t n = x.shape().dim(0), c_in = x.shape().dim(1), h = x.shape().dim(2),
+                    wd = x.shape().dim(3);
+  const nt::index_t c_out = depthwise ? c_in : g.out_channels;
+  const nt::index_t ho = g.out_extent(h), wo = g.out_extent(wd);
+  const int prod_frac = x.format().frac_bits() + w.format().frac_bits();
+  fx::FixedTensor y(nt::Shape{n, c_out, ho, wo}, out);
+  for (nt::index_t s = 0; s < n; ++s) {
+    for (nt::index_t oc = 0; oc < c_out; ++oc) {
+      for (nt::index_t oy = 0; oy < ho; ++oy) {
+        for (nt::index_t ox = 0; ox < wo; ++ox) {
+          __int128 acc = bias.empty() ? 0
+                                      : fx::convert_raw(bias[oc], bias.format(),
+                                                        fx::FixedFormat{62, 62 - prod_frac});
+          const nt::index_t ic0 = depthwise ? oc : 0, ic1 = depthwise ? oc + 1 : c_in;
+          for (nt::index_t ic = ic0; ic < ic1; ++ic) {
+            for (nt::index_t ky = 0; ky < g.kernel; ++ky) {
+              for (nt::index_t kx = 0; kx < g.kernel; ++kx) {
+                const nt::index_t iy = oy * g.stride + ky - g.pad, ix = ox * g.stride + kx - g.pad;
+                if (iy < 0 || iy >= h || ix < 0 || ix >= wd) continue;
+                const nt::index_t wi = depthwise ? (oc * g.kernel + ky) * g.kernel + kx
+                                                 : ((oc * c_in + ic) * g.kernel + ky) * g.kernel + kx;
+                acc += static_cast<__int128>(x[((s * c_in + ic) * h + iy) * wd + ix]) * w[wi];
+              }
+            }
+          }
+          const int shift = prod_frac - out.frac_bits();
+          if (shift > 0) {
+            const __int128 half = static_cast<__int128>(1) << (shift - 1);
+            acc = (acc + (acc >= 0 ? half : half - 1)) >> shift;
+          } else if (shift < 0) {
+            acc <<= -shift;
+          }
+          acc = std::min<__int128>(std::max<__int128>(acc, out.raw_min()), out.raw_max());
+          y[((s * c_out + oc) * ho + oy) * wo + ox] = static_cast<std::int64_t>(acc);
+        }
+      }
+    }
+  }
+  return y;
+}
+
+/// Random codes spanning the whole format, saturated ends included.
+fx::FixedTensor random_codes(nt::Shape shape, fx::FixedFormat f, nt::Rng& rng) {
+  fx::FixedTensor t(std::move(shape), f);
+  const auto span = static_cast<float>(f.max_value());
+  for (nt::index_t i = 0; i < t.numel(); ++i) {
+    t[i] = fx::quantize(rng.uniform(-1.25f * span, 1.25f * span), f);
+  }
+  return t;
+}
+
+void expect_bitwise(const fx::FixedTensor& got, const fx::FixedTensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (nt::index_t i = 0; i < got.numel(); ++i) ASSERT_EQ(got[i], want[i]) << what << " i=" << i;
+}
+
+std::int64_t wide_fallbacks() {
+  return nodetr::obs::Registry::instance().counter("fx.accum.wide_fallbacks").value();
+}
+
+}  // namespace
+
+// Dense and depthwise convs accumulate in int64 for every Table VIII scheme
+// (the proof holds at full-range operands) and match the __int128 reference.
+TEST(QConvExact, Int64PathMatchesWideReferenceOnAllSchemes) {
+  nt::Rng rng(21);
+  const nt::Conv2dGeom dense{.in_channels = 5, .out_channels = 3, .kernel = 3, .stride = 2,
+                             .pad = 1};
+  const nt::Conv2dGeom dw{.in_channels = 4, .out_channels = 4, .kernel = 3, .stride = 1,
+                          .pad = 1};
+  const std::int64_t before = wide_fallbacks();
+  for (const auto& s : fx::table8_schemes()) {
+    const auto x = random_codes(nt::Shape{2, 5, 7, 6}, s.feature, rng);
+    const auto w = random_codes(nt::Shape{3, 5, 3, 3}, s.param, rng);
+    const auto b = random_codes(nt::Shape{3}, s.param, rng);
+    expect_bitwise(fx::qconv2d(x, w, b, dense, s.feature),
+                   wide_conv_ref(x, w, b, dense, false, s.feature), "dense " + s.to_string());
+    const auto xd = random_codes(nt::Shape{1, 4, 5, 5}, s.feature, rng);
+    const auto wd = random_codes(nt::Shape{4, 3, 3}, s.param, rng);
+    expect_bitwise(fx::qdepthwise_conv2d(xd, wd, dw, s.feature),
+                   wide_conv_ref(xd, wd, {}, dw, true, s.feature), "depthwise " + s.to_string());
+  }
+  EXPECT_EQ(wide_fallbacks(), before);
+}
+
+// 48-bit codes make single products reach 2^94, past any int64 bound: both
+// convs must fall back to __int128 and still match the reference.
+TEST(QConvExact, OverBoundFallsBackWide) {
+  const fx::FixedFormat huge{48, 16};
+  nt::Rng rng(22);
+  const nt::Conv2dGeom g{.in_channels = 2, .out_channels = 2, .kernel = 3, .stride = 1, .pad = 1};
+  const auto x = random_codes(nt::Shape{1, 2, 4, 4}, huge, rng);
+  const auto w = random_codes(nt::Shape{2, 2, 3, 3}, huge, rng);
+  const auto wd = random_codes(nt::Shape{2, 3, 3}, huge, rng);
+  const std::int64_t before = wide_fallbacks();
+  expect_bitwise(fx::qconv2d(x, w, {}, g, huge), wide_conv_ref(x, w, {}, g, false, huge),
+                 "dense");
+  expect_bitwise(fx::qdepthwise_conv2d(x, wd, g, huge), wide_conv_ref(x, wd, {}, g, true, huge),
+                 "depthwise");
+  EXPECT_EQ(wide_fallbacks() - before, 2);
 }

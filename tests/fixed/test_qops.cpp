@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <string>
 
+#include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/gemm.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/tensor/rng.hpp"
@@ -147,20 +150,27 @@ TEST(QLinear, MatchesFloatLinear) {
 
 namespace {
 
-/// Scalar reference for the single-rounding linear contract: the bias is
-/// folded into the wide accumulator at product scale and exactly one
+/// __int128 reference GEMM, one dot product per output: C = A * B (+ bias),
+/// with B given as Bt (n x k) when `b_is_nk`. The bias is raised (or
+/// rounded) to the product scale and seeds the accumulator, and exactly one
 /// round-half-away-from-zero narrowing happens at the output boundary.
-fx::FixedTensor qlinear_scalar_ref(const fx::FixedTensor& x, const fx::FixedTensor& w_t,
-                                   const fx::FixedTensor& bias, fx::FixedFormat out) {
-  const nt::index_t m = x.shape().dim(0), k = x.shape().dim(1), n = w_t.shape().dim(0);
-  const int prod_frac = x.format().frac_bits() + w_t.format().frac_bits();
-  const int bshift = prod_frac - bias.format().frac_bits();
+fx::FixedTensor wide_ref(const fx::FixedTensor& a, const fx::FixedTensor& b, bool b_is_nk,
+                         const fx::FixedTensor& bias, fx::FixedFormat out) {
+  const nt::index_t m = a.shape().dim(0), k = a.shape().dim(1);
+  const nt::index_t n = b_is_nk ? b.shape().dim(0) : b.shape().dim(1);
+  const int prod_frac = a.format().frac_bits() + b.format().frac_bits();
   fx::FixedTensor y(nt::Shape{m, n}, out);
   for (nt::index_t r = 0; r < m; ++r) {
     for (nt::index_t c = 0; c < n; ++c) {
-      __int128 acc = static_cast<__int128>(bias[c]) << bshift;
+      __int128 acc = 0;
+      if (!bias.empty()) {
+        const int bshift = prod_frac - bias.format().frac_bits();
+        const __int128 bv = bias[c];
+        const __int128 bhalf = bshift < 0 ? static_cast<__int128>(1) << (-bshift - 1) : 0;
+        acc = bshift >= 0 ? bv << bshift : (bv + (bv >= 0 ? bhalf : bhalf - 1)) >> -bshift;
+      }
       for (nt::index_t i = 0; i < k; ++i) {
-        acc += static_cast<__int128>(x[r * k + i]) * w_t[c * k + i];
+        acc += static_cast<__int128>(a[r * k + i]) * (b_is_nk ? b[c * k + i] : b[i * n + c]);
       }
       const int shift = prod_frac - out.frac_bits();
       __int128 v = acc;
@@ -178,7 +188,164 @@ fx::FixedTensor qlinear_scalar_ref(const fx::FixedTensor& x, const fx::FixedTens
   return y;
 }
 
+void expect_bitwise(const fx::FixedTensor& got, const fx::FixedTensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (nt::index_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << what << " i=" << i;
+  }
+}
+
+std::int64_t wide_fallbacks() {
+  return nodetr::obs::Registry::instance().counter("fx.accum.wide_fallbacks").value();
+}
+
+/// Random codes spanning the whole format, saturated ends included.
+fx::FixedTensor random_codes(nt::Shape shape, fx::FixedFormat f, nt::Rng& rng) {
+  fx::FixedTensor t(std::move(shape), f);
+  const auto span = static_cast<float>(f.max_value());
+  for (nt::index_t i = 0; i < t.numel(); ++i) {
+    t[i] = fx::quantize(rng.uniform(-1.25f * span, 1.25f * span), f);
+  }
+  return t;
+}
+
 }  // namespace
+
+// The int64 datapath against the __int128 reference on every Table VIII
+// scheme, over odd shapes that hit partial column tiles and odd row counts,
+// with operands drawn over each format's full range. Every one of these
+// shapes fits the int64 proof, so no call may fall back.
+TEST(QGemmExact, NarrowPathMatchesWideReferenceOnAllSchemes) {
+  nt::Rng rng(11);
+  const nt::index_t shapes[][3] = {{1, 1, 1},  {7, 13, 37}, {36, 64, 64},
+                                   {36, 16, 36}, {36, 36, 16}, {5, 3, 17}};
+  const std::int64_t before = wide_fallbacks();
+  for (const auto& scheme : fx::table8_schemes()) {
+    for (const auto& s : shapes) {
+      const nt::index_t m = s[0], k = s[1], n = s[2];
+      const std::string what = scheme.to_string() + " " + std::to_string(m) + "x" +
+                               std::to_string(k) + "x" + std::to_string(n);
+      const auto a = random_codes(nt::Shape{m, k}, scheme.feature, rng);
+      const auto b = random_codes(nt::Shape{k, n}, scheme.param, rng);
+      const auto bt = random_codes(nt::Shape{n, k}, scheme.param, rng);
+      const auto bias = random_codes(nt::Shape{n}, scheme.param, rng);
+      const auto ff = scheme.feature;
+      expect_bitwise(fx::qmatmul(a, b, ff), wide_ref(a, b, false, {}, ff), "qmatmul " + what);
+      expect_bitwise(fx::qmatmul(a, fx::PackedB::from_kn(b), ff), wide_ref(a, b, false, {}, ff),
+                     "qmatmul packed " + what);
+      expect_bitwise(fx::qmatmul_nt(a, bt, ff), wide_ref(a, bt, true, {}, ff),
+                     "qmatmul_nt " + what);
+      expect_bitwise(fx::qlinear(a, bt, bias, ff), wide_ref(a, bt, true, bias, ff),
+                     "qlinear " + what);
+    }
+  }
+  EXPECT_EQ(wide_fallbacks(), before);
+}
+
+// Saturated codes at raw_max and raw_min. |raw_min| of a 32-bit format does
+// not fit int32, so that operand must take the __int128 fallback; both paths
+// must agree with the reference.
+TEST(QGemmExact, AdversarialExtremeCodes) {
+  for (const auto& scheme : fx::table8_schemes()) {
+    const auto ff = scheme.feature, pf = scheme.param;
+    for (const std::int64_t a_code : {ff.raw_max(), ff.raw_min()}) {
+      fx::FixedTensor a(nt::Shape{3, 64}, ff), bt(nt::Shape{5, 64}, pf), bias(nt::Shape{5}, pf);
+      for (nt::index_t i = 0; i < a.numel(); ++i) a[i] = i % 3 == 2 ? -a_code : a_code;
+      for (nt::index_t i = 0; i < bt.numel(); ++i) bt[i] = i % 2 ? pf.raw_min() : pf.raw_max();
+      for (nt::index_t i = 0; i < bias.numel(); ++i) bias[i] = i % 2 ? pf.raw_min() : pf.raw_max();
+      const std::string what = scheme.to_string() + " a=" + std::to_string(a_code);
+      const std::int64_t before = wide_fallbacks();
+      expect_bitwise(fx::qlinear(a, bt, bias, ff), wide_ref(a, bt, true, bias, ff), what);
+      const bool a_fits_int32 = a_code >= -std::int64_t{INT32_MAX} && a_code <= INT32_MAX;
+      EXPECT_EQ(wide_fallbacks() - before, a_fits_int32 ? 0 : 1) << what;
+    }
+  }
+}
+
+namespace {
+
+// Operands whose bound lands exactly on the int64 limit. Codes are
+// M = 2^31 - 1 in 32(16) for x and W^T, so every product is at most
+// M^2 = 2^62 - 2^32 + 1 and k = 2 of them sum to 2^63 - 2^33 + 2. The output
+// is one fractional bit coarser than the products (half-LSB = 1) and the
+// bias sits at the product scale, so the proof's left-hand side is
+//   2^63 - 2^33 + 2 + bias_max + 1.
+struct BoundCase {
+  fx::FixedTensor x, w_t, bias;
+  fx::FixedFormat out{63, 32};  // frac 31 = 32 + 32 - 1; raw_max 2^62 - 1
+};
+
+BoundCase bound_case(std::int64_t bias_max) {
+  const fx::FixedFormat f{32, 16};
+  const std::int64_t m = f.raw_max();
+  BoundCase c{fx::FixedTensor(nt::Shape{2, 2}, f), fx::FixedTensor(nt::Shape{2, 2}, f),
+              fx::FixedTensor(nt::Shape{2}, fx::FixedFormat{40, 8})};  // bias frac 32
+  const std::int64_t signs[] = {1, 1, 1, -1};
+  for (nt::index_t i = 0; i < 4; ++i) {
+    c.x[i] = signs[i] * m;
+    c.w_t[i] = signs[i] * m;
+  }
+  c.bias[0] = bias_max;
+  c.bias[1] = -bias_max;
+  return c;
+}
+
+}  // namespace
+
+// bias_max = 2^33 - 4 puts the bound at 2^63 - 1: the largest case the int64
+// path accepts. Output (0,0) is 2M^2 + bias = 2^63 - 2, whose rounding adds 1
+// to reach exactly INT64_MAX, so the narrow path is exercised at its edge.
+TEST(QGemmExact, ExactlyAtInt64BoundStaysNarrow) {
+  const BoundCase c = bound_case((std::int64_t{1} << 33) - 4);
+  const std::int64_t before = wide_fallbacks();
+  const auto got = fx::qlinear(c.x, c.w_t, c.bias, c.out);
+  EXPECT_EQ(wide_fallbacks(), before);
+  expect_bitwise(got, wide_ref(c.x, c.w_t, true, c.bias, c.out), "at bound");
+  EXPECT_EQ(got[0], c.out.raw_max());  // (2^63 - 1) >> 1, in range, not clamped
+}
+
+// One more unit of bias puts the bound at 2^63: the proof fails and the
+// __int128 fallback must produce the reference bits (the narrow path would
+// overflow computing output (0,0)).
+TEST(QGemmExact, JustOverInt64BoundFallsBackWide) {
+  const BoundCase c = bound_case((std::int64_t{1} << 33) - 3);
+  const std::int64_t before = wide_fallbacks();
+  const auto got = fx::qlinear(c.x, c.w_t, c.bias, c.out);
+  EXPECT_EQ(wide_fallbacks() - before, 1);
+  expect_bitwise(got, wide_ref(c.x, c.w_t, true, c.bias, c.out), "over bound");
+}
+
+// Codes wider than int32 pack into the int64 panel and take the fallback.
+TEST(PackedB, WideCodesUseInt64Panel) {
+  const fx::FixedFormat wide{48, 16};
+  nt::Rng rng(12);
+  const auto a = random_codes(nt::Shape{4, 6}, wide, rng);
+  const auto b = random_codes(nt::Shape{6, 3}, wide, rng);
+  const auto packed = fx::PackedB::from_kn(b);
+  EXPECT_FALSE(packed.is_int32());
+  EXPECT_EQ(packed.k(), 6);
+  EXPECT_EQ(packed.n(), 3);
+  const std::int64_t before = wide_fallbacks();
+  expect_bitwise(fx::qmatmul(a, packed, wide), wide_ref(a, b, false, {}, wide), "int64 panel");
+  EXPECT_EQ(wide_fallbacks() - before, 1);
+}
+
+TEST(PackedB, TransposedPackingMatches) {
+  nt::Rng rng(13);
+  const auto b = random_codes(nt::Shape{5, 9}, kP24, rng);
+  fx::FixedTensor bt(nt::Shape{9, 5}, kP24);
+  for (nt::index_t r = 0; r < 5; ++r) {
+    for (nt::index_t c = 0; c < 9; ++c) bt[c * 5 + r] = b[r * 9 + c];
+  }
+  const auto p = fx::PackedB::from_kn(b), q = fx::PackedB::from_nk(bt);
+  ASSERT_TRUE(p.is_int32());
+  ASSERT_TRUE(q.is_int32());
+  EXPECT_EQ(p.max_abs(), q.max_abs());
+  for (nt::index_t i = 0; i < 45; ++i) EXPECT_EQ(p.codes32()[i], q.codes32()[i]);
+  EXPECT_THROW(fx::qmatmul(random_codes(nt::Shape{2, 4}, kF32, rng), p, kF32),
+               std::invalid_argument);
+}
 
 // Regression for the double-rounding bug: qlinear used to round the matmul
 // into the output format, convert the bias separately (second rounding), and
@@ -199,7 +366,7 @@ TEST(QLinear, BitwiseMatchesScalarReferenceAtExtremeScales) {
   auto qb = fx::FixedTensor::from_float(b, bf);
   for (const auto& out : outs) {
     auto got = fx::qlinear(qx, qw, qb, out);
-    auto want = qlinear_scalar_ref(qx, qw, qb, out);
+    auto want = wide_ref(qx, qw, /*b_is_nk=*/true, qb, out);
     ASSERT_EQ(got.numel(), want.numel());
     for (nt::index_t i = 0; i < got.numel(); ++i) {
       EXPECT_EQ(got[i], want[i]) << "out=" << out.to_string() << " i=" << i;

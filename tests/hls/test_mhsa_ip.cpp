@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/tensor/rng.hpp"
 
@@ -137,4 +138,77 @@ TEST(MhsaIp, OverrideHookRoutesModuleThroughIp) {
   EXPECT_THROW(mhsa.backward(nt::Tensor(sw.shape())), std::logic_error);
   mhsa.clear_forward_override();
   EXPECT_FALSE(mhsa.has_forward_override());
+}
+
+namespace {
+
+/// FNV-1a over raw bytes, chained through `h`.
+std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t h = 1469598103934665603ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Fingerprint of one fixed IP core: run() on a batch of two maps (float
+/// output bits), then run_fixed_tokens() on the first map (raw codes).
+std::uint64_t fixed_ip_fingerprint(hls::MhsaDesignPoint point, hls::WeightWire wire) {
+  point.wire = wire;
+  nt::Rng rng(0x5eed);
+  nn::MultiHeadSelfAttention mhsa({.dim = point.dim, .heads = point.heads,
+                                   .height = point.height, .width = point.width},
+                                  rng);
+  hls::MhsaIpCore ip(point, hls::MhsaWeights::from_module(mhsa));
+  const auto x = rng.randn(nt::Shape{2, point.dim, point.height, point.width});
+  const auto y = ip.run(x);
+  std::uint64_t h = fnv1a(y.data(), static_cast<std::size_t>(y.numel()) * sizeof(float));
+  const auto tokens = rng.randn(nt::Shape{point.tokens(), point.dim});
+  const auto codes =
+      ip.run_fixed_tokens(fx::FixedTensor::from_float(tokens, point.scheme.feature));
+  return fnv1a(codes.raw(), static_cast<std::size_t>(codes.numel()) * sizeof(std::int64_t), h);
+}
+
+}  // namespace
+
+// Golden fingerprints captured from the __int128 reference datapath: every
+// fixed output bit of both paper design points, on every weight wire.
+TEST(MhsaIp, FixedOutputsMatchGoldenFingerprints) {
+  struct Case {
+    const char* name;
+    hls::MhsaDesignPoint point;
+    hls::WeightWire wire;
+    std::uint64_t golden;
+  };
+  const auto p64 = hls::MhsaDesignPoint::proposed_64(hls::DataType::kFixed);
+  const auto b512 = hls::MhsaDesignPoint::botnet_512(hls::DataType::kFixed);
+  const Case cases[] = {
+      {"proposed_64/word32", p64, hls::WeightWire::kWord32, 0xbe6d0ff5a38f242eull},
+      {"proposed_64/int8", p64, hls::WeightWire::kBlockInt8, 0xe31ab3a9d1f5f96bull},
+      {"proposed_64/int4", p64, hls::WeightWire::kBlockInt4, 0x4f0054e6b2d9aa05ull},
+      {"botnet_512/word32", b512, hls::WeightWire::kWord32, 0x9fe9f29f181100deull},
+      {"botnet_512/int8", b512, hls::WeightWire::kBlockInt8, 0xa759b4e6827134fcull},
+      {"botnet_512/int4", b512, hls::WeightWire::kBlockInt4, 0x757e7c82260b3a92ull},
+  };
+  for (const auto& c : cases) {
+    const std::uint64_t got = fixed_ip_fingerprint(c.point, c.wire);
+    EXPECT_EQ(got, c.golden) << c.name << " got 0x" << std::hex << got;
+  }
+}
+
+// The proposed_64 IP's GEMMs (36x64x64 and smaller) are below the pool's
+// fork/join grain, so a fixed run() stays on the calling thread: concurrent
+// serving workers never serialise on the global pool.
+TEST(MhsaIp, Proposed64FixedRunForksNoPoolWork) {
+  nt::Rng rng(10);
+  nn::MultiHeadSelfAttention mhsa({}, rng);
+  hls::MhsaIpCore ip(hls::MhsaDesignPoint::proposed_64(hls::DataType::kFixed),
+                     hls::MhsaWeights::from_module(mhsa));
+  const auto x = rng.randn(nt::Shape{2, 64, 6, 6});
+  auto& runs = nodetr::obs::Registry::instance().counter("tensor.pool.runs");
+  const std::int64_t before = runs.value();
+  const auto y = ip.run(x);
+  EXPECT_EQ(runs.value(), before);
+  EXPECT_EQ(y.shape(), x.shape());
 }

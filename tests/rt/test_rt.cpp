@@ -287,6 +287,32 @@ TEST(Offload, DestructorRestoresSoftwarePath) {
   EXPECT_TRUE(nt::allclose(model->forward(x), before, 1e-5f, 1e-6f));
 }
 
+// Offload is inference even on a model left in training mode: BatchNorm
+// must use its running statistics, not the batch's, and must not update them.
+TEST(Offload, TrainingModeModelRunsInEvalAndKeepsRunningStats) {
+  nt::Rng rng(8);
+  auto model = tiny_proposed(rng);
+  auto x = rng.rand(nt::Shape{2, 3, 32, 32});
+  model->train(false);
+  nt::Tensor want;
+  {
+    rt::OffloadedModel offload(*model, hls::DataType::kFixed);
+    want = offload.forward(x);
+  }
+  model->train(true);
+  std::vector<nt::Tensor> stats;
+  for (auto* buf : model->buffers()) stats.push_back(*buf);
+  ASSERT_FALSE(stats.empty());
+  rt::OffloadedModel offload(*model, hls::DataType::kFixed);
+  const auto got = offload.forward(x);
+  EXPECT_TRUE(nt::allclose(got, want, 0.0f, 0.0f));
+  const auto after = model->buffers();
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    EXPECT_TRUE(nt::allclose(*after[i], stats[i], 0.0f, 0.0f)) << "buffer " << i;
+  }
+  EXPECT_TRUE(model->training());
+}
+
 TEST(Offload, RejectsModelWithoutMhsa) {
   nt::Rng rng(7);
   auto plain = m::make_model(m::ModelKind::kTinyOdeNet, 32, 10, rng);
