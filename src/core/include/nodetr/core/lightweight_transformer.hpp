@@ -47,7 +47,8 @@ class LightweightTransformer {
 
   // ---- inference ------------------------------------------------------------
 
-  /// Logits for a batch (B, 3, S, S).
+  /// Logits for a batch (B, 3, S, S), run under an nn::InferenceScope: eval
+  /// mode, no backward state recorded, the model's mode restored afterwards.
   [[nodiscard]] Tensor predict_logits(const Tensor& batch);
   /// Predicted class of one image (3, S, S).
   [[nodiscard]] index_t predict(const Tensor& image);

@@ -8,6 +8,8 @@
 
 namespace nodetr::core {
 
+namespace nn = nodetr::nn;
+
 LightweightTransformer::LightweightTransformer(Options options) : options_(options) {
   models::OdeNetConfig cfg;
   cfg.image_size = options_.image_size;
@@ -38,11 +40,8 @@ float LightweightTransformer::evaluate(const std::vector<data::Sample>& test_set
 Tensor LightweightTransformer::predict_logits(const Tensor& batch) {
   obs::ScopedSpan span("core.predict_logits");
   span.attr("batch", batch.dim(0));
-  const bool was_training = model_->training();
-  model_->train(false);
-  Tensor logits = model_->forward(batch);
-  model_->train(was_training);
-  return logits;
+  const nn::InferenceScope inference(*model_);
+  return model_->forward(batch);
 }
 
 index_t LightweightTransformer::predict(const Tensor& image) {

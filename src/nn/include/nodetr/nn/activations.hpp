@@ -14,6 +14,8 @@ class ReLU final : public Module {
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
  private:
+  void release_backward_state() override { mask_ = Tensor(); }
+
   Tensor mask_;
 };
 
@@ -25,6 +27,8 @@ class GELU final : public Module {
   [[nodiscard]] std::string name() const override { return "GELU"; }
 
  private:
+  void release_backward_state() override { x_ = Tensor(); }
+
   Tensor x_;
 };
 

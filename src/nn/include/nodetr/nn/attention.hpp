@@ -86,6 +86,15 @@ class MultiHeadSelfAttention final : public Module {
   [[nodiscard]] LayerNorm* layer_norm() { return ln_.get(); }
 
  private:
+  void release_backward_state() override {
+    tokens_ = Tensor();
+    q_ = Tensor();
+    k_ = Tensor();
+    v_ = Tensor();
+  }
+  /// relative_matrix(h) for every head; empty without relative encoding.
+  [[nodiscard]] std::vector<Tensor> relative_matrices() const;
+
   MhsaConfig config_;
   Param wq_, wk_, wv_;  ///< (D, D) each
   Param rel_h_;         ///< (heads, H, head_dim)
@@ -93,9 +102,10 @@ class MultiHeadSelfAttention final : public Module {
   std::unique_ptr<LayerNorm> ln_;
   Tensor abs_pos_;      ///< (N, D) sinusoidal table (when enabled)
 
-  // Forward caches.
+  // Backward state, kept only by a recording forward.
   Tensor tokens_;  ///< (B*N, D) projection input (after abs-pos addition)
   Tensor q_, k_, v_;
+  // Kept by every local forward, for attention_weights().
   std::vector<Tensor> attn_;  ///< per (b*heads + h): (N, N) attention weights
   index_t batch_ = 0;
   float last_sparsity_ = 0.0f;

@@ -25,6 +25,8 @@ class Conv2d final : public Module {
   [[nodiscard]] bool has_bias() const { return has_bias_; }
 
  private:
+  void release_backward_state() override { x_ = Tensor(); }
+
   Conv2dGeom geom_;
   bool has_bias_;
   Param weight_;  ///< (Cout, Cin, K, K)
@@ -53,6 +55,11 @@ class DepthwiseSeparableConv final : public Module {
   [[nodiscard]] Param& pw_weight() { return pw_weight_; }
 
  private:
+  void release_backward_state() override {
+    x_ = Tensor();
+    mid_ = Tensor();
+  }
+
   Conv2dGeom dw_geom_;   ///< depthwise stage
   Conv2dGeom pw_geom_;   ///< pointwise (1x1) stage
   Param dw_weight_;      ///< (Cin, K, K)

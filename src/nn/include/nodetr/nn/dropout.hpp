@@ -16,6 +16,8 @@ class Dropout final : public Module {
   [[nodiscard]] std::string name() const override;
 
  private:
+  void release_backward_state() override { mask_ = Tensor(); }
+
   float p_;
   Rng rng_;
   Tensor mask_;

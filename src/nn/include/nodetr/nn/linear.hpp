@@ -24,6 +24,8 @@ class Linear final : public Module {
   [[nodiscard]] index_t out_features() const { return out_; }
 
  private:
+  void release_backward_state() override { x_ = Tensor(); }
+
   index_t in_, out_;
   bool has_bias_;
   Param weight_;

@@ -5,9 +5,14 @@
 // of the *most recent* forward() output, returning the cotangent of its input
 // while accumulating parameter gradients. Composite modules own their children
 // through unique_ptr and chain backward in reverse order.
+//
+// Inference runs the same forward() under an InferenceScope, which records
+// nothing for backward(); a backward() after such a forward throws
+// NoBackwardState.
 #pragma once
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,6 +25,13 @@ using nodetr::tensor::index_t;
 using nodetr::tensor::Rng;
 using nodetr::tensor::Shape;
 using nodetr::tensor::Tensor;
+
+/// Thrown by backward() when the most recent forward() recorded no backward
+/// state: it ran under an InferenceScope, or no forward() ran yet.
+class NoBackwardState : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
 
 /// A learnable tensor with its gradient accumulator.
 struct Param {
@@ -77,8 +89,56 @@ class Module {
   /// Zero every gradient accumulator in the subtree.
   void zero_grad();
 
+  /// False while an InferenceScope covers this module: forward() then keeps
+  /// nothing that backward() would need.
+  [[nodiscard]] bool recording() const { return recording_; }
+
  protected:
+  /// Every forward() calls this first: backward() is valid afterwards only
+  /// when this forward records.
+  void begin_forward() { has_backward_state_ = recording_; }
+
+  /// Every backward() calls this first. Throws NoBackwardState, naming this
+  /// module, when the most recent forward() recorded nothing.
+  void require_backward_state() const;
+
+  /// Free whatever the most recent forward() kept for backward().
+  /// InferenceScope calls it on entry, so no stale state outlives a training
+  /// forward.
+  virtual void release_backward_state() {}
+
   bool training_ = true;
+
+ private:
+  friend class InferenceScope;
+
+  bool recording_ = true;
+  bool has_backward_state_ = false;
+};
+
+/// Runs a module subtree as inference for one scope: eval mode (BatchNorm
+/// uses its running statistics, Dropout is the identity) and no forward() in
+/// the subtree records backward state. Entering frees the state a previous
+/// training forward left behind. Every module's training and recording flags
+/// are set by the same tree walk as train(), and restored on every exit path.
+class InferenceScope {
+ public:
+  explicit InferenceScope(Module& root);
+  ~InferenceScope();
+
+  InferenceScope(const InferenceScope&) = delete;
+  InferenceScope& operator=(const InferenceScope&) = delete;
+
+ private:
+  struct Saved {
+    Module* module;
+    bool training;
+    bool recording;
+  };
+  void enter(Module& m);
+  void restore();
+
+  std::vector<Saved> saved_;
 };
 
 using ModulePtr = std::unique_ptr<Module>;

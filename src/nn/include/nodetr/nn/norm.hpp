@@ -28,6 +28,11 @@ class BatchNorm2d final : public Module {
   [[nodiscard]] Param& beta() { return beta_; }
 
  private:
+  void release_backward_state() override {
+    xhat_ = Tensor();
+    inv_std_ = Tensor();
+  }
+
   index_t channels_;
   float eps_, momentum_;
   Param gamma_, beta_;
@@ -51,6 +56,11 @@ class LayerNorm final : public Module {
   [[nodiscard]] index_t dim() const { return dim_; }
 
  private:
+  void release_backward_state() override {
+    xhat_ = Tensor();
+    inv_std_ = Tensor();
+  }
+
   index_t dim_;
   float eps_;
   Param gamma_, beta_;

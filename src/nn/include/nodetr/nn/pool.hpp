@@ -6,6 +6,7 @@
 namespace nodetr::nn {
 
 /// Max pooling with a square window; caches argmax indices for backward.
+/// Runs in parallel over (sample, channel) planes.
 class MaxPool2d final : public Module {
  public:
   MaxPool2d(index_t kernel, index_t stride, index_t pad);
@@ -18,6 +19,8 @@ class MaxPool2d final : public Module {
   [[nodiscard]] index_t pad() const { return pad_; }
 
  private:
+  void release_backward_state() override { argmax_ = {}; }
+
   index_t kernel_, stride_, pad_;
   Shape in_shape_{std::initializer_list<index_t>{0}};
   std::vector<index_t> argmax_;  ///< flat input index per output element

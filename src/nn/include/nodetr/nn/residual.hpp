@@ -22,6 +22,8 @@ class Residual final : public Module {
   [[nodiscard]] bool final_relu() const { return final_relu_; }
 
  private:
+  void release_backward_state() override { relu_mask_ = Tensor(); }
+
   ModulePtr body_;
   ModulePtr skip_;
   bool final_relu_;

@@ -20,6 +20,14 @@ class SeqMhsa final : public Module {
   [[nodiscard]] std::vector<Param*> local_parameters() override { return {&wq_, &wk_, &wv_}; }
 
  private:
+  void release_backward_state() override {
+    x2_ = Tensor();
+    q_ = Tensor();
+    k_ = Tensor();
+    v_ = Tensor();
+    attn_.clear();
+  }
+
   index_t dim_, heads_;
   Param wq_, wk_, wv_;
   Tensor x2_;  ///< cached (B*T, D) input

@@ -5,17 +5,23 @@
 namespace nodetr::nn {
 
 Tensor ReLU::forward(const Tensor& x) {
-  mask_ = Tensor(x.shape());
+  begin_forward();
   Tensor out(x.shape());
+  float* mask = nullptr;
+  if (recording()) {
+    mask_ = Tensor(x.shape());
+    mask = mask_.data();
+  }
   for (index_t i = 0; i < x.numel(); ++i) {
     const bool pos = x[i] > 0.0f;
-    mask_[i] = pos ? 1.0f : 0.0f;
+    if (mask != nullptr) mask[i] = pos ? 1.0f : 0.0f;
     out[i] = pos ? x[i] : 0.0f;
   }
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
+  require_backward_state();
   Tensor gx(grad_out.shape());
   for (index_t i = 0; i < grad_out.numel(); ++i) gx[i] = grad_out[i] * mask_[i];
   return gx;
@@ -27,7 +33,8 @@ constexpr float kGeluC = 0.044715f;
 }  // namespace
 
 Tensor GELU::forward(const Tensor& x) {
-  x_ = x;
+  begin_forward();
+  if (recording()) x_ = x;
   Tensor out(x.shape());
   for (index_t i = 0; i < x.numel(); ++i) {
     const float v = x[i];
@@ -38,6 +45,7 @@ Tensor GELU::forward(const Tensor& x) {
 }
 
 Tensor GELU::backward(const Tensor& grad_out) {
+  require_backward_state();
   Tensor gx(grad_out.shape());
   for (index_t i = 0; i < grad_out.numel(); ++i) {
     const float v = x_[i];

@@ -7,6 +7,7 @@
 #include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/gemm.hpp"
 #include "nodetr/tensor/ops.hpp"
+#include "nodetr/tensor/parallel.hpp"
 
 namespace nodetr::nn {
 
@@ -19,6 +20,34 @@ namespace {
 /// with leading dimension D — no gather/scatter copies.
 index_t head_offset(index_t b, index_t n, index_t d, index_t h, index_t dh) {
   return b * n * d + h * dh;
+}
+
+/// (B, D, H, W) feature map -> (B*N, D) token rows.
+Tensor to_tokens(const Tensor& x) {
+  const index_t b = x.dim(0), d = x.dim(1), n = x.dim(2) * x.dim(3);
+  Tensor t(Shape{b * n, d});
+  for (index_t s = 0; s < b; ++s) {
+    const float* src = x.data() + s * d * n;
+    float* dst = t.data() + s * n * d;
+    for (index_t c = 0; c < d; ++c) {
+      for (index_t r = 0; r < n; ++r) dst[r * d + c] = src[c * n + r];
+    }
+  }
+  return t;
+}
+
+/// (B*N, D) token rows -> (B, D, H, W) feature map.
+Tensor to_feature_map(const Tensor& t, index_t b, index_t h, index_t w) {
+  const index_t d = t.dim(1), n = h * w;
+  Tensor x(Shape{b, d, h, w});
+  for (index_t s = 0; s < b; ++s) {
+    const float* src = t.data() + s * n * d;
+    float* dst = x.data() + s * d * n;
+    for (index_t c = 0; c < d; ++c) {
+      for (index_t r = 0; r < n; ++r) dst[c * n + r] = src[r * d + c];
+    }
+  }
+  return x;
 }
 
 }  // namespace
@@ -69,7 +98,16 @@ Tensor MultiHeadSelfAttention::relative_matrix(index_t head) const {
   return r;
 }
 
+std::vector<Tensor> MultiHeadSelfAttention::relative_matrices() const {
+  std::vector<Tensor> rel;
+  if (config_.pos != PosEncodingKind::kRelative2d) return rel;
+  rel.reserve(static_cast<std::size_t>(config_.heads));
+  for (index_t h = 0; h < config_.heads; ++h) rel.push_back(relative_matrix(h));
+  return rel;
+}
+
 Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
+  begin_forward();
   obs::ScopedSpan span("mhsa.forward");
   span.attr("dim", config_.dim);
   span.attr("heads", config_.heads);
@@ -93,53 +131,63 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   batch_ = b;
 
-  // (B, D, H, W) -> tokens (B*N, D).
-  tokens_ = x.permute({0, 2, 3, 1}).reshape(Shape{b * n, d});
+  Tensor tokens = to_tokens(x);
   if (config_.pos == PosEncodingKind::kAbsoluteSinusoidal) {
     for (index_t s = 0; s < b; ++s) {
       for (index_t r = 0; r < n; ++r) {
-        float* row = tokens_.data() + (s * n + r) * d;
+        float* row = tokens.data() + (s * n + r) * d;
         const float* p = abs_pos_.data() + r * d;
         for (index_t c = 0; c < d; ++c) row[c] += p[c];
       }
     }
   }
 
+  Tensor q, k, v;
   {
     NODETR_TRACE_SCOPE("mhsa.qkv_projection");
-    q_ = nt::matmul(tokens_, wq_.value);
-    k_ = nt::matmul(tokens_, wk_.value);
-    v_ = nt::matmul(tokens_, wv_.value);
+    q = nt::matmul(tokens, wq_.value);
+    k = nt::matmul(tokens, wk_.value);
+    v = nt::matmul(tokens, wv_.value);
   }
+  const std::vector<Tensor> rel = relative_matrices();
 
   Tensor out(Shape{b * n, d});
   attn_.assign(static_cast<std::size_t>(b * heads), Tensor());
-  double zero_count = 0.0;
+  std::vector<index_t> zeros(static_cast<std::size_t>(b * heads), 0);
   obs::ScopedSpan attn_span("mhsa.attention");
-  for (index_t s = 0; s < b; ++s) {
-    for (index_t h = 0; h < heads; ++h) {
+  // One task per (sample, head). Each task's GEMMs are far below the GEMM's
+  // fork/join threshold, so they run on the task's own thread, and each task
+  // writes only its own column block of `out`.
+  nt::parallel_for(0, b * heads, [&](index_t lo, index_t hi) {
+    for (index_t task = lo; task < hi; ++task) {
+      const index_t s = task / heads, h = task % heads;
       const index_t off = head_offset(s, n, d, h, dh);
-      const auto qh = nt::GemmView::plain(q_.data() + off, d);
-      const auto kh = nt::GemmView::transposed(k_.data() + off, d);
-      const auto vh = nt::GemmView::plain(v_.data() + off, d);
+      const auto qh = nt::GemmView::plain(q.data() + off, d);
+      const auto kh = nt::GemmView::transposed(k.data() + off, d);
+      const auto vh = nt::GemmView::plain(v.data() + off, d);
       // logits = (Q K^T [+ Q R^T]) / sqrt(Dh)  — Eq. (15).
       Tensor logits(Shape{n, n});
       nt::gemm_blocked(n, dh, n, qh, kh, logits.data(), n);
-      if (config_.pos == PosEncodingKind::kRelative2d) {
-        const Tensor r = relative_matrix(h);
-        nt::gemm_blocked(n, dh, n, qh, nt::GemmView::transposed(r.data(), dh), logits.data(), n,
-                         {.accumulate = true});
+      if (!rel.empty()) {
+        nt::gemm_blocked(n, dh, n, qh,
+                         nt::GemmView::transposed(rel[static_cast<std::size_t>(h)].data(), dh),
+                         logits.data(), n, {.accumulate = true});
       }
       logits *= scale;
       Tensor a = (config_.attention == AttentionKind::kRelu) ? nt::relu(logits)
                                                              : nt::softmax_rows(logits);
-      for (index_t i = 0; i < a.numel(); ++i) zero_count += (a[i] == 0.0f) ? 1.0 : 0.0;
+      index_t z = 0;
+      for (index_t i = 0; i < a.numel(); ++i) z += (a[i] == 0.0f) ? 1 : 0;
+      zeros[static_cast<std::size_t>(task)] = z;
       // O head block = A V, written straight into its strided slot of `out`.
       nt::gemm_blocked(n, n, dh, nt::GemmView::plain(a.data(), n), vh, out.data() + off, d);
-      attn_[static_cast<std::size_t>(s * heads + h)] = std::move(a);
+      attn_[static_cast<std::size_t>(task)] = std::move(a);
     }
-  }
-  last_sparsity_ = static_cast<float>(zero_count / static_cast<double>(b * heads * n * n));
+  }, /*grain=*/1);
+  index_t zero_count = 0;
+  for (const index_t z : zeros) zero_count += z;
+  last_sparsity_ = static_cast<float>(static_cast<double>(zero_count) /
+                                      static_cast<double>(b * heads * n * n));
   attn_span.attr("sparsity", static_cast<double>(last_sparsity_));
   attn_span.end();
 
@@ -147,18 +195,26 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
     NODETR_TRACE_SCOPE("mhsa.layer_norm");
     out = ln_->forward(out);
   }
-  return out.reshape(Shape{b, config_.height, config_.width, d}).permute({0, 3, 1, 2});
+  if (recording()) {
+    tokens_ = std::move(tokens);
+    q_ = std::move(q);
+    k_ = std::move(k);
+    v_ = std::move(v);
+  }
+  return to_feature_map(out, b, config_.height, config_.width);
 }
 
 Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
   if (override_) {
     throw std::logic_error("MHSA::backward: unsupported while a forward override is active");
   }
+  require_backward_state();
   const index_t b = batch_, d = config_.dim, n = config_.tokens();
   const index_t heads = config_.heads, dh = config_.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  const std::vector<Tensor> rel = relative_matrices();
 
-  Tensor g = grad_out.permute({0, 2, 3, 1}).reshape(Shape{b * n, d});
+  Tensor g = to_tokens(grad_out);
   if (ln_) g = ln_->backward(g);
 
   Tensor gq(Shape{b * n, d}), gk(Shape{b * n, d}), gv(Shape{b * n, d});
@@ -201,10 +257,10 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
       nt::gemm_blocked(n, n, dh, gl, nt::GemmView::plain(k_.data() + off, d), gq.data() + off, d);
       // gK head block = glogits^T Q.
       nt::gemm_blocked(n, n, dh, gl_t, qh, gk.data() + off, d);
-      if (config_.pos == PosEncodingKind::kRelative2d) {
-        const Tensor r = relative_matrix(h);
-        nt::gemm_blocked(n, n, dh, gl, nt::GemmView::plain(r.data(), dh), gq.data() + off, d,
-                         {.accumulate = true});
+      if (!rel.empty()) {
+        nt::gemm_blocked(n, n, dh, gl,
+                         nt::GemmView::plain(rel[static_cast<std::size_t>(h)].data(), dh),
+                         gq.data() + off, d, {.accumulate = true});
         // gR = glogits^T Q — already sitting in the gK block — marginalized
         // onto R_h (rows) and R_w (cols).
         const index_t hh = config_.height, ww = config_.width;
@@ -243,7 +299,7 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
                    {.accumulate = true});
   // Absolute positional table is a constant; its addition passes the gradient
   // through unchanged.
-  return gtok.reshape(Shape{b, config_.height, config_.width, d}).permute({0, 3, 1, 2});
+  return to_feature_map(gtok, b, config_.height, config_.width);
 }
 
 std::string MultiHeadSelfAttention::name() const {

@@ -14,11 +14,13 @@ Conv2d::Conv2d(index_t in_channels, index_t out_channels, index_t kernel, index_
       bias_("bias", bias ? Tensor(Shape{out_channels}) : Tensor(Shape{0})) {}
 
 Tensor Conv2d::forward(const Tensor& x) {
-  x_ = x;
+  begin_forward();
+  if (recording()) x_ = x;
   return nt::conv2d(x, weight_.value, bias_.value, geom_);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
+  require_backward_state();
   nt::conv2d_backward_params(x_, grad_out, geom_, weight_.grad, bias_.grad);
   return nt::conv2d_backward_input(grad_out, weight_.value, geom_, x_.dim(2), x_.dim(3));
 }
@@ -48,12 +50,18 @@ DepthwiseSeparableConv::DepthwiseSeparableConv(index_t in_channels, index_t out_
                  rng.kaiming_normal(Shape{out_channels, in_channels, 1, 1}, in_channels)) {}
 
 Tensor DepthwiseSeparableConv::forward(const Tensor& x) {
-  x_ = x;
-  mid_ = nt::depthwise_conv2d(x, dw_weight_.value, {}, dw_geom_);
-  return nt::conv2d(mid_, pw_weight_.value, {}, pw_geom_);
+  begin_forward();
+  Tensor mid = nt::depthwise_conv2d(x, dw_weight_.value, {}, dw_geom_);
+  Tensor out = nt::conv2d(mid, pw_weight_.value, {}, pw_geom_);
+  if (recording()) {
+    x_ = x;
+    mid_ = std::move(mid);
+  }
+  return out;
 }
 
 Tensor DepthwiseSeparableConv::backward(const Tensor& grad_out) {
+  require_backward_state();
   Tensor no_bias;
   nt::conv2d_backward_params(mid_, grad_out, pw_geom_, pw_weight_.grad, no_bias);
   Tensor gmid =

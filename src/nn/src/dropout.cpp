@@ -9,6 +9,7 @@ Dropout::Dropout(float p, std::uint64_t seed) : p_(p), rng_(seed) {
 }
 
 Tensor Dropout::forward(const Tensor& x) {
+  begin_forward();
   if (!training_ || p_ == 0.0f) {
     mask_ = Tensor();
     return x;
@@ -25,6 +26,7 @@ Tensor Dropout::forward(const Tensor& x) {
 }
 
 Tensor Dropout::backward(const Tensor& grad_out) {
+  require_backward_state();
   if (mask_.empty()) return grad_out;
   Tensor gx(grad_out.shape());
   for (index_t i = 0; i < grad_out.numel(); ++i) gx[i] = grad_out[i] * mask_[i];

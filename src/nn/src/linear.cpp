@@ -14,11 +14,12 @@ Linear::Linear(index_t in_features, index_t out_features, bool bias, Rng& rng)
       bias_("bias", bias ? Tensor(Shape{out_features}) : Tensor(Shape{0})) {}
 
 Tensor Linear::forward(const Tensor& x) {
+  begin_forward();
   if (x.rank() != 2 || x.dim(1) != in_) {
     throw std::invalid_argument("Linear: expected (B, " + std::to_string(in_) + "), got " +
                                 x.shape().to_string());
   }
-  x_ = x;
+  if (recording()) x_ = x;
   const index_t b = x.dim(0);
   Tensor y(Shape{b, out_});
   // y = x W^T with the bias fused into the GEMM epilogue.
@@ -29,6 +30,7 @@ Tensor Linear::forward(const Tensor& x) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
+  require_backward_state();
   const index_t b = grad_out.dim(0);
   // dW (out,in) += g^T (out,B) * x (B,in), accumulated straight into the grad
   // buffer instead of materializing a temporary and adding it.

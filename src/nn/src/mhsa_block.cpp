@@ -24,6 +24,7 @@ MhsaBlock::MhsaBlock(MhsaBlockConfig config, Rng& rng) : config_(config) {
 }
 
 Tensor MhsaBlock::forward(const Tensor& x) {
+  begin_forward();
   NODETR_TRACE_SCOPE("mhsa.block");
   obs::ScopedSpan pre("mhsa.block.bottleneck_in");
   Tensor h = bn_in_->forward(x);
@@ -38,6 +39,7 @@ Tensor MhsaBlock::forward(const Tensor& x) {
 }
 
 Tensor MhsaBlock::backward(const Tensor& grad_out) {
+  require_backward_state();
   Tensor g = expand_->backward(grad_out);
   g = mhsa_->backward(g);
   g = relu_mid_->backward(g);

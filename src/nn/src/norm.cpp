@@ -14,12 +14,15 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   if (x.rank() != 4 || x.dim(1) != channels_) {
     throw std::invalid_argument("BatchNorm2d: bad input shape " + x.shape().to_string());
   }
+  begin_forward();
   const index_t b = x.dim(0), c_ = x.dim(1), h = x.dim(2), w = x.dim(3);
   const index_t plane = h * w;
   const index_t n = b * plane;
   Tensor out(x.shape());
-  xhat_ = Tensor(x.shape());
-  inv_std_ = Tensor(Shape{c_});
+  if (recording()) {
+    xhat_ = Tensor(x.shape());
+    inv_std_ = Tensor(Shape{c_});
+  }
   for (index_t c = 0; c < c_; ++c) {
     float mean, var;
     if (training_) {
@@ -41,15 +44,16 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
       var = running_var_[c];
     }
     const float istd = 1.0f / std::sqrt(var + eps_);
-    inv_std_[c] = istd;
+    if (recording()) inv_std_[c] = istd;
     const float g = gamma_.value[c], bt = beta_.value[c];
     for (index_t s_i = 0; s_i < b; ++s_i) {
       const float* p = x.data() + (s_i * c_ + c) * plane;
-      float* xh = xhat_.data() + (s_i * c_ + c) * plane;
+      float* xh = recording() ? xhat_.data() + (s_i * c_ + c) * plane : nullptr;
       float* o = out.data() + (s_i * c_ + c) * plane;
       for (index_t i = 0; i < plane; ++i) {
-        xh[i] = (p[i] - mean) * istd;
-        o[i] = g * xh[i] + bt;
+        const float v = (p[i] - mean) * istd;
+        if (xh != nullptr) xh[i] = v;
+        o[i] = g * v + bt;
       }
     }
   }
@@ -57,6 +61,7 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
+  require_backward_state();
   const index_t b = grad_out.dim(0), c_ = grad_out.dim(1), h = grad_out.dim(2),
                 w = grad_out.dim(3);
   const index_t plane = h * w;
@@ -109,13 +114,15 @@ Tensor LayerNorm::forward(const Tensor& x) {
   if (x.dim(-1) != dim_) {
     throw std::invalid_argument("LayerNorm: last axis must be " + std::to_string(dim_));
   }
+  begin_forward();
   const index_t rows = x.numel() / dim_;
   Tensor out(x.shape());
-  xhat_ = Tensor(x.shape());
-  inv_std_ = Tensor(Shape{rows});
+  if (recording()) {
+    xhat_ = Tensor(x.shape());
+    inv_std_ = Tensor(Shape{rows});
+  }
   for (index_t r = 0; r < rows; ++r) {
     const float* p = x.data() + r * dim_;
-    float* xh = xhat_.data() + r * dim_;
     float* o = out.data() + r * dim_;
     double s = 0.0, s2 = 0.0;
     for (index_t i = 0; i < dim_; ++i) {
@@ -126,16 +133,22 @@ Tensor LayerNorm::forward(const Tensor& x) {
     const float var =
         std::max(static_cast<float>(s2 / dim_ - static_cast<double>(mean) * mean), 0.0f);
     const float istd = 1.0f / std::sqrt(var + eps_);
-    inv_std_[r] = istd;
+    float* xh = nullptr;
+    if (recording()) {
+      inv_std_[r] = istd;
+      xh = xhat_.data() + r * dim_;
+    }
     for (index_t i = 0; i < dim_; ++i) {
-      xh[i] = (p[i] - mean) * istd;
-      o[i] = gamma_.value[i] * xh[i] + beta_.value[i];
+      const float v = (p[i] - mean) * istd;
+      if (xh != nullptr) xh[i] = v;
+      o[i] = gamma_.value[i] * v + beta_.value[i];
     }
   }
   return out;
 }
 
 Tensor LayerNorm::backward(const Tensor& grad_out) {
+  require_backward_state();
   const index_t rows = grad_out.numel() / dim_;
   Tensor gx(grad_out.shape());
   const float fd = static_cast<float>(dim_);

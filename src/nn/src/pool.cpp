@@ -1,9 +1,14 @@
 #include "nodetr/nn/pool.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
+#include "nodetr/tensor/parallel.hpp"
+
 namespace nodetr::nn {
+
+namespace nt = nodetr::tensor;
 
 namespace {
 index_t pooled_extent(index_t in, index_t k, index_t s, index_t p) {
@@ -15,42 +20,61 @@ MaxPool2d::MaxPool2d(index_t kernel, index_t stride, index_t pad)
     : kernel_(kernel), stride_(stride), pad_(pad) {}
 
 Tensor MaxPool2d::forward(const Tensor& x) {
+  begin_forward();
   if (x.rank() != 4) throw std::invalid_argument("MaxPool2d: rank must be 4");
-  in_shape_ = x.shape();
   const index_t b = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const index_t ho = pooled_extent(h, kernel_, stride_, pad_);
   const index_t wo = pooled_extent(w, kernel_, stride_, pad_);
   Tensor out(Shape{b, c, ho, wo});
-  argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
-  index_t oidx = 0;
-  for (index_t bc = 0; bc < b * c; ++bc) {
-    const float* src = x.data() + bc * h * w;
-    for (index_t oy = 0; oy < ho; ++oy) {
-      for (index_t ox = 0; ox < wo; ++ox, ++oidx) {
-        float best = -std::numeric_limits<float>::infinity();
-        index_t besti = -1;
-        for (index_t ky = 0; ky < kernel_; ++ky) {
-          const index_t iy = oy * stride_ + ky - pad_;
-          if (iy < 0 || iy >= h) continue;
-          for (index_t kx = 0; kx < kernel_; ++kx) {
-            const index_t ix = ox * stride_ + kx - pad_;
-            if (ix < 0 || ix >= w) continue;
-            const float v = src[iy * w + ix];
-            if (v > best) {
-              best = v;
-              besti = bc * h * w + iy * w + ix;
+  index_t* argmax = nullptr;
+  if (recording()) {
+    in_shape_ = x.shape();
+    argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
+    argmax = argmax_.data();
+  }
+  const index_t in_plane = h * w, out_plane = ho * wo;
+  // Each task owns whole (sample, channel) planes; a chunk gets ~2^15 taps.
+  const index_t taps = std::max<index_t>(out_plane * kernel_ * kernel_, 1);
+  nt::parallel_for(0, b * c, [&](index_t lo, index_t hi) {
+    for (index_t bc = lo; bc < hi; ++bc) {
+      const float* src = x.data() + bc * in_plane;
+      float* dst = out.data() + bc * out_plane;
+      for (index_t oy = 0; oy < ho; ++oy) {
+        // The window clipped to the input, scanned in the same row-major tap
+        // order as the unclipped one, so ties keep the first maximum.
+        const index_t y0 = oy * stride_ - pad_;
+        const index_t ky_lo = std::max<index_t>(0, -y0);
+        const index_t ky_hi = std::min(kernel_, h - y0);
+        for (index_t ox = 0; ox < wo; ++ox) {
+          const index_t x0 = ox * stride_ - pad_;
+          const index_t kx_lo = std::max<index_t>(0, -x0);
+          const index_t kx_hi = std::min(kernel_, w - x0);
+          float best = -std::numeric_limits<float>::infinity();
+          index_t besti = -1;
+          for (index_t ky = ky_lo; ky < ky_hi; ++ky) {
+            const index_t row = (y0 + ky) * w + x0;
+            for (index_t kx = kx_lo; kx < kx_hi; ++kx) {
+              const float v = src[row + kx];
+              if (v > best) {
+                best = v;
+                besti = row + kx;
+              }
             }
           }
+          const index_t oidx = oy * wo + ox;
+          dst[oidx] = best;
+          if (argmax != nullptr) {
+            argmax[bc * out_plane + oidx] = besti < 0 ? -1 : bc * in_plane + besti;
+          }
         }
-        out[oidx] = best;
-        argmax_[static_cast<std::size_t>(oidx)] = besti;
       }
     }
-  }
+  }, std::max<index_t>(1, (index_t{1} << 15) / taps));
   return out;
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
+  require_backward_state();
   Tensor gx(in_shape_);
   for (index_t i = 0; i < grad_out.numel(); ++i) {
     const index_t src = argmax_[static_cast<std::size_t>(i)];
@@ -67,8 +91,9 @@ AvgPool2d::AvgPool2d(index_t kernel, index_t stride, index_t pad)
     : kernel_(kernel), stride_(stride), pad_(pad) {}
 
 Tensor AvgPool2d::forward(const Tensor& x) {
+  begin_forward();
   if (x.rank() != 4) throw std::invalid_argument("AvgPool2d: rank must be 4");
-  in_shape_ = x.shape();
+  if (recording()) in_shape_ = x.shape();
   const index_t b = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const index_t ho = pooled_extent(h, kernel_, stride_, pad_);
   const index_t wo = pooled_extent(w, kernel_, stride_, pad_);
@@ -98,6 +123,7 @@ Tensor AvgPool2d::forward(const Tensor& x) {
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
+  require_backward_state();
   const index_t b = in_shape_.dim(0), c = in_shape_.dim(1), h = in_shape_.dim(2),
                 w = in_shape_.dim(3);
   const index_t ho = pooled_extent(h, kernel_, stride_, pad_);
@@ -138,8 +164,9 @@ std::string AvgPool2d::name() const {
 }
 
 Tensor GlobalAvgPool::forward(const Tensor& x) {
+  begin_forward();
   if (x.rank() != 4) throw std::invalid_argument("GlobalAvgPool: rank must be 4");
-  in_shape_ = x.shape();
+  if (recording()) in_shape_ = x.shape();
   const index_t b = x.dim(0), c = x.dim(1), plane = x.dim(2) * x.dim(3);
   Tensor out(Shape{b, c});
   for (index_t bc = 0; bc < b * c; ++bc) {
@@ -152,6 +179,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
+  require_backward_state();
   const index_t plane = in_shape_.dim(2) * in_shape_.dim(3);
   Tensor gx(in_shape_);
   const float inv = 1.0f / static_cast<float>(plane);

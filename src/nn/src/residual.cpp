@@ -10,13 +10,18 @@ Residual::Residual(ModulePtr body, ModulePtr skip, bool final_relu)
 }
 
 Tensor Residual::forward(const Tensor& x) {
+  begin_forward();
   Tensor y = body_->forward(x);
   y += skip_ ? skip_->forward(x) : x;
   if (final_relu_) {
-    relu_mask_ = Tensor(y.shape());
+    float* mask = nullptr;
+    if (recording()) {
+      relu_mask_ = Tensor(y.shape());
+      mask = relu_mask_.data();
+    }
     for (index_t i = 0; i < y.numel(); ++i) {
       const bool pos = y[i] > 0.0f;
-      relu_mask_[i] = pos ? 1.0f : 0.0f;
+      if (mask != nullptr) mask[i] = pos ? 1.0f : 0.0f;
       if (!pos) y[i] = 0.0f;
     }
   }
@@ -24,6 +29,7 @@ Tensor Residual::forward(const Tensor& x) {
 }
 
 Tensor Residual::backward(const Tensor& grad_out) {
+  require_backward_state();
   Tensor g = grad_out;
   if (final_relu_) {
     for (index_t i = 0; i < g.numel(); ++i) g[i] *= relu_mask_[i];

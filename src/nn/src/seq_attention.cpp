@@ -47,33 +47,42 @@ Tensor SeqMhsa::forward(const Tensor& x) {
     throw std::invalid_argument("SeqMhsa: expected (B, T, " + std::to_string(dim_) + "), got " +
                                 x.shape().to_string());
   }
+  begin_forward();
   batch_ = x.dim(0);
   tokens_ = x.dim(1);
   const index_t dh = dim_ / heads_;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  x2_ = x.reshape(Shape{batch_ * tokens_, dim_});
-  q_ = nt::matmul(x2_, wq_.value);
-  k_ = nt::matmul(x2_, wk_.value);
-  v_ = nt::matmul(x2_, wv_.value);
+  Tensor x2 = x.reshape(Shape{batch_ * tokens_, dim_});
+  Tensor q = nt::matmul(x2, wq_.value);
+  Tensor k = nt::matmul(x2, wk_.value);
+  Tensor v = nt::matmul(x2, wv_.value);
   Tensor out(Shape{batch_ * tokens_, dim_});
-  attn_.assign(static_cast<std::size_t>(batch_ * heads_), Tensor());
+  std::vector<Tensor> attn(static_cast<std::size_t>(batch_ * heads_));
   for (index_t b = 0; b < batch_; ++b) {
     for (index_t h = 0; h < heads_; ++h) {
-      Tensor qh = gather_head(q_, b, tokens_, h, dh);
-      Tensor kh = gather_head(k_, b, tokens_, h, dh);
-      Tensor vh = gather_head(v_, b, tokens_, h, dh);
+      Tensor qh = gather_head(q, b, tokens_, h, dh);
+      Tensor kh = gather_head(k, b, tokens_, h, dh);
+      Tensor vh = gather_head(v, b, tokens_, h, dh);
       Tensor logits = nt::matmul_nt(qh, kh);
       logits *= scale;
       Tensor a = nt::softmax_rows(logits);
       Tensor oh = nt::matmul(a, vh);
       scatter_head(oh, out, b, tokens_, h, dh);
-      attn_[static_cast<std::size_t>(b * heads_ + h)] = std::move(a);
+      attn[static_cast<std::size_t>(b * heads_ + h)] = std::move(a);
     }
+  }
+  if (recording()) {
+    x2_ = std::move(x2);
+    q_ = std::move(q);
+    k_ = std::move(k);
+    v_ = std::move(v);
+    attn_ = std::move(attn);
   }
   return out.reshape(Shape{batch_, tokens_, dim_});
 }
 
 Tensor SeqMhsa::backward(const Tensor& grad_out) {
+  require_backward_state();
   const index_t dh = dim_ / heads_;
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   Tensor g = grad_out.reshape(Shape{batch_ * tokens_, dim_});

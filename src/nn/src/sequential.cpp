@@ -5,6 +5,7 @@
 namespace nodetr::nn {
 
 Tensor Sequential::forward(const Tensor& x) {
+  begin_forward();
   Tensor h = x;
   for (auto& m : modules_) {
     h = m->forward(h);
@@ -14,6 +15,7 @@ Tensor Sequential::forward(const Tensor& x) {
 }
 
 Tensor Sequential::backward(const Tensor& grad_out) {
+  require_backward_state();
   if (act_hook_) {
     throw std::logic_error(
         "Sequential::backward: unsupported while an activation hook is installed");

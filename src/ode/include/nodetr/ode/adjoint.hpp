@@ -34,9 +34,10 @@ class AdjointOdeBlock final : public Module {
   [[nodiscard]] index_t steps() const { return steps_; }
 
  private:
+  void release_backward_state() override { input_ = Tensor(); }
   Tensor eval_dynamics(const Tensor& z, float t);
-  /// Re-solve the forward Euler recursion up to step j from the cached input.
-  [[nodiscard]] Tensor state_at(index_t j);
+  /// The forward Euler recursion from `x`, solved up to step j.
+  [[nodiscard]] Tensor solve(const Tensor& x, index_t j);
 
   ModulePtr dynamics_;
   index_t steps_;

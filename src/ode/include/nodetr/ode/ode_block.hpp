@@ -53,6 +53,7 @@ class OdeBlock final : public Module {
   void set_solver(SolverKind kind);
 
  private:
+  void release_backward_state() override { states_ = {}; }
   Tensor eval_dynamics(const Tensor& z, float t);
 
   ModulePtr dynamics_;

@@ -15,9 +15,9 @@ Tensor AdjointOdeBlock::eval_dynamics(const Tensor& z, float t) {
   return dynamics_->forward(z);
 }
 
-Tensor AdjointOdeBlock::state_at(index_t j) {
+Tensor AdjointOdeBlock::solve(const Tensor& x, index_t j) {
   const float h = (t1_ - t0_) / static_cast<float>(steps_);
-  Tensor z = input_;
+  Tensor z = x;
   for (index_t i = 0; i < j; ++i) {
     z.add_scaled(eval_dynamics(z, t0_ + h * static_cast<float>(i)), h);
   }
@@ -25,12 +25,13 @@ Tensor AdjointOdeBlock::state_at(index_t j) {
 }
 
 Tensor AdjointOdeBlock::forward(const Tensor& x) {
-  input_ = x;  // O(1) memory: only the entry state is retained
-  return state_at(steps_);
+  begin_forward();
+  if (recording()) input_ = x;  // O(1) memory: only the entry state is retained
+  return solve(x, steps_);
 }
 
 Tensor AdjointOdeBlock::backward(const Tensor& grad_out) {
-  if (input_.empty()) throw std::logic_error("AdjointOdeBlock::backward before forward");
+  require_backward_state();
   const float h = (t1_ - t0_) / static_cast<float>(steps_);
   // Backward sweep of the adjoint recursion on the same Euler grid:
   //   a_j = a_{j+1} + h * (df/dz)^T|_{z_j} a_{j+1}
@@ -42,7 +43,7 @@ Tensor AdjointOdeBlock::backward(const Tensor& grad_out) {
     const float t = t0_ + h * static_cast<float>(j);
     // Recover z(t_j) by re-solving forward from the cached input; the final
     // eval also primes the dynamics' internal caches for backward().
-    Tensor zj = state_at(j);
+    Tensor zj = solve(input_, j);
     eval_dynamics(zj, t);
     Tensor scaled = a;
     scaled *= h;

@@ -29,19 +29,20 @@ Tensor OdeBlock::eval_dynamics(const Tensor& z, float t) {
 }
 
 Tensor OdeBlock::forward(const Tensor& x) {
+  begin_forward();
   obs::ScopedSpan span("ode.block.forward");
   span.attr("solver", to_string(kind_));
   span.attr("steps", steps_);
+  states_.clear();
   if (kind_ == SolverKind::kEuler) {
     // Inline Euler so the trajectory can be cached for backward.
     const float h = (t1_ - t0_) / static_cast<float>(steps_);
-    states_.clear();
-    states_.reserve(static_cast<std::size_t>(steps_));
+    if (recording()) states_.reserve(static_cast<std::size_t>(steps_));
     Tensor z = x;
     for (index_t j = 0; j < steps_; ++j) {
       obs::ScopedSpan step_span("ode.euler_step");
       step_span.attr("step", j);
-      states_.push_back(z);
+      if (recording()) states_.push_back(z);
       const float t = t0_ + h * static_cast<float>(j);
       z.add_scaled(eval_dynamics(z, t), h);
     }
@@ -49,12 +50,12 @@ Tensor OdeBlock::forward(const Tensor& x) {
     return z;
   }
   forward_was_euler_ = false;
-  states_.clear();
   return solver_->integrate(x, t0_, t1_, steps_,
                             [this](const Tensor& z, float t) { return eval_dynamics(z, t); });
 }
 
 Tensor OdeBlock::backward(const Tensor& grad_out) {
+  require_backward_state();
   obs::ScopedSpan span("ode.block.backward");
   span.attr("steps", steps_);
   if (!forward_was_euler_) {

@@ -45,9 +45,10 @@ class OffloadedModel {
   OffloadedModel(const OffloadedModel&) = delete;
   OffloadedModel& operator=(const OffloadedModel&) = delete;
 
-  /// Inference with PS/PL time accounting. Runs the model in eval mode and
-  /// restores a training-mode model afterwards, so BatchNorm uses (and never
-  /// updates) its running statistics.
+  /// Inference with PS/PL time accounting. Runs the model under an
+  /// nn::InferenceScope: eval mode, so BatchNorm uses (and never updates) its
+  /// running statistics, no backward state recorded, and a training-mode
+  /// model restored afterwards.
   [[nodiscard]] Tensor forward(const Tensor& batch);
 
   [[nodiscard]] const InferenceTiming& last_timing() const { return timing_; }
@@ -61,7 +62,8 @@ class OffloadedModel {
   double override_wall_ms_ = 0.0;
 };
 
-/// Pure-software timed inference (the CPU row of Table IX).
+/// Pure-software timed inference (the CPU row of Table IX), run under an
+/// nn::InferenceScope.
 [[nodiscard]] double timed_cpu_inference_ms(nodetr::nn::Module& model, const Tensor& batch);
 
 }  // namespace nodetr::rt

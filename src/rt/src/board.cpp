@@ -14,25 +14,6 @@ double now_ms() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-/// Puts a model in eval mode for one scope and restores training mode on
-/// every exit path. A model already in eval mode is left untouched.
-class EvalScope {
- public:
-  explicit EvalScope(nodetr::nn::Module& model) : model_(model), was_training_(model.training()) {
-    if (was_training_) model_.train(false);
-  }
-  ~EvalScope() {
-    if (was_training_) model_.train(true);
-  }
-  EvalScope(const EvalScope&) = delete;
-  EvalScope& operator=(const EvalScope&) = delete;
-
- private:
-  nodetr::nn::Module& model_;
-  bool was_training_;
-};
-
 }  // namespace
 
 TimingStats summarize(const std::vector<double>& samples_ms) {
@@ -88,8 +69,8 @@ Tensor OffloadedModel::forward(const Tensor& batch) {
   obs::ScopedSpan span("rt.offload.forward");
   // Offload is inference: BatchNorm must normalise with its running
   // statistics and leave them unchanged, whatever mode the caller left the
-  // model in.
-  const EvalScope eval(model_);
+  // model in, and no layer records backward state.
+  const nodetr::nn::InferenceScope inference(model_);
   timing_ = InferenceTiming{};
   override_wall_ms_ = 0.0;
   const double t0 = now_ms();
@@ -102,6 +83,7 @@ Tensor OffloadedModel::forward(const Tensor& batch) {
 }
 
 double timed_cpu_inference_ms(nodetr::nn::Module& model, const Tensor& batch) {
+  const nodetr::nn::InferenceScope inference(model);
   const double t0 = now_ms();
   (void)model.forward(batch);
   return now_ms() - t0;

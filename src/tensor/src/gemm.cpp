@@ -1,6 +1,7 @@
 #include "nodetr/tensor/gemm.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "nodetr/obs/obs.hpp"
@@ -70,12 +71,27 @@ void pack_b_panel(const GemmView& b, index_t pc, index_t col0, index_t kc, index
                             ep.bias_row != nullptr || ep.residual != nullptr || ep.relu);
 }
 
+/// Problems below this many MACs run on the calling thread: a pool
+/// fork/join costs more than it saves (the MHSA's per-head GEMMs are ~2^14).
+constexpr index_t kSerialMacs = index_t{1} << 18;
+
+/// parallel_for, or the whole range on the calling thread when `serial`.
+/// One GEMM call makes the choice once, for all of its loops.
+void run_range(bool serial, index_t count, index_t grain,
+               const std::function<void(index_t, index_t)>& body) {
+  if (serial) {
+    if (count > 0) body(0, count);
+  } else {
+    parallel_for(0, count, body, grain);
+  }
+}
+
 /// Column-panel epilogue: runs right after the panel's last k block while the
 /// C rows are still cache-hot.
 void apply_epilogue(float* c, index_t ldc, index_t m, index_t n, index_t jc, index_t nc,
-                    const GemmEpilogue& ep) {
+                    const GemmEpilogue& ep, bool serial) {
   const index_t res_ld = ep.residual_ld > 0 ? ep.residual_ld : n;
-  parallel_for(0, m, [&](index_t lo, index_t hi) {
+  run_range(serial, m, /*grain=*/64, [&](index_t lo, index_t hi) {
     for (index_t i = lo; i < hi; ++i) {
       float* row = c + i * ldc + jc;
       const float br = ep.bias_row != nullptr ? ep.bias_row[i] : 0.0f;
@@ -89,7 +105,7 @@ void apply_epilogue(float* c, index_t ldc, index_t m, index_t n, index_t jc, ind
         row[j] = v;
       }
     }
-  }, /*grain=*/64);
+  });
 }
 
 void check_rank2(const Tensor& t, const char* name) {
@@ -105,10 +121,13 @@ void gemm_blocked_cfg(index_t m, index_t k, index_t n, GemmView a, GemmView b, f
   static auto& flops = obs::Registry::instance().counter("tensor.gemm.flops");
   calls.add();
   flops.add(2 * m * k * n);
+  // The tile split never changes any element's k order, so running serially
+  // changes no output bit.
+  const bool serial = m * std::max<index_t>(k, 1) * n < kSerialMacs;
   if (k <= 0) {
     if (!ep.accumulate) {
       for (index_t i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.0f);
-      if (needs_epilogue(ep)) apply_epilogue(c, ldc, m, n, 0, n, ep);
+      if (needs_epilogue(ep)) apply_epilogue(c, ldc, m, n, 0, n, ep, serial);
     }
     return;
   }
@@ -135,27 +154,27 @@ void gemm_blocked_cfg(index_t m, index_t k, index_t n, GemmView a, GemmView b, f
     for (index_t pc = 0; pc < k; pc += kKc) {
       const index_t kc = std::min(kKc, k - pc);
       const bool first = pc == 0 && !ep.accumulate;
-      parallel_for(0, jpanels, [&](index_t lo, index_t hi) {
+      run_range(serial, jpanels, /*grain=*/8, [&](index_t lo, index_t hi) {
         for (index_t jp = lo; jp < hi; ++jp) {
           pack_b_panel(b, pc, jc + jp * kNr, kc, std::min(kNr, nc - jp * kNr), kNr,
                        bpack + jp * kNr * kc);
         }
-      }, /*grain=*/8);
+      });
       for (index_t ic = 0; ic < m; ic += kMc) {
         const index_t mc = std::min(kMc, m - ic);
         const index_t ipanels = ceil_div(mc, kMr);
-        parallel_for(0, ipanels, [&](index_t lo, index_t hi) {
+        run_range(serial, ipanels, /*grain=*/8, [&](index_t lo, index_t hi) {
           for (index_t ip = lo; ip < hi; ++ip) {
             pack_a_panel(a, ic + ip * kMr, pc, std::min(kMr, mc - ip * kMr), kc, kMr,
                          apack + ip * kMr * kc);
           }
-        }, /*grain=*/8);
+        });
         // BLIS-style macro kernel: the jr and ir loops around the microkernel
         // are flattened into one tile index and partitioned across the pool,
         // jr-major so consecutive tiles in a chunk reuse the same L1-resident
         // B micro-panel. Tile (jp, ip) is written by exactly one task, and
         // the split never changes any output element's k accumulation order.
-        parallel_for(0, jpanels * ipanels, [&](index_t lo, index_t hi) {
+        run_range(serial, jpanels * ipanels, /*grain=*/8, [&](index_t lo, index_t hi) {
           for (index_t t = lo; t < hi; ++t) {
             const index_t jp = t / ipanels, ip = t % ipanels;
             const index_t nr = std::min(kNr, nc - jp * kNr);
@@ -163,10 +182,10 @@ void gemm_blocked_cfg(index_t m, index_t k, index_t n, GemmView a, GemmView b, f
             ker.fn(static_cast<int>(kc), apack + ip * kMr * kc, bpack + jp * kNr * kc,
                    c + (ic + ip * kMr) * ldc + jc + jp * kNr, ldc, mr, nr, first);
           }
-        }, /*grain=*/8);
+        });
       }
     }
-    if (needs_epilogue(ep)) apply_epilogue(c, ldc, m, n, jc, nc, ep);
+    if (needs_epilogue(ep)) apply_epilogue(c, ldc, m, n, jc, nc, ep, serial);
   }
 }
 

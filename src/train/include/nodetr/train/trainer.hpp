@@ -45,7 +45,8 @@ struct History {
   [[nodiscard]] std::string to_csv() const;
 };
 
-/// Top-1 accuracy of `model` on `samples`, evaluated in eval mode.
+/// Top-1 accuracy of `model` on `samples`, evaluated under an
+/// nn::InferenceScope (eval mode, no backward state recorded).
 [[nodiscard]] float evaluate(Module& model, const std::vector<Sample>& samples,
                              index_t batch_size = 64);
 

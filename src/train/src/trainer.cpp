@@ -31,8 +31,7 @@ std::string History::to_csv() const {
 float evaluate(Module& model, const std::vector<Sample>& samples, index_t batch_size) {
   obs::ScopedSpan span("train.evaluate");
   span.attr("samples", static_cast<std::int64_t>(samples.size()));
-  const bool was_training = model.training();
-  model.train(false);
+  const nodetr::nn::InferenceScope inference(model);
   index_t correct = 0;
   const index_t n = static_cast<index_t>(samples.size());
   for (index_t begin = 0; begin < n; begin += batch_size) {
@@ -48,7 +47,6 @@ float evaluate(Module& model, const std::vector<Sample>& samples, index_t batch_
       if (best == batch.labels[static_cast<std::size_t>(r)]) ++correct;
     }
   }
-  model.train(was_training);
   return static_cast<float>(correct) / static_cast<float>(std::max<index_t>(n, 1));
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "nodetr/tensor/ops.hpp"
 
 namespace core = nodetr::core;
@@ -99,4 +101,56 @@ TEST(Core, ResourceAndPowerEstimates) {
 TEST(Core, PredictRejectsBadRank) {
   core::LightweightTransformer model(tiny_options());
   EXPECT_THROW((void)model.predict(nt::Tensor(nt::Shape{1, 3, 32, 32})), std::invalid_argument);
+}
+
+namespace {
+
+bool bitwise_equal(const nt::Tensor& a, const nt::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+}  // namespace
+
+// predict_logits runs the paper model under an InferenceScope. The logits
+// are bitwise those of an eval-mode forward outside any scope, at batch 1 and
+// 8, and each batch-8 row is bitwise the batch-1 logits of its image.
+TEST(Core, PaperModelLogitsBitwiseEqualWithAndWithoutInferenceScope) {
+  core::LightweightTransformer model;
+  nt::Rng rng(51);
+  const auto batch = rng.rand(nt::Shape{8, 3, 96, 96});
+  const auto logits8 = model.predict_logits(batch);
+  model.model().train(false);
+  EXPECT_TRUE(bitwise_equal(model.model().forward(batch), logits8));
+  const auto k = logits8.dim(1);
+  for (nt::index_t i = 0; i < 8; ++i) {
+    const auto image = batch.slice0(i, i + 1);
+    const auto logits1 = model.predict_logits(image);
+    EXPECT_TRUE(bitwise_equal(model.model().forward(image), logits1)) << "image " << i;
+    EXPECT_EQ(std::memcmp(logits1.data(), logits8.data() + i * k, sizeof(float) * k), 0)
+        << "row " << i;
+  }
+}
+
+TEST(Core, PredictLogitsRestoresTrainingModeWhenForwardThrows) {
+  core::LightweightTransformer model(tiny_options());
+  model.model().train(true);
+  EXPECT_THROW((void)model.predict_logits(nt::Tensor(nt::Shape{1, 4, 32, 32})),
+               std::invalid_argument);
+  EXPECT_TRUE(model.model().training());
+  EXPECT_TRUE(model.model().recording());
+}
+
+// Training forward, predict_logits, backward on the whole model: a typed
+// error, not a backward through the training forward's stale state.
+TEST(Core, BackwardAfterPredictLogitsThrowsNoBackwardState) {
+  core::LightweightTransformer model(tiny_options());
+  nt::Rng rng(52);
+  const auto x = rng.rand(nt::Shape{2, 3, 32, 32});
+  model.model().train(true);
+  const auto y = model.model().forward(x);
+  (void)model.predict_logits(x);
+  EXPECT_THROW((void)model.model().backward(nt::Tensor(y.shape(), 1.0f)),
+               nodetr::nn::NoBackwardState);
 }

@@ -94,3 +94,20 @@ TEST(AdjointOdeBlock, InvalidConstruction) {
   EXPECT_THROW(ode::AdjointOdeBlock(nullptr, 2), std::invalid_argument);
   EXPECT_THROW(ode::AdjointOdeBlock(linear_dynamics(2, rng), 0), std::invalid_argument);
 }
+
+// The inference forward keeps no entry state, so the adjoint backward has
+// nothing to re-solve from and is a typed error.
+TEST(AdjointOdeBlock, BackwardAfterInferenceForwardThrowsNoBackwardState) {
+  nt::Rng rng(43);
+  ode::AdjointOdeBlock block(linear_dynamics(4, rng), 3);
+  const auto x = rng.randn(nt::Shape{2, 4});
+  const auto y = block.forward(x);
+  const auto g = rng.randn(y.shape());
+  nt::Tensor scoped;
+  {
+    const nn::InferenceScope inference(block);
+    scoped = block.forward(x);
+  }
+  for (nt::index_t i = 0; i < y.numel(); ++i) EXPECT_EQ(scoped[i], y[i]) << "at " << i;
+  EXPECT_THROW((void)block.backward(g), nn::NoBackwardState);
+}

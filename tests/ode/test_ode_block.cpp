@@ -157,3 +157,40 @@ TEST(OdeBlock, InvalidConstruction) {
   EXPECT_THROW(ode::OdeBlock(nullptr, 3), std::invalid_argument);
   EXPECT_THROW(ode::OdeBlock(linear_dynamics(2, rng), 0), std::invalid_argument);
 }
+
+// Training forward, inference forward, backward: the inference forward
+// caches no Euler trajectory, so the backward is a typed error instead of a
+// replay of the training forward's stale states.
+TEST(OdeBlock, BackwardAfterInferenceForwardThrowsNoBackwardState) {
+  nt::Rng rng(41);
+  ode::OdeBlock block(linear_dynamics(4, rng), 3);
+  const auto x = rng.randn(nt::Shape{2, 4});
+  const auto y = block.forward(x);
+  const auto g = rng.randn(y.shape());
+  {
+    const nn::InferenceScope inference(block);
+    (void)block.forward(x);
+  }
+  EXPECT_THROW((void)block.backward(g), nn::NoBackwardState);
+  (void)block.forward(x);
+  EXPECT_NO_THROW((void)block.backward(g));
+}
+
+TEST(OdeBlock, InferenceForwardBitwiseEqualsEvalForward) {
+  nt::Rng rng(42);
+  auto dyn = std::make_unique<nn::Sequential>();
+  dyn->emplace<nn::BatchNorm2d>(3);
+  dyn->emplace<nn::Conv2d>(3, 3, 3, 1, 1, false, rng);
+  ode::OdeBlock block(std::move(dyn), 4);
+  const auto x = rng.randn(nt::Shape{2, 3, 5, 5});
+  (void)block.forward(x);  // training step: non-trivial running statistics
+  block.train(false);
+  const auto want = block.forward(x);
+  nt::Tensor got;
+  {
+    const nn::InferenceScope inference(block);
+    got = block.forward(x);
+  }
+  ASSERT_EQ(got.shape(), want.shape());
+  for (nt::index_t i = 0; i < got.numel(); ++i) ASSERT_EQ(got[i], want[i]) << "at " << i;
+}

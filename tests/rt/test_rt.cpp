@@ -328,3 +328,33 @@ TEST(TimingStats, Summarize) {
   auto e = rt::summarize({});
   EXPECT_EQ(e.mean_ms, 0.0);
 }
+
+TEST(Offload, ForwardRestoresTrainingModeWhenItThrows) {
+  nt::Rng rng(9);
+  auto model = tiny_proposed(rng);
+  model->train(true);
+  rt::OffloadedModel offload(*model, hls::DataType::kFixed);
+  EXPECT_THROW((void)offload.forward(nt::Tensor(nt::Shape{1, 4, 32, 32})),
+               std::invalid_argument);
+  EXPECT_TRUE(model->training());
+  EXPECT_TRUE(model->recording());
+}
+
+// Both PS-side inference paths of Table IX record no backward state.
+TEST(Offload, InferencePathsLeaveNoBackwardState) {
+  nt::Rng rng(10);
+  auto model = tiny_proposed(rng);
+  const auto x = rng.rand(nt::Shape{1, 3, 32, 32});
+  model->train(true);
+  const auto y = model->forward(x);
+  const nt::Tensor g(y.shape(), 1.0f);
+  (void)rt::timed_cpu_inference_ms(*model, x);
+  EXPECT_TRUE(model->training());
+  EXPECT_THROW((void)model->backward(g), nodetr::nn::NoBackwardState);
+  (void)model->forward(x);
+  {
+    rt::OffloadedModel offload(*model, hls::DataType::kFixed);
+    (void)offload.forward(x);
+  }
+  EXPECT_THROW((void)model->backward(g), nodetr::nn::NoBackwardState);
+}

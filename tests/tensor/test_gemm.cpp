@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/ops.hpp"
+#include "nodetr/tensor/parallel.hpp"
 #include "nodetr/tensor/rng.hpp"
 
 namespace nt = nodetr::tensor;
@@ -92,3 +96,43 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GemmSizes,
                          ::testing::Values(std::tuple{1, 1, 1}, std::tuple{1, 8, 1},
                                            std::tuple{3, 1, 5}, std::tuple{16, 16, 16},
                                            std::tuple{33, 7, 19}, std::tuple{64, 32, 8}));
+
+// A GEMM under 2^18 MACs runs entirely on the calling thread; one at or
+// above it forks the pool. Either way every output row is bitwise the row a
+// one-row GEMM computes, epilogue included: the tile split never changes any
+// element's k order.
+TEST(Gemm, BitwiseEqualOnBothSidesOfTheSerialThreshold) {
+  (void)nt::tune::gemm_config();  // the first call autotunes on the pool
+  auto& runs = nodetr::obs::Registry::instance().counter("tensor.pool.runs");
+  const bool pooled = nt::ThreadPool::global().size() > 1;
+  struct Case {
+    nt::index_t m, k, n;
+    bool serial;
+  };
+  // 64 * 64 * 63 = 2^18 - 4096 MACs; 64 * 64 * 64 = 2^18.
+  const Case cases[] = {{64, 63, 64, true}, {64, 64, 64, false}, {96, 80, 72, false}};
+  nt::Rng rng(31);
+  for (const auto& c : cases) {
+    const auto a = rng.randn(nt::Shape{c.m, c.k});
+    const auto b = rng.randn(nt::Shape{c.n, c.k});
+    const auto bias = rng.randn(nt::Shape{c.n});
+    const nt::GemmEpilogue ep{.bias_col = bias.data(), .relu = true};
+    nt::Tensor got(nt::Shape{c.m, c.n});
+    const std::int64_t before = runs.value();
+    nt::gemm_blocked(c.m, c.k, c.n, nt::GemmView::plain(a.data(), c.k),
+                     nt::GemmView::transposed(b.data(), c.k), got.data(), c.n, ep);
+    const std::int64_t forks = runs.value() - before;
+    if (c.serial || !pooled) {
+      EXPECT_EQ(forks, 0) << c.m << "x" << c.k << "x" << c.n;
+    } else {
+      EXPECT_GT(forks, 0) << c.m << "x" << c.k << "x" << c.n;
+    }
+    for (nt::index_t i = 0; i < c.m; ++i) {
+      nt::Tensor row(nt::Shape{1, c.n});
+      nt::gemm_blocked(1, c.k, c.n, nt::GemmView::plain(a.data() + i * c.k, c.k),
+                       nt::GemmView::transposed(b.data(), c.k), row.data(), c.n, ep);
+      EXPECT_EQ(std::memcmp(row.data(), got.data() + i * c.n, sizeof(float) * c.n), 0)
+          << c.m << "x" << c.k << "x" << c.n << " row " << i;
+    }
+  }
+}

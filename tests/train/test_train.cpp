@@ -298,3 +298,24 @@ TEST(QuantCheckpoint, TruncatedFileRejected) {
   std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
   EXPECT_THROW(tr::load_checkpoint(path, *net), tr::CheckpointError);
 }
+
+TEST(Trainer, EvaluateRestoresTrainingModeWhenForwardThrows) {
+  nt::Rng rng(24);
+  auto net = tiny_net(rng);
+  net->train(true);
+  // Four-channel images: the first convolution rejects them mid-evaluation.
+  const std::vector<d::Sample> bad{{rng.rand(nt::Shape{4, 16, 16}), 0}};
+  EXPECT_THROW((void)tr::evaluate(*net, bad, 8), std::invalid_argument);
+  EXPECT_TRUE(net->training());
+  EXPECT_TRUE(net->recording());
+}
+
+TEST(Trainer, BackwardAfterEvaluateThrowsNoBackwardState) {
+  d::SynthStl ds({.image_size = 16, .train_per_class = 1, .test_per_class = 1, .seed = 25});
+  nt::Rng rng(26);
+  auto net = tiny_net(rng);
+  net->train(true);
+  const auto logits = net->forward(rng.rand(nt::Shape{2, 3, 16, 16}));
+  (void)tr::evaluate(*net, ds.test(), 8);
+  EXPECT_THROW((void)net->backward(nt::Tensor(logits.shape(), 1.0f)), nn::NoBackwardState);
+}
