@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,28 @@ static void BM_DepthwiseSeparable(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(dsc.forward(x));
 }
 BENCHMARK(BM_DepthwiseSeparable)->Arg(16)->Arg(64);
+
+/// The dsODENet DSC at the paper's stage shapes (64x24x24, 128x12x12), batch
+/// 1 and 8, on both forward paths: recording (keeps the depthwise planes for
+/// backward) and inference (under an InferenceScope, planes in scratch).
+static void BM_DepthwiseSeparablePaper(benchmark::State& state) {
+  const nt::index_t c = state.range(0), hw = state.range(1), batch = state.range(2);
+  nt::Rng rng(3);
+  nn::DepthwiseSeparableConv dsc(c, c, 3, 1, 1, rng);
+  auto x = rng.randn(nt::Shape{batch, c, hw, hw});
+  std::optional<nn::InferenceScope> inference;
+  if (state.range(3) != 0) inference.emplace(dsc);
+  for (auto _ : state) benchmark::DoNotOptimize(dsc.forward(x));
+  set_flops(state,
+            "BM_DepthwiseSeparablePaper/c:" + std::to_string(c) + "/hw:" + std::to_string(hw) +
+                "/batch:" + std::to_string(batch) + "/inference:" +
+                std::to_string(state.range(3)),
+            2.0 * static_cast<double>(batch * hw * hw * c) * static_cast<double>(9 + c));
+}
+BENCHMARK(BM_DepthwiseSeparablePaper)
+    ->ArgNames({"c", "hw", "batch", "inference"})
+    ->ArgsProduct({{64}, {24}, {1, 8}, {0, 1}})
+    ->ArgsProduct({{128}, {12}, {1, 8}, {0, 1}});
 
 static void BM_MhsaSoftware(benchmark::State& state) {
   const nt::index_t d = state.range(0);

@@ -13,6 +13,10 @@ class ReLU final : public Module {
   Tensor backward(const Tensor& grad_out) override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
+  /// The forward without recording: out = x > 0 ? x : 0, elementwise, into
+  /// `out` (x's element count; may alias x).
+  static void eval_into(const Tensor& x, Tensor& out);
+
  private:
   void release_backward_state() override { mask_ = Tensor(); }
 

@@ -15,6 +15,13 @@ class BatchNorm2d final : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
 
+  /// The eval-mode forward as one pass into `out` (x's shape; may alias x):
+  /// g * ((x - running_mean) * istd) + beta per channel, then, when `relu` is
+  /// set, v > 0 ? v : 0 -- bitwise this module's eval forward followed by
+  /// ReLU's. Records nothing for backward. (Sample, channel) planes split
+  /// across the pool; small inputs run on the calling thread.
+  void eval_into(const Tensor& x, Tensor& out, bool relu) const;
+
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::vector<Param*> local_parameters() override { return {&gamma_, &beta_}; }
   [[nodiscard]] std::vector<Tensor*> local_buffers() override {

@@ -1,20 +1,32 @@
 #include "nodetr/nn/activations.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace nodetr::nn {
+
+void ReLU::eval_into(const Tensor& x, Tensor& out) {
+  if (out.numel() != x.numel()) {
+    throw std::invalid_argument("ReLU::eval_into: output size " + std::to_string(out.numel()) +
+                                " != input " + std::to_string(x.numel()));
+  }
+  const float* p = x.data();
+  float* o = out.data();
+  for (index_t i = 0; i < x.numel(); ++i) o[i] = p[i] > 0.0f ? p[i] : 0.0f;
+}
 
 Tensor ReLU::forward(const Tensor& x) {
   begin_forward();
   Tensor out(x.shape());
-  float* mask = nullptr;
-  if (recording()) {
-    mask_ = Tensor(x.shape());
-    mask = mask_.data();
+  if (!recording()) {
+    eval_into(x, out);
+    return out;
   }
+  mask_ = Tensor(x.shape());
   for (index_t i = 0; i < x.numel(); ++i) {
     const bool pos = x[i] > 0.0f;
-    if (mask != nullptr) mask[i] = pos ? 1.0f : 0.0f;
+    mask_[i] = pos ? 1.0f : 0.0f;
     out[i] = pos ? x[i] : 0.0f;
   }
   return out;

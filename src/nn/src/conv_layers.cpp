@@ -51,12 +51,9 @@ DepthwiseSeparableConv::DepthwiseSeparableConv(index_t in_channels, index_t out_
 
 Tensor DepthwiseSeparableConv::forward(const Tensor& x) {
   begin_forward();
-  Tensor mid = nt::depthwise_conv2d(x, dw_weight_.value, {}, dw_geom_);
-  Tensor out = nt::conv2d(mid, pw_weight_.value, {}, pw_geom_);
-  if (recording()) {
-    x_ = x;
-    mid_ = std::move(mid);
-  }
+  Tensor out = nt::depthwise_separable_conv2d(x, dw_weight_.value, pw_weight_.value, dw_geom_,
+                                              recording() ? &mid_ : nullptr);
+  if (recording()) x_ = x;
   return out;
 }
 

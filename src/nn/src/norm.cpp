@@ -1,20 +1,69 @@
 #include "nodetr/nn/norm.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "nodetr/tensor/parallel.hpp"
+
 namespace nodetr::nn {
+
+namespace {
+
+/// Elements one pool task of the eval-mode pass covers; a pass over fewer
+/// runs on the calling thread.
+constexpr index_t kEvalChunkElems = index_t{1} << 16;
+
+void check_bn_input(const Tensor& x, index_t channels) {
+  if (x.rank() != 4 || x.dim(1) != channels) {
+    throw std::invalid_argument("BatchNorm2d: bad input shape " + x.shape().to_string());
+  }
+}
+
+}  // namespace
 
 BatchNorm2d::BatchNorm2d(index_t channels, float eps, float momentum)
     : channels_(channels), eps_(eps), momentum_(momentum),
       gamma_("gamma", Tensor(Shape{channels}, 1.0f)), beta_("beta", Tensor(Shape{channels})),
       running_mean_(Shape{channels}), running_var_(Shape{channels}, 1.0f) {}
 
-Tensor BatchNorm2d::forward(const Tensor& x) {
-  if (x.rank() != 4 || x.dim(1) != channels_) {
-    throw std::invalid_argument("BatchNorm2d: bad input shape " + x.shape().to_string());
+void BatchNorm2d::eval_into(const Tensor& x, Tensor& out, bool relu) const {
+  check_bn_input(x, channels_);
+  if (out.shape() != x.shape()) {
+    throw std::invalid_argument("BatchNorm2d::eval_into: output shape " +
+                                out.shape().to_string() + " != input " + x.shape().to_string());
   }
+  const index_t c_ = x.dim(1), plane = x.dim(2) * x.dim(3);
+  // Each task owns whole (sample, channel) planes; `out` may alias `x`
+  // because every element is read before it is written.
+  tensor::parallel_for(0, x.dim(0) * c_, [&](index_t lo, index_t hi) {
+    for (index_t sc = lo; sc < hi; ++sc) {
+      const index_t c = sc % c_;
+      const float mean = running_mean_[c];
+      const float istd = 1.0f / std::sqrt(running_var_[c] + eps_);
+      const float g = gamma_.value[c], bt = beta_.value[c];
+      const float* p = x.data() + sc * plane;
+      float* o = out.data() + sc * plane;
+      if (relu) {
+        for (index_t i = 0; i < plane; ++i) {
+          const float v = g * ((p[i] - mean) * istd) + bt;
+          o[i] = v > 0.0f ? v : 0.0f;
+        }
+      } else {
+        for (index_t i = 0; i < plane; ++i) o[i] = g * ((p[i] - mean) * istd) + bt;
+      }
+    }
+  }, std::max<index_t>(1, kEvalChunkElems / std::max<index_t>(plane, 1)));
+}
+
+Tensor BatchNorm2d::forward(const Tensor& x) {
+  check_bn_input(x, channels_);
   begin_forward();
+  if (!training_ && !recording()) {
+    Tensor out(x.shape());
+    eval_into(x, out, /*relu=*/false);
+    return out;
+  }
   const index_t b = x.dim(0), c_ = x.dim(1), h = x.dim(2), w = x.dim(3);
   const index_t plane = h * w;
   const index_t n = b * plane;

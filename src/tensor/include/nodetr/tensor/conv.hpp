@@ -1,5 +1,7 @@
-// Convolution kernels on NCHW tensors: im2col-based dense conv2d and a direct
-// depthwise conv, each with the backward kernels needed for training.
+// Convolution kernels on NCHW tensors: im2col-based dense conv2d, a direct
+// depthwise conv, each with the backward kernels needed for training, and
+// the depthwise-separable forward that feeds the depthwise planes straight
+// into the pointwise GEMM.
 #pragma once
 
 #include "nodetr/tensor/tensor.hpp"
@@ -28,6 +30,7 @@ void col2im(const float* col, index_t channels, index_t h, index_t w, const Conv
             float* img);
 
 /// Forward: x (N,Cin,H,W), weight (Cout,Cin,K,K), bias (Cout) or empty.
+/// A 1x1 stride-1 unpadded conv reads each input plane as the GEMM operand.
 [[nodiscard]] Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
                             const Conv2dGeom& g);
 
@@ -42,6 +45,18 @@ void conv2d_backward_params(const Tensor& x, const Tensor& grad_out, const Conv2
 /// Depthwise forward: x (N,C,H,W), weight (C,1,K,K) flattened to (C,K,K), bias (C) or empty.
 [[nodiscard]] Tensor depthwise_conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
                                       const Conv2dGeom& g);
+
+/// Depthwise-separable forward: the depthwise conv (geometry `g`, no bias)
+/// of x (N,C,H,W) with dw_weight (C,K,K), then the 1x1 pointwise conv with
+/// pw_weight (Cout,C,1,1), no bias. Bitwise equal to depthwise_conv2d then
+/// conv2d, without materializing the depthwise output or its columns: each
+/// sample's depthwise planes go into a scratch buffer that the pointwise GEMM
+/// reads in place. A non-null `mid` instead receives them as (N,C,Ho,Wo),
+/// the buffer backward needs. Batch 1 splits the planes across the pool,
+/// larger batches split the samples.
+[[nodiscard]] Tensor depthwise_separable_conv2d(const Tensor& x, const Tensor& dw_weight,
+                                                const Tensor& pw_weight, const Conv2dGeom& g,
+                                                Tensor* mid = nullptr);
 
 [[nodiscard]] Tensor depthwise_conv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
                                                      const Conv2dGeom& g, index_t in_h,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "nodetr/tensor/arena.hpp"
 #include "nodetr/tensor/gemm.hpp"
@@ -44,16 +45,6 @@ ValidRange interior_range(index_t extent, index_t out, index_t stride, index_t p
 }
 
 /// One fully-in-bounds K x K correlation at (iy, ix) = window origin.
-template <int K>
-float dw_dot(const float* src, index_t w, const float* ker) {
-  float acc = 0.0f;
-  for (int ky = 0; ky < K; ++ky) {
-    const float* row = src + ky * w;
-    for (int kx = 0; kx < K; ++kx) acc += ker[ky * K + kx] * row[kx];
-  }
-  return acc;
-}
-
 float dw_dot_n(const float* src, index_t w, const float* ker, index_t kernel) {
   float acc = 0.0f;
   for (index_t ky = 0; ky < kernel; ++ky) {
@@ -61,6 +52,83 @@ float dw_dot_n(const float* src, index_t w, const float* ker, index_t kernel) {
     for (index_t kx = 0; kx < kernel; ++kx) acc += ker[ky * kernel + kx] * row[kx];
   }
   return acc;
+}
+
+/// N adjacent outputs of one 3x3 stride-1 depthwise row whose windows start
+/// at input (y0, x0 .. x0 + N - 1), with every kx tap inside the input and
+/// the ky taps in [ky_lo, ky_hi). The taps run across the N columns, so each
+/// is one vector multiply and add over the row, but every output still sums
+/// the same products in the same order as one scalar cell: an interior cell
+/// (all nine taps) is b + (0 + k0*x0 + ... + k8*x8), an edge row's cell
+/// b + its in-bounds taps. Multiply and add stay separate (no contraction).
+template <int N>
+void dw3_cols(const float* src, index_t w, index_t y0, index_t x0, index_t ky_lo,
+              index_t ky_hi, const float* ker, float b, float* dst) {
+  const bool interior = ky_lo == 0 && ky_hi == 3;
+  float acc[N];
+  for (int j = 0; j < N; ++j) acc[j] = interior ? 0.0f : b;
+  for (index_t ky = ky_lo; ky < ky_hi; ++ky) {
+    const float* row = src + (y0 + ky) * w + x0;
+    for (int kx = 0; kx < 3; ++kx) {
+      const float kv = ker[ky * 3 + kx];
+      for (int j = 0; j < N; ++j) acc[j] += kv * row[kx + j];
+    }
+  }
+  for (int j = 0; j < N; ++j) dst[j] = interior ? b + acc[j] : acc[j];
+}
+
+/// One depthwise output plane (ho x wo) of `src` (h x w) with the K x K
+/// kernel `ker` and bias `b`. A cell whose window leaves the input adds its
+/// in-bounds taps, in row-major order, onto the bias; an interior cell adds
+/// the bias to the full-window dot.
+void depthwise_plane(const float* src, index_t h, index_t w, const float* ker, float b,
+                     const Conv2dGeom& g, float* dst) {
+  const index_t k = g.kernel;
+  const index_t ho = g.out_extent(h), wo = g.out_extent(w);
+  const ValidRange ix_r = interior_range(w, wo, g.stride, g.pad, k);
+  for (index_t oy = 0; oy < ho; ++oy) {
+    // Window rows [ky_lo, ky_hi) of this output row lie inside the input.
+    const index_t y0 = oy * g.stride - g.pad;
+    const index_t ky_lo = std::max<index_t>(0, -y0), ky_hi = std::min(k, h - y0);
+    float* drow = dst + oy * wo;
+    auto edge_cell = [&](index_t ox) {
+      const index_t x0 = ox * g.stride - g.pad;
+      const index_t kx_lo = std::max<index_t>(0, -x0), kx_hi = std::min(k, w - x0);
+      float acc = b;
+      for (index_t ky = ky_lo; ky < ky_hi; ++ky) {
+        for (index_t kx = kx_lo; kx < kx_hi; ++kx) {
+          acc += ker[ky * k + kx] * src[(y0 + ky) * w + x0 + kx];
+        }
+      }
+      drow[ox] = acc;
+    };
+    for (index_t ox = 0; ox < ix_r.lo; ++ox) edge_cell(ox);
+    if (k == 3 && g.stride == 1) {
+      auto cols = [&](auto n, index_t ox) {
+        dw3_cols<n()>(src, w, y0, ox - g.pad, ky_lo, ky_hi, ker, b, drow + ox);
+      };
+      constexpr std::integral_constant<int, 16> k16;
+      constexpr std::integral_constant<int, 8> k8;
+      index_t ox = ix_r.lo;
+      for (; ox + 16 <= ix_r.hi; ox += 16) cols(k16, ox);
+      for (; ox + 8 <= ix_r.hi; ox += 8) cols(k8, ox);
+      if (ox < ix_r.hi && ix_r.hi - ix_r.lo >= 8) {
+        // The tail as the row's last 8 cells: recomputing a cell writes
+        // the same bits.
+        cols(k8, ix_r.hi - 8);
+        ox = ix_r.hi;
+      }
+      for (; ox < ix_r.hi; ++ox) cols(std::integral_constant<int, 1>{}, ox);
+    } else if (ky_lo == 0 && ky_hi == k) {
+      // Interior row: the whole window is in bounds, no checks.
+      for (index_t ox = ix_r.lo; ox < ix_r.hi; ++ox) {
+        drow[ox] = b + dw_dot_n(src + y0 * w + ox * g.stride - g.pad, w, ker, k);
+      }
+    } else {
+      for (index_t ox = ix_r.lo; ox < ix_r.hi; ++ox) edge_cell(ox);
+    }
+    for (index_t ox = ix_r.hi; ox < wo; ++ox) edge_cell(ox);
+  }
 }
 
 }  // namespace
@@ -137,14 +205,21 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, const C
   Tensor out(Shape{n, g.out_channels, ho, wo});
   GemmEpilogue ep;
   ep.bias_row = bias.empty() ? nullptr : bias.data();  // one output channel per C row
+  // A 1x1 stride-1 unpadded conv's columns are the input plane itself.
+  const bool pointwise = g.kernel == 1 && g.stride == 1 && g.pad == 0;
   parallel_for(0, n, [&](index_t lo, index_t hi) {
     auto& arena = ScratchArena::local();
     ScratchArena::Scope scope(arena);
-    float* col = arena.alloc<float>(static_cast<std::size_t>(krows * ho * wo));
+    float* col =
+        pointwise ? nullptr : arena.alloc<float>(static_cast<std::size_t>(krows * ho * wo));
     for (index_t s = lo; s < hi; ++s) {
-      im2col(x.data() + s * g.in_channels * h * w, g.in_channels, h, w, g, col);
+      const float* b = x.data() + s * g.in_channels * h * w;
+      if (!pointwise) {
+        im2col(b, g.in_channels, h, w, g, col);
+        b = col;
+      }
       gemm_blocked(g.out_channels, krows, ho * wo, GemmView::plain(weight.data(), krows),
-                   GemmView::plain(col, ho * wo), out.data() + s * g.out_channels * ho * wo,
+                   GemmView::plain(b, ho * wo), out.data() + s * g.out_channels * ho * wo,
                    ho * wo, ep);
     }
   }, /*grain=*/1);
@@ -202,49 +277,57 @@ Tensor depthwise_conv2d(const Tensor& x, const Tensor& weight, const Tensor& bia
   check_input(x, g, "depthwise_conv2d");
   const index_t n = x.dim(0), c_ = x.dim(1), h = x.dim(2), w = x.dim(3);
   const index_t ho = g.out_extent(h), wo = g.out_extent(w);
-  const ValidRange iy_r = interior_range(h, ho, g.stride, g.pad, g.kernel);
-  const ValidRange ix_r = interior_range(w, wo, g.stride, g.pad, g.kernel);
   Tensor out(Shape{n, c_, ho, wo});
   parallel_for(0, n * c_, [&](index_t lo, index_t hi) {
     for (index_t sc = lo; sc < hi; ++sc) {
       const index_t c = sc % c_;
-      const float* src = x.data() + sc * h * w;
-      const float* ker = weight.data() + c * g.kernel * g.kernel;
-      const float b = bias.empty() ? 0.0f : bias[c];
-      float* dst = out.data() + sc * ho * wo;
-      auto edge_cell = [&](index_t oy, index_t ox) {
-        float acc = b;
-        for (index_t ky = 0; ky < g.kernel; ++ky) {
-          const index_t iy = oy * g.stride + ky - g.pad;
-          if (iy < 0 || iy >= h) continue;
-          for (index_t kx = 0; kx < g.kernel; ++kx) {
-            const index_t ix = ox * g.stride + kx - g.pad;
-            if (ix >= 0 && ix < w) acc += ker[ky * g.kernel + kx] * src[iy * w + ix];
-          }
-        }
-        dst[oy * wo + ox] = acc;
-      };
-      for (index_t oy = 0; oy < ho; ++oy) {
-        const bool row_interior = oy >= iy_r.lo && oy < iy_r.hi;
-        if (!row_interior) {
-          for (index_t ox = 0; ox < wo; ++ox) edge_cell(oy, ox);
-          continue;
-        }
-        for (index_t ox = 0; ox < ix_r.lo; ++ox) edge_cell(oy, ox);
-        // Interior fast path: the whole window is in bounds, no checks.
-        const float* origin = src + (oy * g.stride - g.pad) * w - g.pad;
-        float* drow = dst + oy * wo;
-        if (g.kernel == 3) {
-          for (index_t ox = ix_r.lo; ox < ix_r.hi; ++ox) {
-            drow[ox] = b + dw_dot<3>(origin + ox * g.stride, w, ker);
-          }
-        } else {
-          for (index_t ox = ix_r.lo; ox < ix_r.hi; ++ox) {
-            drow[ox] = b + dw_dot_n(origin + ox * g.stride, w, ker, g.kernel);
-          }
-        }
-        for (index_t ox = ix_r.hi; ox < wo; ++ox) edge_cell(oy, ox);
-      }
+      depthwise_plane(x.data() + sc * h * w, h, w, weight.data() + c * g.kernel * g.kernel,
+                      bias.empty() ? 0.0f : bias[c], g, out.data() + sc * ho * wo);
+    }
+  }, /*grain=*/1);
+  return out;
+}
+
+Tensor depthwise_separable_conv2d(const Tensor& x, const Tensor& dw_weight,
+                                  const Tensor& pw_weight, const Conv2dGeom& g, Tensor* mid) {
+  check_input(x, g, "depthwise_separable_conv2d");
+  const index_t n = x.dim(0), c_ = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const index_t ho = g.out_extent(h), wo = g.out_extent(w);
+  const index_t plane = ho * wo, cout = pw_weight.dim(0);
+  Tensor out(Shape{n, cout, ho, wo});
+  if (mid != nullptr) *mid = Tensor(Shape{n, c_, ho, wo});
+  // Depthwise planes [lo, hi) of sample s into `m`, the sample's (C, Ho*Wo)
+  // buffer; the pointwise conv is then the GEMM (Cout x C) * m, read in place.
+  auto depthwise = [&](index_t s, index_t lo, index_t hi, float* m) {
+    for (index_t c = lo; c < hi; ++c) {
+      depthwise_plane(x.data() + (s * c_ + c) * h * w, h, w,
+                      dw_weight.data() + c * g.kernel * g.kernel, 0.0f, g, m + c * plane);
+    }
+  };
+  auto pointwise = [&](index_t s, const float* m) {
+    gemm_blocked(cout, c_, plane, GemmView::plain(pw_weight.data(), c_),
+                 GemmView::plain(m, plane), out.data() + s * cout * plane, plane);
+  };
+  if (n == 1) {
+    // One sample: its planes split across the pool, then the GEMM splits its
+    // own tiles.
+    auto& arena = ScratchArena::local();
+    ScratchArena::Scope scope(arena);
+    float* m = mid != nullptr ? mid->data()
+                              : arena.alloc<float>(static_cast<std::size_t>(c_ * plane));
+    parallel_for(0, c_, [&](index_t lo, index_t hi) { depthwise(0, lo, hi, m); }, /*grain=*/1);
+    pointwise(0, m);
+    return out;
+  }
+  parallel_for(0, n, [&](index_t lo, index_t hi) {
+    auto& arena = ScratchArena::local();
+    ScratchArena::Scope scope(arena);
+    float* buf =
+        mid != nullptr ? nullptr : arena.alloc<float>(static_cast<std::size_t>(c_ * plane));
+    for (index_t s = lo; s < hi; ++s) {
+      float* m = mid != nullptr ? mid->data() + s * c_ * plane : buf;
+      depthwise(s, 0, c_, m);
+      pointwise(s, m);
     }
   }, /*grain=*/1);
   return out;
