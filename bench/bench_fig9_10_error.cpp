@@ -3,7 +3,7 @@
 // FPGA (fixed-point) implementation, per quantization scheme.
 #include "common.hpp"
 #include "nodetr/core/lightweight_transformer.hpp"
-#include "nodetr/hls/quantize.hpp"
+#include "nodetr/hls/qexec.hpp"
 #include "nodetr/tensor/ops.hpp"
 
 namespace core = nodetr::core;
@@ -28,15 +28,18 @@ int main() {
   auto batch = d::stack(ds.test(), 0, static_cast<nt::index_t>(ds.test().size()));
   const auto reference = model.model().features(batch.images);
 
+  // Every layer but the final FC: the FC inputs.
+  auto layers = model.model().children().at(0)->children();
+  layers.pop_back();
+
   std::printf("  %-14s %14s %14s\n", "format", "mean diff", "max diff");
   for (const auto& scheme : fx::table8_schemes()) {
-    // Whole-model fixed-point emulation, as in the paper's evaluation:
-    // quantized parameters + feature maps + bit-accurate MHSA IP.
-    hls::ScopedParamQuantization qparams(model.model(), scheme.param);
-    hls::set_activation_quantization(model.model(), scheme.feature);
-    auto session = model.offload(hls::DataType::kFixed, scheme);
-    auto feat = model.model().features(batch.images);
-    hls::clear_activation_quantization(model.model());
+    // Whole-model fixed point, as in the paper's evaluation: quantized
+    // parameters and feature maps on the bit-accurate datapath.
+    hls::QuantizedExecutor exec(scheme);
+    auto h = fx::FixedTensor::from_float(batch.images, scheme.feature);
+    for (auto* layer : layers) h = exec.run_fixed(*layer, h);
+    const auto feat = h.to_float();
     std::printf("  %-14s %14.6f %14.6f\n", scheme.to_string().c_str(),
                 nt::mean_abs_diff(feat, reference), nt::max_abs_diff(feat, reference));
   }

@@ -16,27 +16,15 @@ int main() {
   const auto plan = hls::plan_proposed_model(/*image_size=*/96, /*solver_steps=*/6,
                                              /*unroll=*/128);
 
-  // Aggregate per stage for readability.
-  std::map<std::string, std::pair<long long, long long>> stages;  // cycles, macs
-  auto stage_of = [](const std::string& name) {
-    if (name.rfind("stem", 0) == 0) return std::string("stem");
-    if (name.rfind("ode1", 0) == 0) return std::string("stage1 (ODEBlock 64)");
-    if (name.rfind("ode2", 0) == 0) return std::string("stage2 (ODEBlock 128)");
-    if (name.rfind("downsample", 0) == 0) return std::string("downsampling");
-    if (name.rfind("mhsa", 0) == 0) return std::string("stage3 (MHSABlock convs)");
-    return std::string("head");
-  };
-  for (const auto& l : plan.layers) {
-    auto& s = stages[stage_of(l.name)];
-    s.first += l.cycles;
-    s.second += l.macs;
-  }
+  // Aggregate per stage (the first word of each row name) for readability.
+  std::map<std::string, long long> stages;
+  for (const auto& l : plan.layers) stages[l.name.substr(0, l.name.find(' '))] += l.cycles;
   std::printf("  %-28s %14s %12s\n", "stage", "cycles", "ms @200MHz");
-  for (const auto& [name, v] : stages) {
-    std::printf("  %-28s %14lld %12.3f\n", name.c_str(), v.first,
-                v.first * hls::CycleModel::kClockNs * 1e-6);
+  for (const auto& [name, cycles] : stages) {
+    std::printf("  %-28s %14lld %12.3f\n", name.c_str(), cycles,
+                cycles * hls::CycleModel::kClockNs * 1e-6);
   }
-  std::printf("  %-28s %14lld %12.3f   (x%lld solver steps)\n", "stage3 MHSA (IP)",
+  std::printf("  %-28s %14lld %12.3f   (x%lld solver steps)\n", "mhsa (IP)",
               static_cast<long long>(plan.mhsa_cycles()),
               plan.mhsa_cycles() * hls::CycleModel::kClockNs * 1e-6,
               static_cast<long long>(plan.solver_steps));

@@ -8,6 +8,10 @@
 #include "nodetr/fx/format.hpp"
 #include "nodetr/tensor/shape.hpp"
 
+namespace nodetr::nn {
+struct MhsaConfig;
+}  // namespace nodetr::nn
+
 namespace nodetr::hls {
 
 using nodetr::tensor::index_t;
@@ -74,6 +78,10 @@ struct MhsaDesignPoint {
   /// (512ch, 3x3) and the proposed model's (64ch, 6x6).
   static MhsaDesignPoint botnet_512(DataType dtype, BufferPlan buffers = BufferPlan::kShared5);
   static MhsaDesignPoint proposed_64(DataType dtype);
+  /// The IP for an nn MHSA layer: its geometry (dim, H x W, heads) on
+  /// `dtype` with `scheme`; every other field keeps its default.
+  static MhsaDesignPoint from_config(const nodetr::nn::MhsaConfig& config, DataType dtype,
+                                     fx::QuantizationScheme scheme = fx::scheme_32_24());
 };
 
 }  // namespace nodetr::hls

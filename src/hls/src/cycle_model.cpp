@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nodetr/nn/attention.hpp"
+
 namespace nodetr::hls {
 
 const char* to_string(WeightWire wire) {
@@ -42,6 +44,18 @@ MhsaDesignPoint MhsaDesignPoint::proposed_64(DataType dtype) {
   p.height = p.width = 6;
   p.heads = 4;
   p.dtype = dtype;
+  return p;
+}
+
+MhsaDesignPoint MhsaDesignPoint::from_config(const nodetr::nn::MhsaConfig& config,
+                                             DataType dtype, fx::QuantizationScheme scheme) {
+  MhsaDesignPoint p;
+  p.dim = config.dim;
+  p.height = config.height;
+  p.width = config.width;
+  p.heads = config.heads;
+  p.dtype = dtype;
+  p.scheme = scheme;
   return p;
 }
 

@@ -1,6 +1,10 @@
 #include "nodetr/hls/model_plan.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "nodetr/hls/layer_plan.hpp"
+#include "nodetr/models/odenet.hpp"
 
 namespace nodetr::hls {
 
@@ -62,57 +66,83 @@ std::int64_t ProposedModelPlan::total_cycles() const {
   return t + mhsa_cycles();
 }
 
+namespace {
+
+/// Appends the rows of plan ops [first, last); `step` names the enclosing
+/// Euler step, if any.
+void price_span(const LayerPlan& lp, std::size_t first, std::size_t last,
+                const std::string& stage, const std::string& step, const ConvCycleModel& conv,
+                index_t unroll, ProposedModelPlan& plan) {
+  for (std::size_t i = first; i < last; i = lp.ops[i].end(i)) {
+    const PlanOp& op = lp.ops[i];
+    const std::string name = stage + " " + to_string(op.kind) + " " + op.path;
+    const auto& g = op.geom;
+    switch (op.kind) {
+      case OpKind::kConv:
+        plan.layers.push_back(conv.conv2d(name + step, g.in_channels, g.out_channels, g.kernel,
+                                          op.out.dim(2), op.out.dim(3)));
+        break;
+      case OpKind::kDsc:
+        plan.layers.push_back(conv.depthwise_separable(name + step, g.in_channels,
+                                                       op.pw_geom.out_channels, g.kernel,
+                                                       op.out.dim(2), op.out.dim(3)));
+        break;
+      case OpKind::kLinear:
+        plan.layers.push_back(conv.linear(name + step, op.in.dim(-1), op.out.dim(-1)));
+        break;
+      case OpKind::kMhsa: {
+        // The proposed model's MHSA ends in Eq. 17's LayerNorm.
+        MhsaDesignPoint point = op.mhsa->point();
+        point.parallel.unroll = unroll;
+        plan.mhsa = CycleModel{}.estimate(point, /*include_layer_norm=*/true);
+        ++plan.solver_steps;
+        break;
+      }
+      case OpKind::kResidual:  // body and skip spans, then the add
+        price_span(lp, i + 1, op.end(i), stage, step, conv, unroll, plan);
+        plan.layers.push_back(conv.elementwise(name + step, op.out.numel()));
+        break;
+      case OpKind::kOde:
+        for (index_t s = 0; s < op.steps; ++s) {
+          const std::string at = step + " (step " + std::to_string(s) + ")";
+          price_span(lp, i + 1, op.end(i), stage, at, conv, unroll, plan);
+          plan.layers.push_back(conv.elementwise(name + at, op.in.numel()));
+        }
+        break;
+      default:
+        plan.layers.push_back(conv.elementwise(name + step, op.in.numel()));
+    }
+  }
+}
+
+}  // namespace
+
 ProposedModelPlan plan_proposed_model(index_t image_size, index_t solver_steps, index_t unroll) {
-  ConvCycleModel conv(unroll);
+  nodetr::tensor::Rng rng(0);
+  auto model = models::proposed_model(image_size, /*classes=*/10, rng, solver_steps);
+  const LayerPlan lp =
+      LayerPlan::lower(*model, Shape{1, 3, image_size, image_size}, fx::scheme_32_24());
+  const ConvCycleModel conv(unroll);
   ProposedModelPlan plan;
-  plan.solver_steps = solver_steps;
-  const index_t s4 = image_size / 4, s8 = image_size / 8, s16 = image_size / 16;
-
-  plan.layers.push_back(conv.conv2d("stem conv 3->64 /2", 3, 64, 3, image_size / 2,
-                                    image_size / 2));
-  plan.layers.push_back(conv.elementwise("stem BN+ReLU+pool", 64 * (image_size / 2) *
-                                                                  (image_size / 2) * 2));
-  // Stage 1: ODEBlock(64) x C — two DSCs + norms per step.
-  for (index_t c = 0; c < solver_steps; ++c) {
-    plan.layers.push_back(
-        conv.depthwise_separable("ode1 DSC a (step " + std::to_string(c) + ")", 64, 64, 3, s4,
-                                 s4));
-    plan.layers.push_back(
-        conv.depthwise_separable("ode1 DSC b (step " + std::to_string(c) + ")", 64, 64, 3, s4,
-                                 s4));
-    plan.layers.push_back(conv.elementwise("ode1 norms (step " + std::to_string(c) + ")",
-                                           4 * 64 * s4 * s4));
+  // Stages in model order: the ops before the first block form the stem,
+  // residuals are the downsampling layers, and the ops after the blocks the
+  // head.
+  bool past_stem = false;
+  int conv_odes = 0;
+  for (std::size_t i = 0; i < lp.ops.size(); i = lp.ops[i].end(i)) {
+    const PlanOp& op = lp.ops[i];
+    std::string stage = past_stem ? "head" : "stem";
+    if (op.kind == OpKind::kResidual) stage = "downsample";
+    if (op.kind == OpKind::kOde) {
+      const bool attention =
+          std::any_of(lp.ops.begin() + static_cast<std::ptrdiff_t>(i),
+                      lp.ops.begin() + static_cast<std::ptrdiff_t>(op.end(i)),
+                      [](const PlanOp& o) { return o.kind == OpKind::kMhsa; });
+      stage = attention ? "mhsa" : "ode" + std::to_string(++conv_odes);
+    }
+    past_stem = past_stem || op.kind == OpKind::kResidual || op.kind == OpKind::kOde;
+    price_span(lp, i, op.end(i), stage, "", conv, unroll, plan);
   }
-  plan.layers.push_back(conv.conv2d("downsample 64->128 /2", 64, 128, 3, s8, s8));
-  plan.layers.push_back(conv.conv2d("downsample skip 1x1", 64, 128, 1, s8, s8));
-  for (index_t c = 0; c < solver_steps; ++c) {
-    plan.layers.push_back(
-        conv.depthwise_separable("ode2 DSC a (step " + std::to_string(c) + ")", 128, 128, 3, s8,
-                                 s8));
-    plan.layers.push_back(
-        conv.depthwise_separable("ode2 DSC b (step " + std::to_string(c) + ")", 128, 128, 3, s8,
-                                 s8));
-    plan.layers.push_back(conv.elementwise("ode2 norms (step " + std::to_string(c) + ")",
-                                           4 * 128 * s8 * s8));
-  }
-  plan.layers.push_back(conv.conv2d("downsample 128->256 /2", 128, 256, 3, s16, s16));
-  plan.layers.push_back(conv.conv2d("downsample skip 1x1", 128, 256, 1, s16, s16));
-  // Stage 3 (MHSABlock x C): 1x1 reduce/expand per step; the MHSA itself is
-  // accounted by the attention cycle model.
-  for (index_t c = 0; c < solver_steps; ++c) {
-    plan.layers.push_back(conv.conv2d("mhsa reduce 256->64 (step " + std::to_string(c) + ")",
-                                      256, 64, 1, s16, s16));
-    plan.layers.push_back(conv.conv2d("mhsa expand 64->256 (step " + std::to_string(c) + ")",
-                                      64, 256, 1, s16, s16));
-    plan.layers.push_back(conv.elementwise("mhsa norms (step " + std::to_string(c) + ")",
-                                           2 * 256 * s16 * s16 + 2 * 64 * s16 * s16));
-  }
-  plan.layers.push_back(conv.elementwise("head BN+ReLU+GAP", 2 * 256 * s16 * s16));
-  plan.layers.push_back(conv.linear("FC 256->10", 256, 10));
-
-  MhsaDesignPoint mhsa_point = MhsaDesignPoint::proposed_64(DataType::kFixed);
-  mhsa_point.parallel.unroll = unroll;
-  plan.mhsa = CycleModel{}.estimate(mhsa_point, /*include_layer_norm=*/true);
   return plan;
 }
 

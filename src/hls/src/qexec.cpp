@@ -1,172 +1,93 @@
 #include "nodetr/hls/qexec.hpp"
 
-#include <cmath>
-#include <stdexcept>
-
-#include "nodetr/hls/mhsa_ip.hpp"
-#include "nodetr/ode/adjoint.hpp"
+#include "nodetr/fx/qconv.hpp"
+#include "nodetr/hls/layer_plan.hpp"
 
 namespace nodetr::hls {
 
-namespace nn = nodetr::nn;
-namespace ode = nodetr::ode;
-using nodetr::tensor::index_t;
-using nodetr::tensor::Shape;
-
-fx::FixedTensor QuantizedExecutor::quantize_param(const Tensor& t) const {
-  return fx::FixedTensor::from_float(t, scheme_.param);
-}
-
-Tensor QuantizedExecutor::run(nn::Module& model, const Tensor& input) {
-  const bool was_training = model.training();
-  model.train(false);
-  fx::FixedTensor x = fx::FixedTensor::from_float(input, scheme_.feature);
-  fx::FixedTensor y = run_fixed(model, x);
-  model.train(was_training);
-  return y.to_float();
-}
-
-fx::FixedTensor QuantizedExecutor::run_fixed(nn::Module& model, const fx::FixedTensor& x) {
-  return dispatch(model, x);
-}
-
 namespace {
 
-/// Fold inference BatchNorm into per-channel scale/shift floats.
-void fold_batchnorm(nn::BatchNorm2d& bn, Tensor& scale, Tensor& shift) {
-  const auto& mean = bn.running_mean();
-  const auto& var = bn.running_var();
-  const index_t c = mean.numel();
-  scale = Tensor(Shape{c});
-  shift = Tensor(Shape{c});
-  for (index_t i = 0; i < c; ++i) {
-    const float istd = 1.0f / std::sqrt(var[i] + bn.eps());
-    scale[i] = bn.gamma().value[i] * istd;
-    shift[i] = bn.beta().value[i] - mean[i] * scale[i];
+/// (B, D, H, W) -> per-image token matrices through the IP datapath.
+fx::FixedTensor run_mhsa(const MhsaIpCore& ip, const fx::FixedTensor& x) {
+  const auto& p = ip.point();
+  const index_t b = x.shape().dim(0), d = p.dim, n = p.tokens();
+  fx::FixedTensor out(x.shape(), x.format());
+  for (index_t s = 0; s < b; ++s) {
+    fx::FixedTensor tokens(Shape{n, d}, x.format());
+    for (index_t t = 0; t < n; ++t) {
+      const index_t y = t / p.width, xx = t % p.width;
+      for (index_t c = 0; c < d; ++c) {
+        tokens[t * d + c] = x[((s * d + c) * p.height + y) * p.width + xx];
+      }
+    }
+    fx::FixedTensor o = ip.run_fixed_tokens(tokens);
+    for (index_t t = 0; t < n; ++t) {
+      const index_t y = t / p.width, xx = t % p.width;
+      for (index_t c = 0; c < d; ++c) {
+        out[((s * d + c) * p.height + y) * p.width + xx] = o[t * d + c];
+      }
+    }
   }
+  return out;
+}
+
+/// LayerNorm over the last axis, through qlayernorm_rows' rank-2 view.
+fx::FixedTensor run_layer_norm(const PlanOp& op, const fx::FixedTensor& x) {
+  const index_t dim = op.weight.numel();
+  fx::FixedTensor view(Shape{x.numel() / dim, dim}, x.format());
+  for (index_t i = 0; i < x.numel(); ++i) view[i] = x[i];
+  const fx::FixedTensor normed = fx::qlayernorm_rows(view, op.weight, op.bias, op.eps);
+  fx::FixedTensor out(x.shape(), x.format());
+  for (index_t i = 0; i < x.numel(); ++i) out[i] = normed[i];
+  return out;
+}
+
+/// Runs ops [first, last) of `plan` on `x`.
+fx::FixedTensor run_span(const LayerPlan& plan, std::size_t first, std::size_t last,
+                         fx::FixedTensor x) {
+  const auto ff = plan.scheme.feature;
+  for (std::size_t i = first; i < last; i = plan.ops[i].end(i)) {
+    const PlanOp& op = plan.ops[i];
+    switch (op.kind) {
+      case OpKind::kConv: x = fx::qconv2d(x, op.weight, op.bias, op.geom, ff); break;
+      case OpKind::kDsc:
+        x = fx::qconv2d(fx::qdepthwise_conv2d(x, op.weight, op.geom, ff), op.pw_weight, {},
+                        op.pw_geom, ff);
+        break;
+      case OpKind::kScaleShift: x = fx::qscale_shift_channels(x, op.weight, op.bias); break;
+      case OpKind::kRelu: x = fx::qrelu(x); break;
+      case OpKind::kMaxPool: x = fx::qmax_pool(x, op.geom.kernel, op.geom.stride, op.geom.pad); break;
+      case OpKind::kGlobalAvgPool: x = fx::qglobal_avg_pool(x); break;
+      case OpKind::kLinear: x = fx::qlinear(x, op.weight, op.bias, ff); break;
+      case OpKind::kLayerNorm: x = run_layer_norm(op, x); break;
+      case OpKind::kMhsa: x = run_mhsa(*op.mhsa, x); break;
+      case OpKind::kResidual: {
+        const std::size_t skip = i + 1 + op.body;
+        fx::FixedTensor sum = fx::qadd(run_span(plan, i + 1, skip, x),
+                                       op.skip > 0 ? run_span(plan, skip, op.end(i), x) : x);
+        x = op.relu ? fx::qrelu(sum) : sum;
+        break;
+      }
+      case OpKind::kOde:
+        for (index_t s = 0; s < op.steps; ++s) {
+          x = fx::qadd(x, fx::qscale(run_span(plan, i + 1, op.end(i), x), op.h));
+        }
+        break;
+    }
+  }
+  return x;
 }
 
 }  // namespace
 
-fx::FixedTensor QuantizedExecutor::dispatch(nn::Module& m, const fx::FixedTensor& x) {
-  const auto ff = scheme_.feature;
+Tensor QuantizedExecutor::run(nodetr::nn::Module& model, const Tensor& input) {
+  return run_fixed(model, fx::FixedTensor::from_float(input, scheme_.feature)).to_float();
+}
 
-  if (auto* seq = dynamic_cast<nn::Sequential*>(&m)) {
-    fx::FixedTensor h = x;
-    for (auto* child : seq->children()) h = dispatch(*child, h);
-    return h;
-  }
-  if (auto* conv = dynamic_cast<nn::Conv2d*>(&m)) {
-    return fx::qconv2d(x, quantize_param(conv->weight().value),
-                       conv->has_bias() ? quantize_param(conv->bias().value) : fx::FixedTensor{},
-                       conv->geom(), ff);
-  }
-  if (auto* dsc = dynamic_cast<nn::DepthwiseSeparableConv*>(&m)) {
-    fx::FixedTensor mid =
-        fx::qdepthwise_conv2d(x, quantize_param(dsc->dw_weight().value), dsc->dw_geom(), ff);
-    return fx::qconv2d(mid, quantize_param(dsc->pw_weight().value), {}, dsc->pw_geom(), ff);
-  }
-  if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
-    Tensor scale, shift;
-    fold_batchnorm(*bn, scale, shift);
-    return fx::qscale_shift_channels(x, quantize_param(scale), quantize_param(shift));
-  }
-  if (dynamic_cast<nn::ReLU*>(&m) != nullptr) return fx::qrelu(x);
-  if (auto* pool = dynamic_cast<nn::MaxPool2d*>(&m)) {
-    return fx::qmax_pool(x, pool->kernel(), pool->stride(), pool->pad());
-  }
-  if (dynamic_cast<nn::GlobalAvgPool*>(&m) != nullptr) return fx::qglobal_avg_pool(x);
-  if (auto* lin = dynamic_cast<nn::Linear*>(&m)) {
-    return fx::qlinear(x, quantize_param(lin->weight().value),
-                       lin->has_bias() ? quantize_param(lin->bias().value) : fx::FixedTensor{},
-                       ff);
-  }
-  if (auto* ln = dynamic_cast<nn::LayerNorm*>(&m)) {
-    auto params = ln->local_parameters();
-    const index_t rows = x.numel() / ln->dim();
-    fx::FixedTensor flat = x;
-    // qlayernorm_rows expects rank 2.
-    fx::FixedTensor view(Shape{rows, ln->dim()}, x.format());
-    for (index_t i = 0; i < x.numel(); ++i) view[i] = x[i];
-    auto normed = fx::qlayernorm_rows(view, quantize_param(params[0]->value),
-                                      quantize_param(params[1]->value), ln->eps());
-    fx::FixedTensor out(x.shape(), x.format());
-    for (index_t i = 0; i < x.numel(); ++i) out[i] = normed[i];
-    return out;
-  }
-  if (auto* res = dynamic_cast<nn::Residual*>(&m)) {
-    fx::FixedTensor body = dispatch(res->body(), x);
-    fx::FixedTensor skip = res->skip() ? dispatch(*res->skip(), x) : x;
-    fx::FixedTensor sum = fx::qadd(body, skip);
-    return res->final_relu() ? fx::qrelu(sum) : sum;
-  }
-  if (auto* ob = dynamic_cast<ode::OdeBlock*>(&m)) {
-    if (ob->solver_kind() != ode::SolverKind::kEuler) {
-      throw std::invalid_argument("QuantizedExecutor: only Euler OdeBlocks supported");
-    }
-    // z <- z + h * f(z): h enters as a quantized hardware constant.
-    const float h = (ob->t1() - ob->t0()) / static_cast<float>(ob->steps());
-    fx::FixedTensor z = x;
-    for (index_t s = 0; s < ob->steps(); ++s) {
-      fx::FixedTensor f = dispatch(ob->dynamics(), z);
-      z = fx::qadd(z, fx::qscale(f, h));
-    }
-    return z;
-  }
-  if (auto* mhsa = dynamic_cast<nn::MultiHeadSelfAttention*>(&m)) {
-    const auto& mc = mhsa->config();
-    MhsaDesignPoint point;
-    point.dim = mc.dim;
-    point.height = mc.height;
-    point.width = mc.width;
-    point.heads = mc.heads;
-    point.dtype = DataType::kFixed;
-    point.scheme = scheme_;
-    if (mc.attention != nn::AttentionKind::kRelu) {
-      throw std::invalid_argument("QuantizedExecutor: fixed MHSA datapath implements ReLU "
-                                  "attention only (the paper's Eq. 16)");
-    }
-    MhsaIpCore ip(point, MhsaWeights::from_module(*mhsa));
-    // (B, D, H, W) -> per-image token matrices through the IP datapath.
-    const index_t b = x.shape().dim(0), d = mc.dim, n = mc.tokens();
-    fx::FixedTensor out(x.shape(), x.format());
-    for (index_t s = 0; s < b; ++s) {
-      fx::FixedTensor tokens(Shape{n, d}, x.format());
-      for (index_t t = 0; t < n; ++t) {
-        const index_t y = t / mc.width, xx = t % mc.width;
-        for (index_t c = 0; c < d; ++c) {
-          tokens[t * d + c] = x[((s * d + c) * mc.height + y) * mc.width + xx];
-        }
-      }
-      fx::FixedTensor o = ip.run_fixed_tokens(tokens);
-      for (index_t t = 0; t < n; ++t) {
-        const index_t y = t / mc.width, xx = t % mc.width;
-        for (index_t c = 0; c < d; ++c) {
-          out[((s * d + c) * mc.height + y) * mc.width + xx] = o[t * d + c];
-        }
-      }
-    }
-    return out;
-  }
-  if (auto* block = dynamic_cast<nn::MhsaBlock*>(&m)) {
-    // Children are wired in execution order.
-    fx::FixedTensor h = x;
-    for (auto* child : block->children()) h = dispatch(*child, h);
-    return h;
-  }
-  if (dynamic_cast<nn::Dropout*>(&m) != nullptr) return x;  // identity at inference
-  if (dynamic_cast<ode::AdjointOdeBlock*>(&m) != nullptr) {
-    throw std::invalid_argument(
-        "QuantizedExecutor: AdjointOdeBlock is a training-time alternative; deploy with "
-        "OdeBlock");
-  }
-  // Transparent wrappers (e.g. models::OdeNet around its Sequential):
-  // exactly one child and no parameters of their own.
-  if (m.children().size() == 1 && m.local_parameters().empty()) {
-    return dispatch(*m.children()[0], x);
-  }
-  throw std::invalid_argument("QuantizedExecutor: no fixed-point implementation for " +
-                              m.name());
+fx::FixedTensor QuantizedExecutor::run_fixed(nodetr::nn::Module& model,
+                                             const fx::FixedTensor& x) {
+  const LayerPlan plan = LayerPlan::lower(model, x.shape(), scheme_);
+  return run_span(plan, 0, plan.ops.size(), x);
 }
 
 }  // namespace nodetr::hls

@@ -1,8 +1,6 @@
 // Sequential container chaining modules.
 #pragma once
 
-#include <functional>
-
 #include "nodetr/nn/module.hpp"
 
 namespace nodetr::nn {
@@ -30,17 +28,8 @@ class Sequential final : public Module {
   [[nodiscard]] std::size_t size() const { return modules_.size(); }
   [[nodiscard]] Module& operator[](std::size_t i) { return *modules_[i]; }
 
-  /// Inference-only hook applied to the activation after every submodule —
-  /// used to emulate fixed-point feature maps between layers (Sec. V-B1).
-  /// backward() throws while a hook is installed (it is not differentiated).
-  using ActivationHook = std::function<Tensor(const Tensor&)>;
-  void set_activation_hook(ActivationHook hook) { act_hook_ = std::move(hook); }
-  void clear_activation_hook() { act_hook_ = nullptr; }
-  [[nodiscard]] bool has_activation_hook() const { return static_cast<bool>(act_hook_); }
-
  private:
   std::vector<ModulePtr> modules_;
-  ActivationHook act_hook_;
 };
 
 }  // namespace nodetr::nn

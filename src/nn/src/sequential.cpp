@@ -1,7 +1,5 @@
 #include "nodetr/nn/sequential.hpp"
 
-#include <stdexcept>
-
 #include "nodetr/nn/activations.hpp"
 #include "nodetr/nn/norm.hpp"
 
@@ -26,13 +24,12 @@ bool inference_relu(const Module& m) {
 Tensor Sequential::forward(const Tensor& x) {
   begin_forward();
   // `in` is the current activation: the caller's x until the first child
-  // returns, then `h`, which this call owns and may update in place. With an
-  // activation hook every child runs on its own, so the hook sees each output.
+  // returns, then `h`, which this call owns and may update in place.
   const Tensor* in = &x;
   Tensor h;
   for (std::size_t i = 0; i < modules_.size(); ++i) {
     Module& m = *modules_[i];
-    BatchNorm2d* bn = act_hook_ ? nullptr : eval_batchnorm(m);
+    BatchNorm2d* bn = eval_batchnorm(m);
     if (bn != nullptr) {
       // BN and a following ReLU as one pass, never into the caller's x.
       const bool relu = i + 1 < modules_.size() && inference_relu(*modules_[i + 1]);
@@ -40,11 +37,10 @@ Tensor Sequential::forward(const Tensor& x) {
       bn->eval_into(*in, h, relu);
       in = &h;
       if (relu) ++i;
-    } else if (!act_hook_ && in == &h && inference_relu(m)) {
+    } else if (in == &h && inference_relu(m)) {
       ReLU::eval_into(h, h);
     } else {
       h = m.forward(*in);
-      if (act_hook_) h = act_hook_(h);
       in = &h;
     }
   }
@@ -54,10 +50,6 @@ Tensor Sequential::forward(const Tensor& x) {
 
 Tensor Sequential::backward(const Tensor& grad_out) {
   require_backward_state();
-  if (act_hook_) {
-    throw std::logic_error(
-        "Sequential::backward: unsupported while an activation hook is installed");
-  }
   Tensor g = grad_out;
   for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) g = (*it)->backward(g);
   return g;

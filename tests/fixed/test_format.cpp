@@ -80,6 +80,14 @@ TEST(Quantize, NegationNeverOverflows) {
   }
 }
 
+TEST(Quantize, DequantizeRoundsToGridAndSaturates) {
+  fx::FixedFormat f{8, 4};
+  EXPECT_NEAR(fx::quantize_dequantize(0.3f, f), 0.3125f, 1e-5f);    // nearest 1/16 step
+  EXPECT_NEAR(fx::quantize_dequantize(100.0f, f), 7.9375f, 1e-5f);  // saturated max
+  // Saturated min: symmetric at -max, never the unnegatable raw minimum.
+  EXPECT_NEAR(fx::quantize_dequantize(-100.0f, f), -7.9375f, 1e-5f);
+}
+
 TEST(Quantize, NanMapsToZero) {
   fx::FixedFormat f{16, 8};
   EXPECT_EQ(fx::quantize(std::nanf(""), f), 0);

@@ -156,10 +156,10 @@ TEST(FixedGoldens, ProposedPlanRows) {
     const std::int64_t pair[2] = {row.macs, row.cycles};
     fp = fnv1a(pair, sizeof(pair), fp);
   }
-  EXPECT_EQ(plan.layers.size(), 62u);
+  EXPECT_EQ(plan.layers.size(), 144u);
   EXPECT_EQ(macs, 97249792);
-  EXPECT_EQ(plan.total_cycles(), 21984194);
-  EXPECT_EQ(fp, 0x702e6a6d260a9b27ull) << "got 0x" << std::hex << fp;
+  EXPECT_EQ(plan.total_cycles(), 22673520);
+  EXPECT_EQ(fp, 0xdf358c488cfc5c31ull) << "got 0x" << std::hex << fp;
 }
 
 // bench_e2e times the fixed datapath layer by layer: run_fixed over the

@@ -99,6 +99,44 @@ TEST(QExec, RejectsUnsupportedModules) {
                std::invalid_argument);
 }
 
+// The fixed path only reads the model: a failed run leaves its mode alone.
+TEST(QExec, FailedRunLeavesTrainingModeUnchanged) {
+  nt::Rng rng(9);
+  auto model = m::make_model(m::ModelKind::kTinyOdeNet, 32, 10, rng);
+  for (auto* b : static_cast<m::OdeNet*>(model.get())->ode_blocks()) {
+    b->set_solver(nodetr::ode::SolverKind::kRk4);
+  }
+  model->train(true);
+  auto exec = default_exec();
+  EXPECT_THROW((void)exec.run(*model, nt::Tensor(nt::Shape{1, 3, 32, 32})),
+               std::invalid_argument);
+  EXPECT_TRUE(model->training());
+}
+
+// A wide feature format is near lossless through a small network.
+TEST(QExec, WideFormatIsNearLossless) {
+  nt::Rng rng(3);
+  nn::Sequential net;
+  net.emplace<nn::Linear>(6, 6, true, rng);
+  net.emplace<nn::ReLU>();
+  auto x = rng.randn(nt::Shape{4, 6});
+  auto exec = default_exec();
+  EXPECT_LT(nt::max_abs_diff(exec.run(net, x), net.forward(x)), 1e-4f);
+}
+
+TEST(QExec, NarrowFormatDistortsMore) {
+  nt::Rng rng(4);
+  nn::Sequential net;
+  net.emplace<nn::Linear>(6, 6, true, rng);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Linear>(6, 6, true, rng);
+  auto x = rng.randn(nt::Shape{4, 6});
+  auto ref = net.forward(x);
+  hls::QuantizedExecutor wide({.feature = {16, 8}, .param = {16, 8}});
+  hls::QuantizedExecutor narrow({.feature = {8, 4}, .param = {8, 4}});
+  EXPECT_GT(nt::max_abs_diff(narrow.run(net, x), ref), nt::max_abs_diff(wide.run(net, x), ref));
+}
+
 TEST(QExec, RejectsNonEulerOdeBlocks) {
   nt::Rng rng(8);
   auto model = m::make_model(m::ModelKind::kTinyOdeNet, 32, 10, rng);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "nodetr/core/lightweight_transformer.hpp"
-#include "nodetr/hls/quantize.hpp"
+#include "nodetr/hls/qexec.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/train/trainer.hpp"
 
@@ -73,16 +73,11 @@ TEST(EndToEnd, TrainedModelSurvivesOffloadAndQuantization) {
     auto session = model.offload(hls::DataType::kFloat32);
     EXPECT_TRUE(nt::allclose(session->forward(batch.images), sw, 1e-3f, 1e-4f));
   }
-  // Full fixed-point emulation at the default scheme: small, bounded error.
-  {
-    hls::ScopedParamQuantization qp(model.model(), fx::scheme_32_24().param);
-    hls::set_activation_quantization(model.model(), fx::scheme_32_24().feature);
-    auto session = model.offload(hls::DataType::kFixed, fx::scheme_32_24());
-    auto q = session->forward(batch.images);
-    hls::clear_activation_quantization(model.model());
-    EXPECT_LT(nt::max_abs_diff(q, sw), 0.05f);
-  }
-  // Everything restored: software path reproduces the original logits.
+  // Whole model on the bit-accurate fixed datapath at the default scheme:
+  // small, bounded error.
+  hls::QuantizedExecutor exec(fx::scheme_32_24());
+  EXPECT_LT(nt::max_abs_diff(exec.run(model.model(), batch.images), sw), 0.05f);
+  // The model is untouched: the software path reproduces the original logits.
   EXPECT_TRUE(nt::allclose(model.predict_logits(batch.images), sw, 0.0f, 0.0f));
 }
 
@@ -93,11 +88,8 @@ TEST(EndToEnd, QuantizationErrorMonotoneInLogits) {
   const auto ref = model.predict_logits(batch.images);
   float prev = -1.0f;
   for (const auto& scheme : fx::table8_schemes()) {
-    hls::ScopedParamQuantization qp(model.model(), scheme.param);
-    hls::set_activation_quantization(model.model(), scheme.feature);
-    auto session = model.offload(hls::DataType::kFixed, scheme);
-    const float err = nt::mean_abs_diff(session->forward(batch.images), ref);
-    hls::clear_activation_quantization(model.model());
+    hls::QuantizedExecutor exec(scheme);
+    const float err = nt::mean_abs_diff(exec.run(model.model(), batch.images), ref);
     EXPECT_GE(err, prev * 0.5f) << scheme.to_string();
     prev = std::max(prev, err);
   }

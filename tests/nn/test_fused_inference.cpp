@@ -167,40 +167,6 @@ TEST(SequentialInference, BitwiseEqualToChildByChildAndLeavesInputAlone) {
   }
 }
 
-// With an activation hook installed (the fake-quant path), every child runs
-// on its own: the hook sees each child's output once, BN and ReLU apart.
-TEST(SequentialInference, HookSeesEveryChildOutputSeparately) {
-  nt::Rng rng(1804);
-  nn::Sequential seq;
-  seq.emplace<nn::BatchNorm2d>(4);
-  seq.emplace<nn::ReLU>();
-  seq.emplace<nn::DepthwiseSeparableConv>(4, 4, 3, 1, 1, rng);
-  seq.emplace<nn::BatchNorm2d>(4);
-  seq.emplace<nn::ReLU>();
-  randomize_batchnorms(seq, rng);
-  const Tensor x = test_input(rng, nt::Shape{2, 4, 6, 6});
-  const std::vector<Tensor> want = child_by_child(seq, x);
-  std::vector<Tensor> seen;
-  seq.set_activation_hook([&](const Tensor& h) {
-    seen.push_back(h);
-    return h;
-  });
-  Tensor got;
-  {
-    const nn::InferenceScope inference(seq);
-    got = seq.forward(x);
-  }
-  ASSERT_EQ(seen.size(), seq.size());
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(seen[i], want[i])) << "child " << i;
-  }
-  EXPECT_TRUE(bitwise_equal(got, want.back()));
-  // The BN outputs the hook saw are un-rectified.
-  bool negative = false;
-  for (index_t i = 0; i < seen[0].numel(); ++i) negative = negative || seen[0][i] < 0.0f;
-  EXPECT_TRUE(negative);
-}
-
 // The recording forward (depthwise planes kept for backward) and the
 // inference forward (planes in scratch) give the same bits.
 TEST(DscInference, RecordingAndInferenceForwardsBitwiseEqual) {
