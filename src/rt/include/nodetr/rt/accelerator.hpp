@@ -179,6 +179,7 @@ class MhsaAccelerator {
   std::int64_t total_cycles_ = 0;
   DeviceCounters counters_;  ///< lifetime totals
   DeviceCounters pending_;   ///< since the last take_counters()
+  std::string stall_site_;  ///< "hls.ip.stall.<scope>"; empty when unscoped
   bool stalled_ = false;  ///< latched injected stall: DONE will never rise
   Shape staged_shape_{std::initializer_list<index_t>{0}};
 };

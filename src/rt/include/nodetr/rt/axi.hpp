@@ -15,11 +15,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "nodetr/fault/fault.hpp"
 #include "nodetr/tensor/tensor.hpp"
@@ -30,12 +32,17 @@ using nodetr::tensor::index_t;
 using nodetr::tensor::Shape;
 using nodetr::tensor::Tensor;
 
-/// Shared DDR visible to both PS and PL.
+/// Shared DDR visible to both PS and PL, zero-filled. The store is
+/// calloc'd, so the OS maps its zero pages on first touch: a board holds
+/// resident only the pages its transfers wrote, not its whole capacity.
 class DdrMemory {
  public:
-  explicit DdrMemory(std::size_t bytes = 64 << 20) : mem_(bytes, 0) {}
+  explicit DdrMemory(std::size_t bytes = 64 << 20)
+      : mem_(static_cast<std::uint8_t*>(std::calloc(bytes, 1))), size_(bytes) {
+    if (!mem_ && bytes > 0) throw std::bad_alloc();
+  }
 
-  [[nodiscard]] std::size_t size() const { return mem_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   void write(std::uint64_t addr, const void* src, std::size_t bytes);
   void read(std::uint64_t addr, void* dst, std::size_t bytes) const;
@@ -51,15 +58,20 @@ class DdrMemory {
   [[nodiscard]] const std::string& fault_scope() const { return fault_scope_; }
 
  private:
+  struct Free {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+
   void check(std::uint64_t addr, std::size_t bytes) const;
-  std::vector<std::uint8_t> mem_;
+  std::unique_ptr<std::uint8_t[], Free> mem_;
+  std::size_t size_;
   std::string fault_scope_;
 };
 
 /// DMA transfer cost model for a high-performance AXI port: a fixed
 /// descriptor-setup latency plus one beat per PL cycle. Defaults model the
-/// paper's 32-bit HP0 port; a DevicePool board can widen the beat or change
-/// the setup cost to give each simulated board its own DMA bandwidth.
+/// paper's 32-bit HP0 port; a BoardProfile can widen the beat or change the
+/// setup cost to give each simulated board its own DMA bandwidth.
 class AxiStreamDma {
  public:
   static constexpr std::int64_t kSetupCycles = 120;  ///< descriptor + trigger

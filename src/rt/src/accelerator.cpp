@@ -26,6 +26,7 @@ MhsaAccelerator::MhsaAccelerator(std::unique_ptr<hls::MhsaIpCore> ip, DdrMemory&
     throw std::invalid_argument("MhsaAccelerator: clock_mhz must be > 0");
   }
   regs_.set_fault_scope(profile_.fault_scope);
+  if (!profile_.fault_scope.empty()) stall_site_ = "hls.ip.stall." + profile_.fault_scope;
   regs_.on_write(MhsaRegs::kCtrl, [this](std::uint32_t v) {
     if (v & 1u) start();
   });
@@ -76,9 +77,8 @@ void MhsaAccelerator::start() {
   try {
     // The IP model checks the process-wide "hls.ip.stall" site itself; the
     // board-scoped variant lets a fleet test hang exactly one device.
-    if (!profile_.fault_scope.empty() &&
-        fault::fire(("hls.ip.stall." + profile_.fault_scope).c_str())) {
-      throw fault::IpStallFault("hls.ip.stall." + profile_.fault_scope);
+    if (!stall_site_.empty() && fault::fire(stall_site_.c_str())) {
+      throw fault::IpStallFault(stall_site_);
     }
     y = ip_->run(x);
   } catch (const fault::IpStallFault&) {

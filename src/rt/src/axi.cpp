@@ -7,14 +7,14 @@
 namespace nodetr::rt {
 
 void DdrMemory::check(std::uint64_t addr, std::size_t bytes) const {
-  if (addr + bytes > mem_.size()) {
+  if (addr + bytes > size_) {
     throw std::out_of_range("DdrMemory: access beyond end of memory");
   }
 }
 
 void DdrMemory::write(std::uint64_t addr, const void* src, std::size_t bytes) {
   check(addr, bytes);
-  std::memcpy(mem_.data() + addr, src, bytes);
+  std::memcpy(mem_.get() + addr, src, bytes);
   if (bytes > 0 && fault::fire("rt.ddr.bitflip", fault_scope_)) {
     // The flipped bit lands in DDR (the write really was corrupted), but ECC
     // detects it and the access faults; a retry rewrites the clean payload.
@@ -29,7 +29,7 @@ void DdrMemory::write(std::uint64_t addr, const void* src, std::size_t bytes) {
 
 void DdrMemory::read(std::uint64_t addr, void* dst, std::size_t bytes) const {
   check(addr, bytes);
-  std::memcpy(dst, mem_.data() + addr, bytes);
+  std::memcpy(dst, mem_.get() + addr, bytes);
   if (bytes > 0 && fault::fire("rt.ddr.bitflip", fault_scope_)) {
     // Corrupt the returned buffer, then fault: the caller must discard it.
     const std::uint64_t bit = fault::Injector::instance().draw("rt.ddr.bitflip") % (bytes * 8);

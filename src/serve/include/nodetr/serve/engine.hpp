@@ -9,12 +9,14 @@
 //               MicroBatcher (one per worker; order-preserving splits/
 //                    │        merges, worker-local carry, expiry re-check)
 //                    ▼
-//      worker 0..N-1 ── warm MhsaIpCore replica per session
+//      worker 0..N-1 ── one board per worker (DeviceConfig "dev<i>", or
+//          │              the EngineConfig::devices entry in cluster mode)
 //          ├─ kCpuFloat:  float32 datapath run in-process
 //          ├─ kCpuQuant:  fixed datapath on block-quantized (int8-wire)
 //          │              weights run in-process
-//          └─ kFpga*:     own DdrMemory + MhsaAccelerator; batched START with
-//                         batch-resident weights; per-session circuit
+//          └─ kFpga*:     the session's own DdrMemory + MhsaAccelerator,
+//                         fault-scoped by board name; batched START with
+//                         batch-resident weights; per-board circuit
 //                         breaker (closed → open → half-open probe → closed)
 //                    ▼
 //             scatter rows back per request ──► fulfil std::future<Tensor>
@@ -61,14 +63,17 @@
 //     the same milestones in lock-free per-thread rings and dumps a merged
 //     timeline on worker crash, breaker open, DeadlineExceeded, or
 //     std::terminate (NODETR_FLIGHT=<path> — see obs/flight_recorder.hpp);
-//   - device counters: stats().devices exposes per-backend DMA bytes in/out,
-//     weight bytes saved by batch residency, stall cycles, and utilization %
-//     (rt::DeviceCounters), drained from each session after every batch;
+//   - one ledger per board: stats().device_stats holds each board's batches,
+//     rows, retries, breaker transitions and rt::DeviceCounters (DMA bytes
+//     in/out, weight bytes saved by batch residency, stall cycles,
+//     utilization %), drained from its session after every batch. The
+//     engine-wide retries / breaker_* / fallbacks and the per-backend
+//     stats().devices are sums over that ledger;
 //   - SLO watch: stats().slo is a rolling-window goodput / p99 queue-wait /
 //     p99 latency snapshot with breach flags (EngineConfig::slo targets).
 //
-// Cluster mode (EngineConfig::devices non-empty): the engine generalizes to
-// a fleet of simulated boards behind a cluster router —
+// Cluster mode (EngineConfig::devices non-empty): the boards are the listed
+// fleet, and the one addition is a cluster router in front of them —
 //
 //   producers ──► central RequestQueue (FIFO)
 //                     │  single router thread, strict pop order
@@ -78,20 +83,16 @@
 //        ▼            ▼            ▼
 //   device queue  device queue  device queue     (one per board, FIFO)
 //        │            │            │
-//   worker+board  worker+board  worker+board     (rt::DevicePool boards,
-//                                                 per-board fault scopes)
+//   worker+board  worker+board  worker+board     (per-board fault scopes)
 //
-// Each DeviceConfig names one rt::SimulatedDevice (own clock, DMA beat
-// width, DDR, DeviceCounters, deterministic per-board fault stream) driven
-// by exactly one worker, so the PR 5 per-session circuit breaker *is* that
-// device's breaker; its transitions feed both the router (which steers
-// traffic away while the cooldown runs) and the per-device metrics
-// serve.device.<name>.breaker_{opens,probes,reopens,closes}. FIFO is
-// preserved per device: the router dispatches in submit order and each
-// device queue is FIFO, so two requests routed to the same device always
-// execute in submission order (and the flow-event chain gains one
-// serve.route hop between submit and batch). stats() keeps the legacy
-// per-backend `devices` aggregation and adds per-board `device_stats`.
+// Each DeviceConfig sets its board's clock, DMA beat width and DDR size,
+// exactly as a flat engine's "dev<i>" boards run the defaults. The
+// per-session circuit breaker is that board's breaker; in cluster mode its
+// transitions also feed the router, which steers traffic away while the
+// cooldown runs. FIFO is preserved per device: the router dispatches in
+// submit order and each device queue is FIFO, so two requests routed to the
+// same device always execute in submission order (and the flow-event chain
+// gains one serve.route hop between submit and batch).
 //
 // Live model updates (hot-swap — see DESIGN.md §Hot-swap protocol): the
 // engine owns a ModelRegistry of immutable versioned weight snapshots
@@ -130,7 +131,8 @@
 // serve.expired, serve.retries[.<backend>], serve.fallbacks[.<backend>],
 // serve.faults_injected.<backend>, serve.breaker.{open,reopen,half_open,
 // close} with the serve.breaker_state gauge (currently demoted sessions),
-// serve.device.<name>.{routed,batches,rows,breaker_*} in cluster mode,
+// serve.device.<name>.{batches,rows,breaker_*} per board (.routed in
+// cluster mode),
 // serve.worker_aborted / serve.worker_respawns / serve.isolation_runs, and
 // the histograms serve.batch_occupancy_pct, serve.queue_wait_us,
 // serve.request_latency_us and serve.retry_latency_us (p50/p95/p99).
@@ -146,7 +148,6 @@
 #include "nodetr/hls/mhsa_ip.hpp"
 #include "nodetr/obs/obs.hpp"
 #include "nodetr/rt/accelerator.hpp"
-#include "nodetr/rt/device_pool.hpp"
 #include "nodetr/serve/admission.hpp"
 #include "nodetr/serve/circuit_breaker.hpp"
 #include "nodetr/serve/micro_batcher.hpp"
@@ -207,10 +208,10 @@ struct SubmitOptions {
   std::uint64_t trace_id = 0;
 };
 
-/// One simulated board of a cluster-mode engine. Each device gets its own
-/// rt::SimulatedDevice (DDR, DMA port, cycle clock, DeviceCounters, and the
-/// per-board fault scope `name`), one dedicated worker, and one per-device
-/// circuit breaker. Heterogeneous fleets are fine: CPU-float, FPGA-float and
+/// One simulated board, driven by exactly one worker. An FPGA board gets its
+/// own DDR, accelerator (DMA port, cycle clock, DeviceCounters) and the fault
+/// scope `name`; every board gets one circuit breaker and one DeviceStats
+/// ledger. Heterogeneous fleets are fine: CPU-float, FPGA-float and
 /// FPGA-fixed boards can mix, with the usual numerics caveat that fixed
 /// results then depend on placement.
 struct DeviceConfig {
@@ -294,10 +295,7 @@ struct EngineConfig {
   /// always run batch-resident weights.
   hls::MhsaDesignPoint point;
   Backend backend = Backend::kFpgaFloat;
-  /// Optional per-worker backends (size must equal `workers`); empty means
-  /// every worker runs `backend`. Mixing float backends preserves bitwise
-  /// results; mixing fixed with float makes numerics depend on placement.
-  std::vector<Backend> worker_backends;
+  /// Flat mode: `workers` default boards "dev<i>", all running `backend`.
   std::size_t workers = 2;
   std::size_t queue_capacity = 64;
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
@@ -306,20 +304,21 @@ struct EngineConfig {
   AdmissionConfig admission;  ///< CoDel-style shedding (disabled by default)
   BreakerConfig breaker;      ///< per-session device circuit breaker
   SloConfig slo;              ///< rolling-window SLO targets (see slo.hpp)
-  /// Cluster mode: non-empty turns the engine into an N-board fleet — one
-  /// worker per device, a router thread between the central queue and the
-  /// per-device queues. `workers` / `worker_backends` are then ignored
-  /// (derived from this list). Note the fleet buffers up to
+  /// Cluster mode: non-empty makes these the boards — one worker per device,
+  /// a router thread between the central queue and the per-device queues.
+  /// `workers` and `backend` are then ignored (`workers` is derived from
+  /// this list). Names must be unique. Note the fleet buffers up to
   /// (devices + 1) × queue_capacity requests across its queues.
   std::vector<DeviceConfig> devices;
   RouterConfig router;  ///< cost-model dispatch knobs (cluster mode only)
   HotSwapConfig hot_swap;  ///< canary / rollback policy for begin_swap()
 };
 
-/// Per-board view of a cluster-mode engine (EngineStats::device_stats).
-/// Counter fields accumulate over the engine's lifetime (surviving worker
-/// respawns); `breaker_open` / `pending_rows` / `est_us_per_row` are live
-/// router state at the stats() call.
+/// One board's ledger (EngineStats::device_stats). Counter fields accumulate
+/// over the engine's lifetime (surviving worker respawns) and are the only
+/// record of each event; `breaker_open` / `lost` / `pending_rows` /
+/// `est_us_per_row` are live router state at the stats() call (cluster mode
+/// only; defaults otherwise).
 struct DeviceStats {
   std::string backend;           ///< home backend name ("fpga_float", ...)
   std::uint64_t batches = 0;
@@ -359,7 +358,8 @@ struct EngineStats {
   std::uint64_t retries = 0;     ///< batch re-executions after transient faults
   std::uint64_t fallbacks = 0;   ///< demotions to kCpuFloat (opens + reopens)
   std::uint64_t respawns = 0;    ///< worker sessions rebuilt after a crash
-  // Circuit-breaker transitions (see circuit_breaker.hpp).
+  // Circuit-breaker transitions (see circuit_breaker.hpp). These and
+  // `retries` are sums over device_stats.
   std::uint64_t breaker_opens = 0;    ///< closed -> open (device presumed broken)
   std::uint64_t breaker_probes = 0;   ///< open -> half-open (cooldown elapsed)
   std::uint64_t breaker_reopens = 0;  ///< half-open -> open (probe faulted)
@@ -371,13 +371,12 @@ struct EngineStats {
   double queue_wait_p99_us = 0.0;
   std::int64_t sim_cycles = 0;   ///< accumulated accelerator cycles (FPGA backends)
   /// Per-backend device performance counters (DMA bytes, stall cycles,
-  /// utilization %), absorbed from every session of that home backend —
-  /// including sessions since respawned or demoted. Keyed by backend name;
-  /// CPU-only engines have no entries. In cluster mode this aggregates all
-  /// boards of the same backend (see device_stats for the per-board split).
+  /// utilization %): the sum of device_stats[*].counters over the FPGA
+  /// boards of each home backend. Keyed by backend name; CPU-only engines
+  /// have no entries.
   std::map<std::string, rt::DeviceCounters> devices;
-  /// Cluster mode: per-board stats keyed by DeviceConfig::name (empty for
-  /// single-device engines).
+  /// Per-board ledger keyed by board name ("dev<i>" unless a DeviceConfig
+  /// names it), one entry per worker in every engine.
   std::map<std::string, DeviceStats> device_stats;
   /// Rolling-window SLO state (goodput, p99s, breach flags) — see slo.hpp.
   SloSnapshot slo;
@@ -398,7 +397,8 @@ class InferenceEngine {
   /// Spins up the worker sessions (each quantizes/copies `weights` into its
   /// own warm MhsaIpCore replica) and starts serving immediately. Throws
   /// std::invalid_argument on an invalid config (workers, queue_capacity,
-  /// worker_backends size, fault/admission/breaker/batcher bounds).
+  /// device clocks / DMA beats / duplicate names, fault/admission/breaker/
+  /// batcher bounds).
   InferenceEngine(EngineConfig config, const hls::MhsaWeights& weights);
   ~InferenceEngine();
 
@@ -459,9 +459,13 @@ class InferenceEngine {
     obs::Gauge* breaker_open = nullptr;
   };
 
-  [[nodiscard]] static EngineConfig validated(EngineConfig config);
-  [[nodiscard]] bool cluster() const { return router_ != nullptr; }
-  [[nodiscard]] std::unique_ptr<WorkerSession> make_session(Backend backend, std::size_t worker);
+  /// Checks `config` (filling default device names and the cluster worker
+  /// count) and returns one board per worker: the `devices` entries in
+  /// cluster mode, else `workers` boards "dev<i>" running `backend`.
+  [[nodiscard]] static std::vector<DeviceConfig> validated(EngineConfig& config);
+  /// Builds worker `worker`'s session and its board: a respawn gets a fresh
+  /// board (DDR, accelerator, counters at zero) exactly like bring-up.
+  [[nodiscard]] std::unique_ptr<WorkerSession> make_session(std::size_t worker);
   void worker_loop(std::size_t worker);
   /// Cluster mode: drain the central queue in FIFO order, cost-route each
   /// request to a device queue. Closes the device queues on exit so the
@@ -508,9 +512,9 @@ class InferenceEngine {
   /// Cluster mode: a routed request reached a terminal state — release its
   /// load from the router's pending accounting (exactly once per request).
   void note_resolved(const Request& r);
-  /// Drain the session accelerator's pending DeviceCounters into the
-  /// per-backend totals stats() reports. Must run on the worker thread that
-  /// owns the session (take_counters is owner-thread-only).
+  /// Drain the session accelerator's pending DeviceCounters into its board's
+  /// ledger. Must run on the worker thread that owns the session
+  /// (take_counters is owner-thread-only).
   void absorb_device_counters(WorkerSession& session);
   void fail_batch(MicroBatch& batch, std::exception_ptr error);
   void finish_rows(const MicroBatch& batch, const Tensor& output);
@@ -520,6 +524,7 @@ class InferenceEngine {
   void fail_shed(Request& r);
 
   EngineConfig config_;
+  std::vector<DeviceConfig> boards_;  ///< one per worker, indexed like sessions_
   /// Version store; the construction weights become version 1 (active).
   /// Sessions stage shared_ptr snapshots from here (RCU — see engine.cpp).
   ModelRegistry registry_;
@@ -527,14 +532,12 @@ class InferenceEngine {
   AdmissionController admission_;
   SloMonitor slo_;
   obs::Histogram queue_wait_us_;  ///< engine-local; feeds stats() percentiles
-  mutable std::mutex devices_mu_;  ///< guards devices_ and device_stats_
-  std::map<std::string, rt::DeviceCounters> devices_;  ///< per home-backend totals
-  std::vector<DeviceStats> device_stats_;  ///< cluster mode, indexed by device
-  // Cluster mode (all null/empty for single-device engines):
+  mutable std::mutex devices_mu_;  ///< guards device_stats_
+  std::vector<DeviceStats> device_stats_;  ///< the per-board ledger, indexed by worker
+  std::vector<DeviceMetrics> device_metrics_;  ///< indexed by worker
+  // Cluster mode (null/empty for flat engines):
   std::unique_ptr<ClusterRouter> router_;
-  std::unique_ptr<rt::DevicePool> device_pool_;
   std::vector<std::unique_ptr<RequestQueue>> device_queues_;
-  std::vector<DeviceMetrics> device_metrics_;
   std::thread router_thread_;
   std::vector<std::unique_ptr<WorkerSession>> sessions_;
   std::unique_ptr<tensor::ThreadPool> pool_;
@@ -544,10 +547,7 @@ class InferenceEngine {
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<std::uint64_t> submitted_{0}, rejected_{0}, completed_{0}, failed_{0};
   std::atomic<std::uint64_t> shed_{0}, expired_{0};
-  std::atomic<std::uint64_t> batches_{0}, rows_{0};
-  std::atomic<std::uint64_t> retries_{0}, fallbacks_{0}, respawns_{0};
-  std::atomic<std::uint64_t> breaker_opens_{0}, breaker_probes_{0};
-  std::atomic<std::uint64_t> breaker_reopens_{0}, breaker_closes_{0};
+  std::atomic<std::uint64_t> batches_{0}, rows_{0}, respawns_{0};
   std::atomic<std::uint64_t> open_breakers_{0};
   std::atomic<std::int64_t> sim_cycles_{0};
   // ── Hot-swap state ──────────────────────────────────────────────────────

@@ -1,4 +1,4 @@
-// ClusterRouter — least-loaded / cost-model dispatch across a DevicePool.
+// ClusterRouter — least-loaded / cost-model dispatch across a fleet of boards.
 //
 //   clients ──► central RequestQueue (FIFO)
 //                    │  single router thread, strict pop order

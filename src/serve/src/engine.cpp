@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
 
 #include "nodetr/fault/fault.hpp"
 #include "nodetr/hls/cycle_model.hpp"
@@ -34,31 +35,48 @@ const char* to_string(RollbackReason reason) {
   return "?";
 }
 
+namespace {
+
+/// Pre-resolved serve.version.<id>.{batches,rows} counters, so a batch adds
+/// to its version's counters without a registry lookup.
+struct VersionCounters {
+  obs::Counter* batches = nullptr;
+  obs::Counter* rows = nullptr;
+
+  VersionCounters() = default;
+  explicit VersionCounters(std::uint64_t id) {
+    auto& reg = obs::Registry::instance();
+    const std::string prefix = "serve.version." + std::to_string(id) + ".";
+    batches = &reg.counter(prefix + "batches");
+    rows = &reg.counter(prefix + "rows");
+  }
+};
+
+}  // namespace
+
 /// One worker's private execution state: a warm IP replica, and for FPGA
-/// backends its own DDR + accelerator, so sessions never contend on a device.
-/// `backend` is where traffic runs right now; `home_backend` is where the
-/// session belongs — the circuit breaker demotes `backend` to kCpuFloat when
-/// the device keeps faulting and restores it after a clean half-open probe.
-/// In cluster mode the worker drains its own device queue and drives a
-/// pool-owned rt::SimulatedDevice instead of session-owned DDR/accelerator;
-/// `accel` points at whichever of the two applies.
+/// backends the board itself — its own DDR + accelerator — so sessions never
+/// contend on a device. `backend` is where traffic runs right now;
+/// `home_backend` is the board's — the circuit breaker demotes `backend` to
+/// kCpuFloat when the device keeps faulting and restores it after a clean
+/// half-open probe. In cluster mode the worker drains its own device queue.
 struct InferenceEngine::WorkerSession {
-  std::size_t index = 0;  ///< worker slot (stable across respawns)
+  std::size_t index = 0;  ///< worker slot = board index (stable across respawns)
   Backend home_backend = Backend::kCpuFloat;
   Backend backend = Backend::kCpuFloat;
   RequestQueue* source = nullptr;  ///< queue this session drains
   MicroBatcher batcher;
-  std::unique_ptr<hls::MhsaIpCore> cpu_ip;    ///< kCpuFloat (built on demand)
-  std::unique_ptr<rt::DdrMemory> ddr;               ///< single-device kFpga*
-  std::unique_ptr<rt::MhsaAccelerator> accel_owned; ///< single-device kFpga*
-  rt::SimulatedDevice* device = nullptr;  ///< cluster mode (owned by the pool)
-  rt::MhsaAccelerator* accel = nullptr;   ///< kFpga* (kept alive while open
-                                          ///  so the probe can reuse it)
+  std::unique_ptr<hls::MhsaIpCore> cpu_ip;     ///< kCpuFloat (built on demand)
+  std::unique_ptr<rt::DdrMemory> ddr;          ///< kFpga*: the board's DDR
+  std::unique_ptr<rt::MhsaAccelerator> accel;  ///< kFpga* (kept alive while open
+                                               ///  so the probe can reuse it)
   CircuitBreaker breaker;
   // ── Hot-swap staging (worker-thread-only, mutated at batch boundaries) ──
   std::shared_ptr<const ModelVersion> staged_version;  ///< what the datapaths serve
+  VersionCounters staged_counters;                     ///< staged_version's counters
   std::uint64_t staged_epoch = 0;  ///< swap_epoch_ this staging reflects (0 = stale)
   std::shared_ptr<const ModelVersion> canary_version;  ///< staged candidate, if any
+  VersionCounters canary_counters;                     ///< canary_version's counters
   std::unique_ptr<hls::MhsaIpCore> canary_ip;  ///< candidate replica (canary batches)
   std::unique_ptr<hls::MhsaIpCore> shadow_ip;  ///< active-version baseline (shadow scoring)
 
@@ -66,40 +84,13 @@ struct InferenceEngine::WorkerSession {
       : source(&queue), batcher(queue, cfg), breaker(breaker_cfg) {}
 };
 
-EngineConfig InferenceEngine::validated(EngineConfig config) {
-  if (!config.devices.empty()) {
-    // Cluster mode: one worker per device; the flat worker knobs must not
-    // contradict the device list.
-    if (!config.worker_backends.empty()) {
-      throw std::invalid_argument(
-          "InferenceEngine: worker_backends and devices are mutually exclusive "
-          "(cluster mode derives one worker per device)");
-    }
-    config.workers = config.devices.size();
-    for (std::size_t i = 0; i < config.devices.size(); ++i) {
-      DeviceConfig& d = config.devices[i];
-      if (d.name.empty()) d.name = "dev" + std::to_string(i);
-      if (d.clock_mhz <= 0.0) {
-        throw std::invalid_argument("InferenceEngine: device \"" + d.name +
-                                    "\": clock_mhz must be > 0");
-      }
-      if (d.dma_beat_bytes < 1) {
-        throw std::invalid_argument("InferenceEngine: device \"" + d.name +
-                                    "\": dma_beat_bytes must be >= 1");
-      }
-    }
-  }
+std::vector<DeviceConfig> InferenceEngine::validated(EngineConfig& config) {
+  if (!config.devices.empty()) config.workers = config.devices.size();
   if (config.workers < 1) {
     throw std::invalid_argument("InferenceEngine: workers must be >= 1");
   }
   if (config.queue_capacity < 1) {
     throw std::invalid_argument("InferenceEngine: queue_capacity must be >= 1");
-  }
-  if (!config.worker_backends.empty() && config.worker_backends.size() != config.workers) {
-    throw std::invalid_argument(
-        "InferenceEngine: worker_backends must be empty or one entry per worker (got " +
-        std::to_string(config.worker_backends.size()) + " entries for " +
-        std::to_string(config.workers) + " workers)");
   }
   if (config.fault.max_retries < 0 || config.fault.backoff_us < 0 ||
       config.fault.max_backoff_us < 0 || config.fault.backoff_multiplier < 1.0) {
@@ -122,50 +113,69 @@ EngineConfig InferenceEngine::validated(EngineConfig config) {
   // constructors; trigger the breaker's here so a bad config fails the
   // engine constructor instead of the first worker session.
   (void)CircuitBreaker(config.breaker);
-  return config;
+  for (std::size_t i = 0; i < config.devices.size(); ++i) {
+    if (config.devices[i].name.empty()) config.devices[i].name = "dev" + std::to_string(i);
+  }
+  std::vector<DeviceConfig> boards = config.devices;
+  for (std::size_t i = boards.size(); i < config.workers; ++i) {
+    DeviceConfig d;
+    d.name = "dev" + std::to_string(i);
+    d.backend = config.backend;
+    boards.push_back(std::move(d));
+  }
+  // Board names key both the per-board metrics and the fault scopes.
+  std::set<std::string> names;
+  for (const DeviceConfig& d : boards) {
+    if (!names.insert(d.name).second) {
+      throw std::invalid_argument("InferenceEngine: duplicate device name \"" + d.name +
+                                  "\" (names key metrics and fault scopes)");
+    }
+    if (d.clock_mhz <= 0.0) {
+      throw std::invalid_argument("InferenceEngine: device \"" + d.name +
+                                  "\": clock_mhz must be > 0");
+    }
+    if (d.dma_beat_bytes < 1) {
+      throw std::invalid_argument("InferenceEngine: device \"" + d.name +
+                                  "\": dma_beat_bytes must be >= 1");
+    }
+  }
+  return boards;
 }
 
 std::unique_ptr<InferenceEngine::WorkerSession> InferenceEngine::make_session(
-    Backend backend, std::size_t worker) {
-  // Cluster mode: the session drains its own device queue and drives the
-  // pool board in its slot; a respawn rebuilds the board from scratch (fresh
-  // DDR, counters at zero) exactly like the initial bring-up.
-  RequestQueue& source = cluster() ? *device_queues_[worker] : queue_;
+    std::size_t worker) {
+  const DeviceConfig& board = boards_[worker];
+  RequestQueue& source = device_queues_.empty() ? queue_ : *device_queues_[worker];
   auto session = std::make_unique<WorkerSession>(source, config_.batcher, config_.breaker);
   // Expired requests are failed the moment the batcher sheds them — next()
   // may block on an empty queue right afterwards, so deferring would leave
   // the victim's future hanging until more traffic arrives.
   session->batcher.set_expired_handler([this](RequestPtr r) { fail_expired(*r); });
   session->index = worker;
-  session->home_backend = backend;
-  session->backend = backend;
-  // Version snapshot for this session's datapaths. The pool factory takes its
-  // own snapshot, so in cluster mode the board is explicitly re-staged below
-  // from THIS snapshot — the recorded version and the board's weights can
-  // never disagree even if a commit lands between the two reads.
+  session->home_backend = board.backend;
+  session->backend = board.backend;
+  // One version snapshot builds the board's IP and is recorded as staged, so
+  // the two cannot disagree even if a commit lands meanwhile.
   std::shared_ptr<const ModelVersion> ver;
   {
     std::lock_guard lk(swap_mu_);
     ver = active_version_ptr_;
   }
-  const hls::MhsaDesignPoint point = datapath_point(backend);
-  if (cluster()) {
-    session->device = &device_pool_->rebuild(worker);
-    if (session->device->has_accelerator()) {
-      session->accel = &session->device->accelerator();
-      session->accel->swap_ip(std::make_unique<hls::MhsaIpCore>(point, ver->weights));
-      session->accel->set_deadline(config_.fault.deadline);
-    }
-  }
-  if (is_cpu(backend)) {
-    session->cpu_ip = std::make_unique<hls::MhsaIpCore>(point, ver->weights);
-  } else if (!cluster()) {
-    session->ddr = std::make_unique<rt::DdrMemory>();
-    session->accel_owned = std::make_unique<rt::MhsaAccelerator>(
-        std::make_unique<hls::MhsaIpCore>(point, ver->weights), *session->ddr);
-    session->accel = session->accel_owned.get();
+  auto ip = std::make_unique<hls::MhsaIpCore>(datapath_point(board.backend), ver->weights);
+  if (is_cpu(board.backend)) {
+    session->cpu_ip = std::move(ip);
+  } else {
+    session->ddr = std::make_unique<rt::DdrMemory>(board.ddr_bytes);
+    session->ddr->set_fault_scope(board.name);
+    rt::BoardProfile profile;
+    profile.clock_mhz = board.clock_mhz;
+    profile.dma_beat_bytes = board.dma_beat_bytes;
+    profile.fault_scope = board.name;
+    session->accel = std::make_unique<rt::MhsaAccelerator>(std::move(ip), *session->ddr,
+                                                           std::move(profile));
     session->accel->set_deadline(config_.fault.deadline);
   }
+  session->staged_counters = VersionCounters(ver->id);
   session->staged_version = std::move(ver);
   // staged_epoch 0 forces a sync at the first batch boundary: a respawn that
   // lands mid-canary stages the canary/shadow replicas before serving.
@@ -194,7 +204,8 @@ hls::MhsaDesignPoint InferenceEngine::datapath_point(Backend backend) const {
 }
 
 InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& weights)
-    : config_(validated(std::move(config))),
+    : config_(std::move(config)),
+      boards_(validated(config_)),
       registry_(config_.point, weights),
       queue_(config_.queue_capacity, config_.policy),
       admission_(config_.admission),
@@ -229,67 +240,40 @@ InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& we
                                        ? config_.router.device_queue_capacity
                                        : config_.queue_capacity;
     std::vector<ClusterRouter::DeviceSeed> seeds;
-    std::vector<rt::BoardConfig> boards;
     const hls::CycleModel cycle_model;
-    for (const DeviceConfig& d : config_.devices) {
+    for (const DeviceConfig& d : boards_) {
       auto q = std::make_unique<RequestQueue>(device_cap, BackpressurePolicy::kBlock);
       q->set_wait_observer(wait_observer);
       device_queues_.push_back(std::move(q));
       // Seed the router's cost model with the analytic cycle estimate paid at
       // this board's clock (µs = cycles ÷ MHz). CPU boards start from the
       // same figure and converge to wall time through the EWMA.
-      hls::MhsaDesignPoint point = config_.point;
-      point.dtype = d.backend == Backend::kFpgaFixed || d.backend == Backend::kCpuQuant
-                        ? hls::DataType::kFixed
-                        : hls::DataType::kFloat32;
       const double est_us_per_row =
-          static_cast<double>(cycle_model.estimate(point).total()) / d.clock_mhz;
+          static_cast<double>(cycle_model.estimate(datapath_point(d.backend)).total()) /
+          d.clock_mhz;
       seeds.push_back(ClusterRouter::DeviceSeed{d.name, est_us_per_row});
-      rt::BoardConfig board;
-      board.name = d.name;
-      board.clock_mhz = d.clock_mhz;
-      board.dma_beat_bytes = d.dma_beat_bytes;
-      board.ddr_bytes = d.ddr_bytes;
-      boards.push_back(std::move(board));
     }
     router_ = std::make_unique<ClusterRouter>(std::move(seeds), config_.router);
-    device_pool_ = std::make_unique<rt::DevicePool>(
-        std::move(boards),
-        [this](std::size_t i, const rt::BoardConfig&) -> std::unique_ptr<hls::MhsaIpCore> {
-          const Backend backend = config_.devices[i].backend;
-          if (is_cpu(backend)) return nullptr;  // host-only board
-          std::shared_ptr<const ModelVersion> ver;
-          {
-            std::lock_guard lk(swap_mu_);
-            ver = active_version_ptr_;
-          }
-          return std::make_unique<hls::MhsaIpCore>(datapath_point(backend), ver->weights);
-        });
-    device_stats_.resize(config_.devices.size());
-    device_metrics_.reserve(config_.devices.size());
-    auto& reg = obs::Registry::instance();
-    for (std::size_t i = 0; i < config_.devices.size(); ++i) {
-      device_stats_[i].backend = to_string(config_.devices[i].backend);
-      const std::string prefix = "serve.device." + config_.devices[i].name + ".";
-      DeviceMetrics m;
-      m.routed = &reg.counter(prefix + "routed");
-      m.batches = &reg.counter(prefix + "batches");
-      m.rows = &reg.counter(prefix + "rows");
-      m.breaker_opens = &reg.counter(prefix + "breaker_opens");
-      m.breaker_probes = &reg.counter(prefix + "breaker_probes");
-      m.breaker_reopens = &reg.counter(prefix + "breaker_reopens");
-      m.breaker_closes = &reg.counter(prefix + "breaker_closes");
-      m.breaker_open = &reg.gauge(prefix + "breaker_open");
-      device_metrics_.push_back(m);
-    }
+  }
+  device_stats_.resize(boards_.size());
+  device_metrics_.reserve(boards_.size());
+  auto& reg = obs::Registry::instance();
+  for (std::size_t i = 0; i < boards_.size(); ++i) {
+    device_stats_[i].backend = to_string(boards_[i].backend);
+    const std::string prefix = "serve.device." + boards_[i].name + ".";
+    DeviceMetrics m;
+    if (router_) m.routed = &reg.counter(prefix + "routed");
+    m.batches = &reg.counter(prefix + "batches");
+    m.rows = &reg.counter(prefix + "rows");
+    m.breaker_opens = &reg.counter(prefix + "breaker_opens");
+    m.breaker_probes = &reg.counter(prefix + "breaker_probes");
+    m.breaker_reopens = &reg.counter(prefix + "breaker_reopens");
+    m.breaker_closes = &reg.counter(prefix + "breaker_closes");
+    m.breaker_open = &reg.gauge(prefix + "breaker_open");
+    device_metrics_.push_back(m);
   }
   sessions_.reserve(config_.workers);
-  for (std::size_t w = 0; w < config_.workers; ++w) {
-    const Backend backend = cluster() ? config_.devices[w].backend
-                            : config_.worker_backends.empty() ? config_.backend
-                                                              : config_.worker_backends[w];
-    sessions_.push_back(make_session(backend, w));
-  }
+  for (std::size_t w = 0; w < config_.workers; ++w) sessions_.push_back(make_session(w));
   // Worker loops ride on a private ThreadPool: the dispatcher thread posts
   // one long-lived chunk per session and participates itself, leaving the
   // global pool free for the kernels' parallel_for calls.
@@ -297,7 +281,7 @@ InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& we
   dispatcher_ = std::thread([this] {
     pool_->run_chunks(config_.workers, [this](std::size_t w) { worker_loop(w); });
   });
-  if (cluster()) router_thread_ = std::thread([this] { router_loop(); });
+  if (router_) router_thread_ = std::thread([this] { router_loop(); });
 }
 
 InferenceEngine::~InferenceEngine() { shutdown(); }
@@ -504,7 +488,7 @@ void InferenceEngine::worker_loop(std::size_t worker) {
       absorb_device_counters(session);
       obs::FlightRecorder::instance().dump("worker_crash");
       try {
-        sessions_[worker] = make_session(session.home_backend, worker);
+        sessions_[worker] = make_session(worker);
       } catch (...) {
         // Respawn itself failed (e.g. out of memory building the IP). Give
         // up this worker slot; the remaining workers keep draining, and the
@@ -512,7 +496,7 @@ void InferenceEngine::worker_loop(std::size_t worker) {
         // cluster mode nobody else drains this device's queue, so the device
         // is marked lost and its queued requests are failed explicitly.
         obs::Registry::instance().counter("serve.worker_lost").add();
-        if (cluster()) abandon_device(worker);
+        if (router_) abandon_device(worker);
         return;
       }
       respawns_.fetch_add(1, std::memory_order_relaxed);
@@ -617,7 +601,6 @@ void InferenceEngine::demote_to_cpu(WorkerSession& session) {
       .counter(std::string("serve.fallbacks.") + to_string(session.home_backend))
       .add();
   fallbacks.add();
-  fallbacks_.fetch_add(1, std::memory_order_relaxed);
   if (!session.cpu_ip) {
     // Built from the SESSION's staged version, not the registry's current
     // active: a demotion (or half-open probe) that lands mid-swap must keep
@@ -639,11 +622,10 @@ void InferenceEngine::maybe_probe(WorkerSession& session) {
   // breaker; another device fault re-opens it with a longer cooldown (the
   // request is not lost either way — a failed probe falls back within the
   // same recovery loop).
-  breaker_probes_.fetch_add(1, std::memory_order_relaxed);
   obs::Registry::instance().counter("serve.breaker.half_open").add();
   obs::flight_event(0, obs::FlightKind::kBreakerProbe, static_cast<std::int64_t>(session.index));
-  if (cluster()) {
-    device_metrics_[session.index].breaker_probes->add();
+  device_metrics_[session.index].breaker_probes->add();
+  {
     std::lock_guard lk(devices_mu_);
     device_stats_[session.index].breaker_probes += 1;
   }
@@ -653,18 +635,15 @@ void InferenceEngine::maybe_probe(WorkerSession& session) {
 void InferenceEngine::note_device_success(WorkerSession& session) {
   static auto& state_gauge = obs::Registry::instance().gauge("serve.breaker_state");
   if (session.breaker.on_success() == CircuitBreaker::Event::kClosed) {
-    breaker_closes_.fetch_add(1, std::memory_order_relaxed);
     obs::Registry::instance().counter("serve.breaker.close").add();
     obs::flight_event(0, obs::FlightKind::kBreakerClose, static_cast<std::int64_t>(session.index));
     state_gauge.set(static_cast<double>(
         open_breakers_.fetch_sub(1, std::memory_order_relaxed) - 1));
-    if (cluster()) {
-      router_->on_breaker_close(session.index);
-      device_metrics_[session.index].breaker_closes->add();
-      device_metrics_[session.index].breaker_open->set(0.0);
-      std::lock_guard lk(devices_mu_);
-      device_stats_[session.index].breaker_closes += 1;
-    }
+    if (router_) router_->on_breaker_close(session.index);
+    device_metrics_[session.index].breaker_closes->add();
+    device_metrics_[session.index].breaker_open->set(0.0);
+    std::lock_guard lk(devices_mu_);
+    device_stats_[session.index].breaker_closes += 1;
   }
 }
 
@@ -687,10 +666,7 @@ Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBat
     try {
       Tensor output = run_attempt(session, batch.input);
       slice_events(obs::FlightKind::kExecEnd,
-                   !is_cpu(session.backend) && session.accel
-                       ? session.accel->last_cycles()
-                       : 0,
-                   backend_ix);
+                   is_cpu(session.backend) ? 0 : session.accel->last_cycles(), backend_ix);
       note_device_success(session);
       if (attempt > 0) {
         retry_latency.observe(
@@ -717,20 +693,20 @@ Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBat
         // CPU replica has seen no fault yet).
         switch (session.breaker.on_fault()) {
           case CircuitBreaker::Event::kOpened:
-            breaker_opens_.fetch_add(1, std::memory_order_relaxed);
             obs::Registry::instance().counter("serve.breaker.open").add();
             state_gauge.set(static_cast<double>(
                 open_breakers_.fetch_add(1, std::memory_order_relaxed) + 1));
             obs::flight_event(0, obs::FlightKind::kBreakerOpen,
                               static_cast<std::int64_t>(session.index));
-            if (cluster()) {
-              // Steer the router away for the cooldown the breaker just
-              // entered; pick() readmits the device when it elapses so the
-              // half-open probe gets traffic.
-              router_->on_breaker_open(session.index,
-                                       session.breaker.current_cooldown_us());
-              device_metrics_[session.index].breaker_opens->add();
-              device_metrics_[session.index].breaker_open->set(1.0);
+            // Steer the router away for the cooldown the breaker just
+            // entered; pick() readmits the device when it elapses so the
+            // half-open probe gets traffic.
+            if (router_) {
+              router_->on_breaker_open(session.index, session.breaker.current_cooldown_us());
+            }
+            device_metrics_[session.index].breaker_opens->add();
+            device_metrics_[session.index].breaker_open->set(1.0);
+            {
               std::lock_guard lk(devices_mu_);
               device_stats_[session.index].breaker_opens += 1;
             }
@@ -741,15 +717,15 @@ Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBat
             continue;
           case CircuitBreaker::Event::kReopened:
             // The half-open probe faulted: back to CPU, longer cooldown.
-            breaker_reopens_.fetch_add(1, std::memory_order_relaxed);
             obs::Registry::instance().counter("serve.breaker.reopen").add();
             obs::flight_event(0, obs::FlightKind::kBreakerOpen,
                               static_cast<std::int64_t>(session.index));
-            if (cluster()) {
-              router_->on_breaker_open(session.index,
-                                       session.breaker.current_cooldown_us());
-              device_metrics_[session.index].breaker_reopens->add();
-              device_metrics_[session.index].breaker_open->set(1.0);
+            if (router_) {
+              router_->on_breaker_open(session.index, session.breaker.current_cooldown_us());
+            }
+            device_metrics_[session.index].breaker_reopens->add();
+            device_metrics_[session.index].breaker_open->set(1.0);
+            {
               std::lock_guard lk(devices_mu_);
               device_stats_[session.index].breaker_reopens += 1;
             }
@@ -761,10 +737,9 @@ Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBat
       }
       if (!e.transient() || attempt >= config_.fault.max_retries) throw;
       ++attempt;
-      retries_.fetch_add(1, std::memory_order_relaxed);
       static auto& retries = obs::Registry::instance().counter("serve.retries");
       retries.add();
-      if (cluster()) {
+      {
         std::lock_guard lk(devices_mu_);
         device_stats_[session.index].retries += 1;
       }
@@ -877,22 +852,19 @@ void InferenceEngine::process_batch(WorkerSession& session, MicroBatch& batch) {
     }
     // Every response is attributable to exactly one version: the whole batch
     // ran on either the canary replica or the staged active datapath.
-    const std::uint64_t served_version =
-        on_canary ? session.canary_version->id
-                  : (session.staged_version ? session.staged_version->id : 0);
-    auto& reg = obs::Registry::instance();
-    const std::string vprefix = "serve.version." + std::to_string(served_version) + ".";
-    reg.counter(vprefix + "batches").add();
-    reg.counter(vprefix + "rows").add(batch.rows());
-    if (cluster()) {
+    const VersionCounters& served = on_canary ? session.canary_counters
+                                              : session.staged_counters;
+    served.batches->add();
+    served.rows->add(batch.rows());
+    if (router_) {
       // Feed the router's EWMA what this device actually delivered:
       // simulated board time for accelerator batches (cycles at the board's
-      // current clock), wall time for CPU(-fallback) batches — so a
-      // throttled or demoted device drifts expensive and traffic rebalances.
+      // clock), wall time for CPU(-fallback) batches — so a demoted device
+      // drifts expensive and traffic rebalances.
       double us_per_row;
-      if (!on_canary && !is_cpu(session.backend) && session.accel) {
-        us_per_row = session.device->cycles_to_us(session.accel->last_cycles()) /
-                     static_cast<double>(batch.rows());
+      if (!on_canary && !is_cpu(session.backend)) {
+        us_per_row = static_cast<double>(session.accel->last_cycles()) /
+                     session.accel->profile().clock_mhz / static_cast<double>(batch.rows());
       } else {
         us_per_row = static_cast<double>(
                          std::chrono::duration_cast<std::chrono::microseconds>(
@@ -901,8 +873,10 @@ void InferenceEngine::process_batch(WorkerSession& session, MicroBatch& batch) {
                      static_cast<double>(batch.rows());
       }
       router_->observe(session.index, us_per_row);
-      device_metrics_[session.index].batches->add();
-      device_metrics_[session.index].rows->add(batch.rows());
+    }
+    device_metrics_[session.index].batches->add();
+    device_metrics_[session.index].rows->add(batch.rows());
+    {
       std::lock_guard lk(devices_mu_);
       device_stats_[session.index].batches += 1;
       device_stats_[session.index].rows += static_cast<std::uint64_t>(batch.rows());
@@ -1011,8 +985,7 @@ void InferenceEngine::absorb_device_counters(WorkerSession& session) {
   const rt::DeviceCounters delta = session.accel->take_counters();
   if (delta.total_cycles() == 0 && delta.starts == 0 && delta.stalls == 0) return;
   std::lock_guard lk(devices_mu_);
-  devices_[to_string(session.home_backend)] += delta;
-  if (cluster()) device_stats_[session.index].counters += delta;
+  device_stats_[session.index].counters += delta;
 }
 
 void InferenceEngine::fail_batch(MicroBatch& batch, std::exception_ptr error) {
@@ -1065,6 +1038,7 @@ void InferenceEngine::sync_session_version(WorkerSession& session) {
             datapath_point(session.home_backend), active->weights));
       }
       session.staged_version = active;
+      session.staged_counters = VersionCounters(active->id);
       restages_.fetch_add(1, std::memory_order_relaxed);
       static auto& restaged = obs::Registry::instance().counter("serve.swap.restages");
       restaged.add();
@@ -1085,6 +1059,7 @@ void InferenceEngine::sync_session_version(WorkerSession& session) {
         session.shadow_ip.reset();
       }
       session.canary_version = canary;
+      if (canary) session.canary_counters = VersionCounters(canary->id);
     }
     session.staged_epoch = epoch;
     const double us = static_cast<double>(
@@ -1375,13 +1350,7 @@ EngineStats InferenceEngine::stats() const {
   s.failed = failed_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.rows = rows_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.fallbacks = fallbacks_.load(std::memory_order_relaxed);
   s.respawns = respawns_.load(std::memory_order_relaxed);
-  s.breaker_opens = breaker_opens_.load(std::memory_order_relaxed);
-  s.breaker_probes = breaker_probes_.load(std::memory_order_relaxed);
-  s.breaker_reopens = breaker_reopens_.load(std::memory_order_relaxed);
-  s.breaker_closes = breaker_closes_.load(std::memory_order_relaxed);
   s.open_breakers = open_breakers_.load(std::memory_order_relaxed);
   s.queue_wait_p50_us = queue_wait_us_.percentile(50);
   s.queue_wait_p95_us = queue_wait_us_.percentile(95);
@@ -1390,19 +1359,26 @@ EngineStats InferenceEngine::stats() const {
   {
     // Workers absorb their accelerator's counters after every batch, so this
     // never touches sessions_ (which respawns mutate concurrently).
+    // Engine-wide event counts are sums over the per-board ledger.
     std::lock_guard lk(devices_mu_);
-    s.devices = devices_;
-    if (router_) {
-      for (std::size_t d = 0; d < device_stats_.size(); ++d) {
-        DeviceStats ds = device_stats_[d];
+    for (std::size_t d = 0; d < device_stats_.size(); ++d) {
+      DeviceStats ds = device_stats_[d];
+      s.retries += ds.retries;
+      s.breaker_opens += ds.breaker_opens;
+      s.breaker_probes += ds.breaker_probes;
+      s.breaker_reopens += ds.breaker_reopens;
+      s.breaker_closes += ds.breaker_closes;
+      if (!is_cpu(boards_[d].backend)) s.devices[ds.backend] += ds.counters;
+      if (router_) {
         ds.breaker_open = router_->breaker_open(d);
         ds.lost = router_->lost(d);
         ds.pending_rows = router_->pending_rows(d);
         ds.est_us_per_row = router_->us_per_row(d);
-        s.device_stats.emplace(router_->name(d), std::move(ds));
       }
+      s.device_stats.emplace(boards_[d].name, std::move(ds));
     }
   }
+  s.fallbacks = s.breaker_opens + s.breaker_reopens;
   s.slo = slo_.snapshot();
   s.swap = swap_stats();
   {

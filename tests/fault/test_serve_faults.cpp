@@ -284,6 +284,62 @@ TEST_F(ServeFaultTest, MixedProbabilisticScheduleResolvesEverythingBounded) {
   EXPECT_EQ(stats.completed + stats.failed, stats.submitted);
 }
 
+TEST_F(ServeFaultTest, EngineCountersAreSumsOverThePerBoardLedger) {
+  // Every retry and breaker transition is recorded once, on its board; the
+  // engine-wide fields and the per-backend device counters are sums of it.
+  fault::Injector::instance().arm("rt.dma.error", fault::Schedule::with_probability(0.5));
+  serve::EngineConfig cfg = config(serve::Backend::kFpgaFloat, /*workers=*/2);
+  cfg.fault.max_retries = 8;
+  cfg.fault.backoff_us = 0;
+  cfg.breaker.open_after = 2;
+  cfg.breaker.cooldown_us = 200;
+  std::vector<std::future<nt::Tensor>> futures;
+  serve::InferenceEngine engine(cfg, weights());
+  for (int i = 0; i < 24; ++i) {
+    futures.push_back(
+        engine.submit(rng_.rand(nt::Shape{1 + i % 2, point_.dim, point_.height, point_.width})));
+  }
+  ASSERT_TRUE(all_ready_within(futures, std::chrono::seconds(60)));
+  engine.shutdown();
+  const auto s = engine.stats();
+  ASSERT_EQ(s.device_stats.size(), 2u);
+  serve::DeviceStats sum;
+  for (const auto& [name, ds] : s.device_stats) {
+    EXPECT_EQ(ds.backend, "fpga_float") << name;
+    sum.batches += ds.batches;
+    sum.rows += ds.rows;
+    sum.retries += ds.retries;
+    sum.breaker_opens += ds.breaker_opens;
+    sum.breaker_probes += ds.breaker_probes;
+    sum.breaker_reopens += ds.breaker_reopens;
+    sum.breaker_closes += ds.breaker_closes;
+    sum.counters += ds.counters;
+  }
+  EXPECT_GE(s.retries, 1u);
+  EXPECT_GE(s.breaker_opens, 1u);
+  EXPECT_EQ(s.retries, sum.retries);
+  EXPECT_EQ(s.breaker_opens, sum.breaker_opens);
+  EXPECT_EQ(s.breaker_probes, sum.breaker_probes);
+  EXPECT_EQ(s.breaker_reopens, sum.breaker_reopens);
+  EXPECT_EQ(s.breaker_closes, sum.breaker_closes);
+  EXPECT_EQ(s.fallbacks, s.breaker_opens + s.breaker_reopens);
+  EXPECT_EQ(s.batches, sum.batches);
+  EXPECT_EQ(s.rows, sum.rows);
+  ASSERT_EQ(s.devices.size(), 1u);
+  const rt::DeviceCounters& agg = s.devices.at("fpga_float");
+  EXPECT_GT(agg.starts, 0);
+  EXPECT_EQ(agg.starts, sum.counters.starts);
+  EXPECT_EQ(agg.stalls, sum.counters.stalls);
+  EXPECT_EQ(agg.dma_bytes_in, sum.counters.dma_bytes_in);
+  EXPECT_EQ(agg.dma_bytes_out, sum.counters.dma_bytes_out);
+  EXPECT_EQ(agg.weight_bytes, sum.counters.weight_bytes);
+  EXPECT_EQ(agg.weight_bytes_float, sum.counters.weight_bytes_float);
+  EXPECT_EQ(agg.weight_bytes_saved, sum.counters.weight_bytes_saved);
+  EXPECT_EQ(agg.dma_cycles, sum.counters.dma_cycles);
+  EXPECT_EQ(agg.compute_cycles, sum.counters.compute_cycles);
+  EXPECT_EQ(agg.stall_cycles, sum.counters.stall_cycles);
+}
+
 TEST_F(ServeFaultTest, ShutdownDrainsUnderFaults) {
   fault::Injector::instance().arm("rt.dma.error", fault::Schedule::with_probability(0.2));
   std::vector<std::future<nt::Tensor>> futures;

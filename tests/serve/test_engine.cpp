@@ -207,7 +207,9 @@ TEST(EngineQuant, CpuQuantStaysCloseToFloatBackend) {
 TEST(EngineQuant, MixedWorkerBackendsServeConcurrently) {
   EngineFixture fx_;
   serve::EngineConfig config = fx_.config(serve::Backend::kCpuFloat, 2, 32);
-  config.worker_backends = {serve::Backend::kCpuFloat, serve::Backend::kCpuQuant};
+  config.devices.resize(2);
+  config.devices[0].backend = serve::Backend::kCpuFloat;
+  config.devices[1].backend = serve::Backend::kCpuQuant;
   serve::InferenceEngine engine(config, fx_.weights());
   std::vector<std::future<nt::Tensor>> futures;
   for (int i = 0; i < 16; ++i) {
@@ -293,9 +295,37 @@ TEST(Engine, RejectsMismatchedGeometryAndBadConfig) {
 
   serve::EngineConfig bad = fx_.config(serve::Backend::kCpuFloat, 0, 4);
   EXPECT_THROW(serve::InferenceEngine(bad, fx_.weights()), std::invalid_argument);
-  bad = fx_.config(serve::Backend::kCpuFloat, 2, 4);
-  bad.worker_backends = {serve::Backend::kCpuFloat};  // 1 entry, 2 workers
+}
+
+TEST(Engine, DeviceNamesDefaultToIndexAndMustBeUnique) {
+  EngineFixture fx_;
+  // Names key both the per-board metrics and the fault scopes.
+  serve::EngineConfig bad = fx_.config(serve::Backend::kCpuFloat, 1, 4);
+  bad.devices.resize(2);
+  bad.devices[0].name = "a";
+  bad.devices[1].name = "a";
   EXPECT_THROW(serve::InferenceEngine(bad, fx_.weights()), std::invalid_argument);
+
+  serve::EngineConfig fleet = fx_.config(serve::Backend::kCpuFloat, 1, 4);
+  fleet.devices.resize(2);
+  fleet.devices[0].backend = serve::Backend::kCpuFloat;
+  fleet.devices[1].name = "b";
+  fleet.devices[1].backend = serve::Backend::kCpuFloat;
+  serve::InferenceEngine cluster(fleet, fx_.weights());
+  EXPECT_EQ(cluster.config().workers, 2u);
+  EXPECT_EQ(cluster.config().devices[0].name, "dev0");
+  EXPECT_EQ(cluster.config().devices[1].name, "b");
+  const auto cluster_stats = cluster.stats();
+  EXPECT_EQ(cluster_stats.device_stats.count("dev0"), 1u);
+  EXPECT_EQ(cluster_stats.device_stats.count("b"), 1u);
+
+  // A flat engine's workers are boards "dev<i>" running `backend`.
+  serve::InferenceEngine flat(fx_.config(serve::Backend::kFpgaFloat, 3, 4), fx_.weights());
+  const auto flat_stats = flat.stats();
+  ASSERT_EQ(flat_stats.device_stats.size(), 3u);
+  for (const char* name : {"dev0", "dev1", "dev2"}) {
+    EXPECT_EQ(flat_stats.device_stats.at(name).backend, "fpga_float") << name;
+  }
 }
 
 TEST(Engine, SplitRequestYieldsFullBatchesAndExactStats) {
@@ -317,7 +347,9 @@ TEST(Engine, SplitRequestYieldsFullBatchesAndExactStats) {
 TEST(Engine, MixedFloatWorkerBackendsStayBitwiseExact) {
   EngineFixture fx_;
   serve::EngineConfig config = fx_.config(serve::Backend::kFpgaFloat, 2, 16);
-  config.worker_backends = {serve::Backend::kCpuFloat, serve::Backend::kFpgaFloat};
+  config.devices.resize(2);
+  config.devices[0].backend = serve::Backend::kCpuFloat;
+  config.devices[1].backend = serve::Backend::kFpgaFloat;
   serve::InferenceEngine engine(config, fx_.weights());
   hls::MhsaDesignPoint p = fx_.point;
   p.dtype = hls::DataType::kFloat32;
