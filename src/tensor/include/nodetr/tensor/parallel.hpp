@@ -3,11 +3,27 @@
 // Kernels in this library are written against parallel_for so they scale on
 // multi-core hosts; on a single-core host the pool degrades to serial
 // execution with no thread overhead.
+//
+// The pool is built for many short fork/joins (a batch-1 classifier image
+// makes ~150 of them, a few microseconds each), so a run must not pay a
+// condvar wake-up per worker:
+//   - Spin, then park. After a run, workers spin on the claim word for a fixed
+//     time budget (kSpinBudget in parallel.cpp, checked against the clock)
+//     before they park on a condvar; the caller likewise spins on the count of
+//     unfinished chunks before it parks. A run that follows another within
+//     the budget starts without a syscall.
+//   - One claim word. Chunks are claimed by CAS on one 64-bit word holding
+//     (epoch, chunk count, next chunk). Because the count and the epoch sit in
+//     the word the CAS compares, a worker still holding an older run's word
+//     can never claim a chunk of a newer run, nor one past its count. The
+//     pool mutex guards parking only.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -31,8 +47,14 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const { return workers_.size() + 1; }
 
   /// Run fn(chunk_index) for chunk_index in [0, num_chunks) across the pool,
-  /// blocking until all chunks finish. Exceptions propagate from chunk 0 only;
-  /// other chunks' exceptions terminate (kernels must not throw).
+  /// blocking until all chunks finish. The calling thread runs chunks too.
+  ///
+  /// At most 2^24 - 1 chunks per call (std::length_error otherwise).
+  ///
+  /// Exceptions: the first exception thrown by any chunk, on any thread, is
+  /// captured and rethrown here once every chunk that had started has
+  /// finished. Chunks not yet started when it was captured are skipped. The
+  /// pool stays usable afterwards.
   ///
   /// Safe to call from multiple threads at once: concurrent batches are
   /// serialized on a submission mutex. A call made from inside a chunk that is
@@ -45,19 +67,40 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Spin, then park, until the claim word carries an epoch other than
+  /// `seen` (returns true) or the pool stops (returns false).
+  bool wait_for_run(std::uint64_t seen);
+  /// Claim and run chunks of run `epoch` until its word is exhausted or
+  /// replaced. Returns true if this thread finished the run's last chunk.
+  bool drain(std::uint64_t epoch, bool sample_queue_wait);
+  /// Block until every chunk of the current run has finished.
+  void wait_for_done();
 
-  std::vector<std::thread> workers_;
   std::mutex submit_mu_;  ///< serializes whole batches from concurrent callers
+
+  // Written by the submitter before it publishes a run's claim word, read by
+  // threads that claimed a chunk of that run.
+  const std::function<void(std::size_t)>* fn_ = nullptr;
+  std::uint64_t posted_ns_ = 0;  ///< when the current batch was posted (0 = not sampling)
+
+  // The current run's first chunk exception, written once by the chunk that
+  // sets failed_ and read by the submitter after the run.
+  std::exception_ptr error_;
+  std::atomic<bool> failed_{false};
+
+  alignas(64) std::atomic<std::uint64_t> claim_{0};  ///< epoch | count | next
+  alignas(64) std::atomic<std::size_t> pending_{0};  ///< chunks not yet finished
+  std::atomic<bool> stop_{false};
+
+  // Parking only: nothing on the run path takes this mutex unless a thread
+  // has run out of spin budget.
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::uint64_t posted_ns_ = 0;  ///< when the current batch was posted (0 = not sampling)
-  std::size_t next_chunk_ = 0;
-  std::size_t total_chunks_ = 0;
-  std::size_t active_ = 0;
-  std::size_t epoch_ = 0;
-  bool stop_ = false;
+  std::atomic<int> parked_{0};        ///< workers waiting on cv_work_
+  std::atomic<bool> caller_parked_{false};
+
+  std::vector<std::thread> workers_;  ///< last: threads use every member above
 };
 
 /// Split [begin, end) into roughly equal ranges and run body(lo, hi) on the

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "nodetr/obs/obs.hpp"
+
 namespace nt = nodetr::tensor;
+namespace obs = nodetr::obs;
 
 TEST(ThreadPool, SerialPoolRunsAllChunks) {
   nt::ThreadPool pool(1);
@@ -67,6 +74,108 @@ TEST(ThreadPool, NestedSubmissionFallsBackToSerial) {
     pool.run_chunks(4, [&](std::size_t) { inner++; });
   });
   EXPECT_EQ(inner.load(), 12);
+}
+
+TEST(ThreadPool, ExceptionFromAnyChunkIsRethrownAndPoolStaysUsable) {
+  nt::ThreadPool pool(4);
+  auto& serial_runs = obs::Registry::instance().counter("tensor.pool.serial_runs");
+  try {
+    pool.run_chunks(16, [](std::size_t c) {
+      if (c == 5) throw std::runtime_error("chunk 5");
+    });
+    ADD_FAILURE() << "run_chunks swallowed the chunk's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "chunk 5");
+  }
+  // The next run covers every chunk exactly once and still forks: the throw
+  // left no nested-call marker behind on this thread.
+  const std::int64_t serial_before = serial_runs.value();
+  std::vector<std::atomic<int>> hits(16);
+  pool.run_chunks(16, [&](std::size_t c) { hits[c]++; });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(serial_runs.value(), serial_before);
+}
+
+TEST(ThreadPool, ExceptionsOnWorkerThreadsReachTheCaller) {
+  // Every chunk throws, so whichever thread claims a chunk throws; a throw on
+  // a worker thread must be carried to the caller, never terminate.
+  nt::ThreadPool pool(4);
+  for (int round = 0; round < 200; ++round) {
+    EXPECT_THROW(pool.run_chunks(8, [](std::size_t) { throw std::logic_error("every chunk"); }),
+                 std::logic_error);
+  }
+  std::atomic<int> total{0};
+  pool.run_chunks(8, [&](std::size_t) { total++; });
+  EXPECT_EQ(total.load(), 8);
+}
+
+TEST(ThreadPool, RejectsMoreChunksThanTheClaimWordHolds) {
+  nt::ThreadPool pool(2);
+  bool ran = false;
+  EXPECT_THROW(pool.run_chunks(std::size_t{1} << 24, [&](std::size_t) { ran = true; }),
+               std::length_error);
+  EXPECT_FALSE(ran);
+}
+
+TEST(ThreadPool, BackToBackRunsFromTwoSubmittersClaimOnlyTheirOwnChunks) {
+  // Runs follow each other inside the spin window with a chunk count that
+  // changes every run. A worker still holding the previous run's claim word
+  // must never claim an index past the new run's count, nor one twice.
+  nt::ThreadPool pool(4);
+  constexpr std::array<std::size_t, 5> kCounts = {2, 17, 3, 64, 5};
+  constexpr int kRunsPerSubmitter = 10'000;
+  std::array<std::atomic<int>, 2> bad{};
+  std::vector<std::thread> submitters;
+  for (std::size_t s = 0; s < 2; ++s) {
+    submitters.emplace_back([&, s] {
+      std::vector<std::atomic<int>> hits(64);
+      for (int r = 0; r < kRunsPerSubmitter; ++r) {
+        const std::size_t n = kCounts[static_cast<std::size_t>(r) % kCounts.size()];
+        for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+        pool.run_chunks(n, [&](std::size_t c) {
+          if (c >= n) {
+            bad[s]++;
+          } else {
+            hits[c]++;
+          }
+        });
+        for (std::size_t c = 0; c < n; ++c) {
+          if (hits[c].load(std::memory_order_relaxed) != 1) bad[s]++;
+        }
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  EXPECT_EQ(bad[0].load(), 0);
+  EXPECT_EQ(bad[1].load(), 0);
+}
+
+TEST(ThreadPool, RunAfterIdleGapCoversAllChunksAndWorkersPark) {
+  auto& parks = obs::Registry::instance().counter("tensor.pool.parks");
+  const std::int64_t parks_before = parks.value();
+  nt::ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(32);
+  pool.run_chunks(32, [&](std::size_t c) { hits[c]++; });
+  // Far longer than the spin budget: the workers give up spinning and park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  pool.run_chunks(32, [&](std::size_t c) { hits[c]++; });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 2);
+  // Lower bound only, and waited for rather than timed: an idle worker parks
+  // once its budget has passed, however late the scheduler runs it.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (parks.value() == parks_before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(parks.value(), parks_before);
+}
+
+TEST(ThreadPool, DestroyedWhileWorkersSpinDoesNotHang) {
+  std::atomic<int> total{0};
+  for (int i = 0; i < 500; ++i) {
+    nt::ThreadPool pool(4);
+    pool.run_chunks(8, [&](std::size_t) { total++; });
+  }  // each destructor runs inside its workers' spin window
+  EXPECT_EQ(total.load(), 500 * 8);
 }
 
 TEST(ParallelFor, ConcurrentCallersComputeCorrectSums) {
