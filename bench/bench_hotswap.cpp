@@ -58,7 +58,6 @@ serve::EngineConfig engine_config(const hls::MhsaDesignPoint& point) {
   // many independent stage pauses.
   cfg.hot_swap.canary_fraction = 1.0;
   cfg.hot_swap.min_canary_batches = 1;
-  cfg.hot_swap.shadow_every = 1;
   cfg.hot_swap.max_divergence = 0.0;  // churn, not quality, is under test
   cfg.hot_swap.rollback_fault_burst = 0;
   cfg.hot_swap.rollback_slo_breaches = 0;

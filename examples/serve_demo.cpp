@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
 
   if (hot_swap) {
     // Live model update walkthrough: a "fine-tuned" candidate (here: the
-    // same weights nudged by a constant, standing in for a ContinualTuner
-    // publish) rolls out via canary while traffic keeps flowing.
+    // same weights nudged by a constant) rolls out via canary while traffic
+    // keeps flowing.
     hls::MhsaWeights candidate = hls::MhsaWeights::from_module(mhsa);
     for (nt::Tensor* t : {&candidate.wq, &candidate.wk, &candidate.wv}) {
       float* p = t->data();

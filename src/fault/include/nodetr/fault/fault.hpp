@@ -117,15 +117,6 @@ class SwapStageFault : public FaultError {
       : FaultError(std::move(site), "model version staging failed (injected)", true) {}
 };
 
-/// The background continual-tuner thread died mid-step. Non-transient for the
-/// step (its progress is lost); the tuner's supervisor restarts from the last
-/// published weights, so a crash can never publish a half-stepped candidate.
-class TunerCrashFault : public FaultError {
- public:
-  explicit TunerCrashFault(std::string site)
-      : FaultError(std::move(site), "continual tuner crash (injected)", false) {}
-};
-
 /// A device operation did not complete within its wall-clock or
 /// simulated-cycle budget. Transient: re-issuing the START may succeed.
 class DeadlineExceeded : public FaultError {

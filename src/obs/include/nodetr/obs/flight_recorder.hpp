@@ -69,7 +69,6 @@ enum class FlightKind : std::uint8_t {
   kSwapCanary,    ///< a: worker, b: candidate version id (per canary batch)
   kSwapCommit,    ///< a: promoted version id, b: canary batches (trace_id 0)
   kSwapRollback,  ///< a: rejected version id, b: rollback reason (trace_id 0)
-  kTunerPublish,  ///< a: publish count, b: tuner steps (trace_id 0)
   kMark,          ///< free-form user marker
 };
 

@@ -59,7 +59,6 @@ const char* to_string(FlightKind kind) {
     case FlightKind::kSwapCanary: return "swap_canary";
     case FlightKind::kSwapCommit: return "swap_commit";
     case FlightKind::kSwapRollback: return "swap_rollback";
-    case FlightKind::kTunerPublish: return "tuner_publish";
     case FlightKind::kMark: return "mark";
   }
   return "?";

@@ -52,9 +52,10 @@ class CircuitBreaker {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// State transition caused by an on_fault / on_success call; the engine
-  /// maps these onto metrics and backend switches.
-  enum class Event { kNone, kOpened, kReopened, kClosed };
+  /// State transition caused by an on_fault / on_success call, or
+  /// (kHalfOpened) by a probe_due() that returned true; the engine maps
+  /// these onto metrics and backend switches.
+  enum class Event { kNone, kOpened, kReopened, kHalfOpened, kClosed };
 
   explicit CircuitBreaker(BreakerConfig config);
 

@@ -96,16 +96,18 @@
 //
 // Live model updates (hot-swap — see DESIGN.md §Hot-swap protocol): the
 // engine owns a ModelRegistry of immutable versioned weight snapshots
-// (version 1 = the construction weights, immediately active). begin_swap(id)
-// starts a *canary* phase for a published candidate:
+// (version 1 = the construction weights, immediately active) and a
+// SwapController (hot_swap.hpp) that holds the canary/rollback policy; the
+// engine keeps the session side — staging, canary picks, running replicas.
+// begin_swap(id) starts a *canary* phase for a published candidate:
 //
 //   registry.publish(w) ──► kCandidate ──begin_swap──► canary
 //        canary: each worker stages an in-process candidate replica at its
 //        next batch boundary (RCU handoff — in-flight batches finish on the
 //        old version, nothing drains, no future is dropped) and routes
 //        ~canary_fraction of its batches to it, whole batches only — a
-//        response is always attributable to exactly one version. Sampled
-//        canary batches are shadow-scored against a baseline replica of the
+//        response is always attributable to exactly one version. Every
+//        canary batch is shadow-scored against a baseline replica of the
 //        active version (same design point, bitwise-identical numerics to
 //        the board datapath), feeding a rolling divergence estimate.
 //   promotion: after min_canary_batches clean canary batches with mean
@@ -122,9 +124,7 @@
 // Every phase is observable (serve.model.version gauge, serve.swap.*
 // counters + stage-pause histogram, per-version serve.version.<id>.*
 // counters, flight-recorder kSwap* events) and faultable ("serve.swap.stage"
-// and "serve.swap.commit" sites). train::ContinualTuner is the intended
-// publisher: it fine-tunes the block on a drift stream and hands candidates
-// to registry()/begin_swap().
+// and "serve.swap.commit" sites).
 //
 // Spans: serve.submit / serve.route / serve.batch / serve.complete; metrics
 // serve.requests_*, serve.batches, serve.rows, serve.queue_depth, serve.shed,
@@ -150,6 +150,7 @@
 #include "nodetr/rt/accelerator.hpp"
 #include "nodetr/serve/admission.hpp"
 #include "nodetr/serve/circuit_breaker.hpp"
+#include "nodetr/serve/hot_swap.hpp"
 #include "nodetr/serve/micro_batcher.hpp"
 #include "nodetr/serve/model_registry.hpp"
 #include "nodetr/serve/router.hpp"
@@ -220,73 +221,6 @@ struct DeviceConfig {
   double clock_mhz = 200.0;
   index_t dma_beat_bytes = rt::AxiStreamDma::kBeatBytes;
   std::size_t ddr_bytes = 64u << 20;
-};
-
-/// Canary / rollback policy for live model updates (begin_swap). The gates
-/// compose: promotion needs min_canary_batches canary batches AND (when
-/// shadow scoring is on) at least one shadow sample with mean divergence
-/// within max_divergence AND no rollback trigger fired first.
-struct HotSwapConfig {
-  /// Fraction of batches routed to the candidate during canary, per worker,
-  /// deterministically interleaved. Must be in (0, 1].
-  double canary_fraction = 0.25;
-  /// Canary batches (across workers) required before promotion.
-  std::uint32_t min_canary_batches = 8;
-  /// Shadow-score every Nth canary batch against the active version
-  /// (divergence = mean |canary - baseline| / mean |baseline|). 0 disables
-  /// shadow scoring (promotion then gates on batches + faults + SLO only).
-  std::uint32_t shadow_every = 1;
-  /// Rollback (and promotion-gate) threshold on the mean shadow divergence.
-  /// <= 0 disables the divergence gate entirely.
-  double max_divergence = 1e-3;
-  /// Rollback when this many device faults / canary-run failures accumulate
-  /// during one canary phase. 0 disables the trigger.
-  std::uint32_t rollback_fault_burst = 8;
-  /// Rollback when the SLO monitor reports this many *new* breaches since
-  /// the canary began. 0 disables the trigger.
-  std::uint32_t rollback_slo_breaches = 2;
-  /// Rollback a canary that has not promoted within this wall budget (e.g.
-  /// staging keeps failing, or no traffic arrives). 0 = no timeout.
-  std::int64_t swap_timeout_us = 10'000'000;
-};
-
-/// Why an in-flight swap was rolled back (SwapStats counters).
-enum class RollbackReason {
-  kDivergence,  ///< shadow divergence exceeded max_divergence
-  kFaultBurst,  ///< >= rollback_fault_burst faults during the canary
-  kSlo,         ///< >= rollback_slo_breaches new SLO breaches
-  kTimeout,     ///< swap_timeout_us elapsed without promotion
-  kCommitFault, ///< injected "serve.swap.commit" fault aborted the commit
-  kManual,      ///< cancel_swap()
-};
-
-[[nodiscard]] const char* to_string(RollbackReason reason);
-
-/// Live view of the hot-swap machinery (EngineStats::swap / swap_stats()).
-struct SwapStats {
-  std::uint64_t active_version = 0;     ///< what non-canary traffic serves
-  std::uint64_t candidate_version = 0;  ///< 0 when no swap is in flight
-  bool canary_in_flight = false;
-  std::uint64_t swaps_begun = 0;
-  std::uint64_t swaps_committed = 0;
-  std::uint64_t swaps_rolled_back = 0;
-  // Rollbacks by reason, same order as RollbackReason.
-  std::uint64_t rollbacks_divergence = 0;
-  std::uint64_t rollbacks_fault_burst = 0;
-  std::uint64_t rollbacks_slo = 0;
-  std::uint64_t rollbacks_timeout = 0;
-  std::uint64_t rollbacks_commit_fault = 0;
-  std::uint64_t rollbacks_manual = 0;
-  std::uint64_t canary_batches = 0;     ///< lifetime canary batches executed
-  std::uint64_t shadow_samples = 0;     ///< lifetime shadow-scored batches
-  double divergence_mean = 0.0;         ///< current/last canary phase
-  double divergence_max = 0.0;          ///< current/last canary phase
-  std::uint64_t restages = 0;           ///< session version re-stagings
-  std::uint64_t stage_failures = 0;     ///< staging attempts that faulted
-  /// Stage-pause percentiles (µs): the per-session pause a re-staging adds
-  /// at a batch boundary — the "swap pause" bench_hotswap gates on.
-  double stage_p50_us = 0.0;
-  double stage_p99_us = 0.0;
 };
 
 struct EngineConfig {
@@ -474,7 +408,10 @@ class InferenceEngine {
   /// Cluster mode: the worker slot is gone for good — fail everything still
   /// queued on its device so no future hangs.
   void abandon_device(std::size_t worker);
+  /// One batch boundary: runs the batch's live slices, then drains the
+  /// board's counters and ticks the swap controller on every path.
   void process_batch(WorkerSession& session, MicroBatch& batch);
+  void run_batch(WorkerSession& session, MicroBatch& batch);
   /// Fail slices whose deadline has passed with RequestExpired; returns the
   /// number of live (non-failed) slices remaining.
   std::size_t shed_expired_slices(MicroBatch& batch);
@@ -485,27 +422,29 @@ class InferenceEngine {
   [[nodiscard]] Tensor run_with_recovery(WorkerSession& session, const MicroBatch& batch);
   void maybe_probe(WorkerSession& session);
   void demote_to_cpu(WorkerSession& session);
+  /// Record one breaker transition of `session`'s board (kNone is a no-op)
+  /// in every store that tracks it: the global serve.breaker.* counter, the
+  /// board's counter, gauge and DeviceStats ledger, serve.breaker_state, the
+  /// router, and the flight recorder (plus a dump when the breaker opens).
+  void record_breaker_event(WorkerSession& session, CircuitBreaker::Event event);
   /// RCU handoff: at a batch boundary, re-stage the session's datapaths to
   /// the current active/candidate versions if the swap epoch moved. Never
   /// throws — a staging fault keeps the old (coherent) staging and retries
   /// at the next boundary.
   void sync_session_version(WorkerSession& session);
   /// The design point a session's serving datapath runs (dtype/wire/
-  /// residency resolved per backend) — shared by make_session, staging, and
-  /// the canary/shadow replicas so their numerics match the board bitwise.
+  /// residency resolved per backend).
   [[nodiscard]] hls::MhsaDesignPoint datapath_point(Backend backend) const;
+  /// Every IP replica a session runs — the board's, the CPU fallback, the
+  /// canary and the shadow — is built here, so their numerics match the
+  /// board bitwise.
+  [[nodiscard]] std::unique_ptr<hls::MhsaIpCore> build_ip(Backend backend,
+                                                          const ModelVersion& version) const;
   /// Deterministically decide whether this batch runs on the canary replica.
   [[nodiscard]] bool pick_canary(WorkerSession& session, const MicroBatch& batch);
-  /// Run `batch` on the canary replica (+ sampled shadow scoring). Throws on
-  /// a canary-side fault; the caller falls back to the active path.
+  /// Run `batch` on the canary replica and shadow-score it. Throws on a
+  /// canary-side fault; the caller falls back to the active path.
   [[nodiscard]] Tensor run_canary(WorkerSession& session, const MicroBatch& batch);
-  void note_canary_fault();
-  /// Evaluate promotion/rollback gates; called after every batch (cheap
-  /// no-op while no swap is in flight).
-  void swap_tick();
-  void promote_locked(std::unique_lock<std::mutex>& lk);
-  void rollback_locked(RollbackReason reason);
-  void note_device_success(WorkerSession& session);
   void isolate_slices(WorkerSession& session, MicroBatch& batch);
   void salvage_requests(RequestQueue& queue, const std::vector<RequestPtr>& held,
                        std::exception_ptr error);
@@ -531,6 +470,8 @@ class InferenceEngine {
   RequestQueue queue_;
   AdmissionController admission_;
   SloMonitor slo_;
+  /// Canary/rollback policy; reads registry_ and slo_, declared above it.
+  SwapController swap_;
   obs::Histogram queue_wait_us_;  ///< engine-local; feeds stats() percentiles
   mutable std::mutex devices_mu_;  ///< guards device_stats_
   std::vector<DeviceStats> device_stats_;  ///< the per-board ledger, indexed by worker
@@ -550,28 +491,7 @@ class InferenceEngine {
   std::atomic<std::uint64_t> batches_{0}, rows_{0}, respawns_{0};
   std::atomic<std::uint64_t> open_breakers_{0};
   std::atomic<std::int64_t> sim_cycles_{0};
-  // ── Hot-swap state ──────────────────────────────────────────────────────
-  // swap_epoch_ is the RCU edge: bumped (release) on every begin/commit/
-  // rollback; workers compare their staged epoch (acquire) at each batch
-  // boundary and re-stage outside the lock from the shared_ptr snapshots.
-  std::atomic<std::uint64_t> swap_epoch_{1};
-  std::atomic<bool> canary_active_{false};  ///< cheap swap_tick() gate
-  mutable std::mutex swap_mu_;  ///< guards everything below
-  std::shared_ptr<const ModelVersion> active_version_ptr_;
-  std::shared_ptr<const ModelVersion> candidate_version_;  ///< non-null in canary
-  std::chrono::steady_clock::time_point canary_started_{};
-  std::uint64_t canary_batches_cur_ = 0;  ///< this canary phase
-  std::uint64_t shadow_cur_ = 0;
-  double div_sum_ = 0.0;
-  double div_max_ = 0.0;
-  std::uint64_t canary_faults_ = 0;
-  std::uint64_t slo_breaches_at_start_ = 0;
-  std::uint64_t rollbacks_by_reason_[6] = {0, 0, 0, 0, 0, 0};
-  std::atomic<std::uint64_t> swaps_begun_{0}, swaps_committed_{0}, swaps_rolled_back_{0};
-  std::atomic<std::uint64_t> canary_batches_total_{0}, shadow_total_{0};
-  std::atomic<std::uint64_t> restages_{0}, stage_failures_{0};
-  std::atomic<std::uint64_t> canary_pick_counter_{0}, shadow_pick_counter_{0};
-  obs::Histogram stage_pause_us_;  ///< engine-local; feeds SwapStats percentiles
+  std::atomic<std::uint64_t> canary_pick_counter_{0};
 };
 
 }  // namespace nodetr::serve

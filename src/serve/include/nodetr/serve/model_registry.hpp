@@ -1,6 +1,5 @@
 // serve::ModelRegistry — immutable, versioned weight snapshots for live
-// model updates (the serving half of ROADMAP item 2b's continual
-// adaptation).
+// model updates.
 //
 // Every version is an immutable `ModelVersion` held behind a
 // shared_ptr<const ...>: once published it never changes, so workers can
@@ -35,8 +34,8 @@
 //     corrupt / structurally mismatched file throws train::CheckpointError
 //     (with the mismatching param named) and publishes nothing.
 //
-// Thread-safe: all methods may be called concurrently (a background
-// ContinualTuner publishes while the engine's workers read).
+// Thread-safe: all methods may be called concurrently (a publisher thread
+// may publish while the engine's workers read).
 #pragma once
 
 #include <chrono>

@@ -5,6 +5,7 @@
 #include "nodetr/serve/circuit_breaker.hpp"
 #include "nodetr/serve/engine.hpp"
 #include "nodetr/serve/errors.hpp"
+#include "nodetr/serve/hot_swap.hpp"
 #include "nodetr/serve/micro_batcher.hpp"
 #include "nodetr/serve/model_registry.hpp"
 #include "nodetr/serve/request_queue.hpp"

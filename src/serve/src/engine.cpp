@@ -23,18 +23,6 @@ const char* to_string(Backend backend) {
   return "?";
 }
 
-const char* to_string(RollbackReason reason) {
-  switch (reason) {
-    case RollbackReason::kDivergence: return "divergence";
-    case RollbackReason::kFaultBurst: return "fault_burst";
-    case RollbackReason::kSlo: return "slo";
-    case RollbackReason::kTimeout: return "timeout";
-    case RollbackReason::kCommitFault: return "commit_fault";
-    case RollbackReason::kManual: return "manual";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Pre-resolved serve.version.<id>.{batches,rows} counters, so a batch adds
@@ -98,19 +86,8 @@ std::vector<DeviceConfig> InferenceEngine::validated(EngineConfig& config) {
         "InferenceEngine: invalid FaultPolicy (retries/backoffs must be >= 0, "
         "multiplier >= 1)");
   }
-  const HotSwapConfig& hs = config.hot_swap;
-  if (!(hs.canary_fraction > 0.0) || hs.canary_fraction > 1.0) {
-    throw std::invalid_argument(
-        "InferenceEngine: hot_swap.canary_fraction must be in (0, 1]");
-  }
-  if (hs.min_canary_batches < 1) {
-    throw std::invalid_argument("InferenceEngine: hot_swap.min_canary_batches must be >= 1");
-  }
-  if (hs.swap_timeout_us < 0) {
-    throw std::invalid_argument("InferenceEngine: hot_swap.swap_timeout_us must be >= 0");
-  }
-  // Admission, breaker, and batcher configs are validated by their own
-  // constructors; trigger the breaker's here so a bad config fails the
+  // Admission, breaker, batcher and hot-swap configs are validated by their
+  // own constructors; trigger the breaker's here so a bad config fails the
   // engine constructor instead of the first worker session.
   (void)CircuitBreaker(config.breaker);
   for (std::size_t i = 0; i < config.devices.size(); ++i) {
@@ -156,12 +133,8 @@ std::unique_ptr<InferenceEngine::WorkerSession> InferenceEngine::make_session(
   session->backend = board.backend;
   // One version snapshot builds the board's IP and is recorded as staged, so
   // the two cannot disagree even if a commit lands meanwhile.
-  std::shared_ptr<const ModelVersion> ver;
-  {
-    std::lock_guard lk(swap_mu_);
-    ver = active_version_ptr_;
-  }
-  auto ip = std::make_unique<hls::MhsaIpCore>(datapath_point(board.backend), ver->weights);
+  std::shared_ptr<const ModelVersion> ver = swap_.versions().active;
+  auto ip = build_ip(board.backend, *ver);
   if (is_cpu(board.backend)) {
     session->cpu_ip = std::move(ip);
   } else {
@@ -203,22 +176,23 @@ hls::MhsaDesignPoint InferenceEngine::datapath_point(Backend backend) const {
   return point;
 }
 
+std::unique_ptr<hls::MhsaIpCore> InferenceEngine::build_ip(Backend backend,
+                                                           const ModelVersion& version) const {
+  return std::make_unique<hls::MhsaIpCore>(datapath_point(backend), version.weights);
+}
+
 InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& weights)
     : config_(std::move(config)),
       boards_(validated(config_)),
       registry_(config_.point, weights),
       queue_(config_.queue_capacity, config_.policy),
       admission_(config_.admission),
-      slo_(config_.slo) {
+      slo_(config_.slo),
+      swap_(config_.hot_swap, registry_, slo_) {
   // Resolve the GEMM kernel/blocking now: first use runs the autotuner
   // (tens of ms), which must be charged to engine startup, never to the
   // first request's deadline.
   (void)tensor::tune::gemm_config();
-  // Version 1 is the seed the registry minted from `weights`; every session
-  // built below stages it, and `serve.model.version` tracks promotions.
-  active_version_ptr_ = registry_.get(registry_.active());
-  obs::Registry::instance().gauge("serve.model.version").set(
-      static_cast<double>(active_version_ptr_->id));
   // Every pop reports its queue wait: the engine-local histogram backs the
   // stats() percentiles, the registry one the metrics dump, and the sample
   // stream drives the CoDel admission controller.
@@ -605,8 +579,7 @@ void InferenceEngine::demote_to_cpu(WorkerSession& session) {
     // Built from the SESSION's staged version, not the registry's current
     // active: a demotion (or half-open probe) that lands mid-swap must keep
     // serving the version the rest of this session's datapaths carry.
-    session.cpu_ip = std::make_unique<hls::MhsaIpCore>(datapath_point(Backend::kCpuFloat),
-                                                       session.staged_version->weights);
+    session.cpu_ip = build_ip(Backend::kCpuFloat, *session.staged_version);
   }
   // The accelerator and its DDR stay alive: the device may recover, and the
   // breaker's half-open probe will re-drive it without a rebuild.
@@ -622,34 +595,78 @@ void InferenceEngine::maybe_probe(WorkerSession& session) {
   // breaker; another device fault re-opens it with a longer cooldown (the
   // request is not lost either way — a failed probe falls back within the
   // same recovery loop).
-  obs::Registry::instance().counter("serve.breaker.half_open").add();
-  obs::flight_event(0, obs::FlightKind::kBreakerProbe, static_cast<std::int64_t>(session.index));
-  device_metrics_[session.index].breaker_probes->add();
-  {
-    std::lock_guard lk(devices_mu_);
-    device_stats_[session.index].breaker_probes += 1;
-  }
+  record_breaker_event(session, CircuitBreaker::Event::kHalfOpened);
   session.backend = session.home_backend;
 }
 
-void InferenceEngine::note_device_success(WorkerSession& session) {
-  static auto& state_gauge = obs::Registry::instance().gauge("serve.breaker_state");
-  if (session.breaker.on_success() == CircuitBreaker::Event::kClosed) {
-    obs::Registry::instance().counter("serve.breaker.close").add();
-    obs::flight_event(0, obs::FlightKind::kBreakerClose, static_cast<std::int64_t>(session.index));
-    state_gauge.set(static_cast<double>(
-        open_breakers_.fetch_sub(1, std::memory_order_relaxed) - 1));
-    if (router_) router_->on_breaker_close(session.index);
-    device_metrics_[session.index].breaker_closes->add();
-    device_metrics_[session.index].breaker_open->set(0.0);
-    std::lock_guard lk(devices_mu_);
-    device_stats_[session.index].breaker_closes += 1;
+void InferenceEngine::record_breaker_event(WorkerSession& session,
+                                           CircuitBreaker::Event event) {
+  using Event = CircuitBreaker::Event;
+  const std::size_t d = session.index;
+  const DeviceMetrics& m = device_metrics_[d];
+  const char* global = nullptr;
+  obs::Counter* board = nullptr;
+  std::uint64_t DeviceStats::*ledger = nullptr;
+  obs::FlightKind kind = obs::FlightKind::kBreakerOpen;
+  switch (event) {
+    case Event::kNone:
+      return;
+    case Event::kOpened:
+      global = "serve.breaker.open";
+      board = m.breaker_opens;
+      ledger = &DeviceStats::breaker_opens;
+      break;
+    case Event::kReopened:
+      global = "serve.breaker.reopen";
+      board = m.breaker_reopens;
+      ledger = &DeviceStats::breaker_reopens;
+      break;
+    case Event::kHalfOpened:
+      global = "serve.breaker.half_open";
+      board = m.breaker_probes;
+      ledger = &DeviceStats::breaker_probes;
+      kind = obs::FlightKind::kBreakerProbe;
+      break;
+    case Event::kClosed:
+      global = "serve.breaker.close";
+      board = m.breaker_closes;
+      ledger = &DeviceStats::breaker_closes;
+      kind = obs::FlightKind::kBreakerClose;
+      break;
   }
+  obs::Registry::instance().counter(global).add();
+  board->add();
+  {
+    std::lock_guard lk(devices_mu_);
+    device_stats_[d].*ledger += 1;
+  }
+  obs::flight_event(0, kind, static_cast<std::int64_t>(d));
+  // A session counts as demoted from open until close; a reopen or a probe
+  // leaves the count alone.
+  static auto& state_gauge = obs::Registry::instance().gauge("serve.breaker_state");
+  if (event == Event::kOpened) {
+    state_gauge.set(
+        static_cast<double>(open_breakers_.fetch_add(1, std::memory_order_relaxed) + 1));
+  } else if (event == Event::kClosed) {
+    state_gauge.set(
+        static_cast<double>(open_breakers_.fetch_sub(1, std::memory_order_relaxed) - 1));
+  }
+  if (event == Event::kOpened || event == Event::kReopened) {
+    m.breaker_open->set(1.0);
+    // Steer the router away for the cooldown the breaker just entered;
+    // pick() readmits the device when it elapses so the probe gets traffic.
+    if (router_) router_->on_breaker_open(d, session.breaker.current_cooldown_us());
+  } else if (event == Event::kClosed) {
+    m.breaker_open->set(0.0);
+    if (router_) router_->on_breaker_close(d);
+  }
+  // Breaker-open is a wired dump trigger: the device's fault run-up is still
+  // in the rings.
+  if (event == Event::kOpened) obs::FlightRecorder::instance().dump("breaker_open");
 }
 
 Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBatch& batch) {
   static auto& retry_latency = obs::Registry::instance().histogram("serve.retry_latency_us");
-  static auto& state_gauge = obs::Registry::instance().gauge("serve.breaker_state");
   maybe_probe(session);
   const auto t0 = std::chrono::steady_clock::now();
   std::int64_t backoff_us = config_.fault.backoff_us;
@@ -667,7 +684,7 @@ Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBat
       Tensor output = run_attempt(session, batch.input);
       slice_events(obs::FlightKind::kExecEnd,
                    is_cpu(session.backend) ? 0 : session.accel->last_cycles(), backend_ix);
-      note_device_success(session);
+      record_breaker_event(session, session.breaker.on_success());
       if (attempt > 0) {
         retry_latency.observe(
             static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -683,7 +700,7 @@ Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBat
       // Device faults during a canary phase feed the fault-burst rollback
       // trigger — a candidate whose rollout coincides with a fault storm is
       // not promoted on the strength of a handful of clean canary batches.
-      note_canary_fault();
+      swap_.on_canary_fault();
       // CPU backends (incl. a quantized replica) have no device to presume
       // broken: transient faults there are retried below, never demoted.
       if (!is_cpu(session.backend) && e.transient()) {
@@ -691,48 +708,14 @@ Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBat
         // broken. Open the breaker and demote to the CPU datapath; the
         // demoted session retries immediately (no attempt consumed — the
         // CPU replica has seen no fault yet).
-        switch (session.breaker.on_fault()) {
-          case CircuitBreaker::Event::kOpened:
-            obs::Registry::instance().counter("serve.breaker.open").add();
-            state_gauge.set(static_cast<double>(
-                open_breakers_.fetch_add(1, std::memory_order_relaxed) + 1));
-            obs::flight_event(0, obs::FlightKind::kBreakerOpen,
-                              static_cast<std::int64_t>(session.index));
-            // Steer the router away for the cooldown the breaker just
-            // entered; pick() readmits the device when it elapses so the
-            // half-open probe gets traffic.
-            if (router_) {
-              router_->on_breaker_open(session.index, session.breaker.current_cooldown_us());
-            }
-            device_metrics_[session.index].breaker_opens->add();
-            device_metrics_[session.index].breaker_open->set(1.0);
-            {
-              std::lock_guard lk(devices_mu_);
-              device_stats_[session.index].breaker_opens += 1;
-            }
-            // Breaker-open is a wired dump trigger: the device's fault run-up
-            // is still in the rings.
-            obs::FlightRecorder::instance().dump("breaker_open");
-            demote_to_cpu(session);
-            continue;
-          case CircuitBreaker::Event::kReopened:
-            // The half-open probe faulted: back to CPU, longer cooldown.
-            obs::Registry::instance().counter("serve.breaker.reopen").add();
-            obs::flight_event(0, obs::FlightKind::kBreakerOpen,
-                              static_cast<std::int64_t>(session.index));
-            if (router_) {
-              router_->on_breaker_open(session.index, session.breaker.current_cooldown_us());
-            }
-            device_metrics_[session.index].breaker_reopens->add();
-            device_metrics_[session.index].breaker_open->set(1.0);
-            {
-              std::lock_guard lk(devices_mu_);
-              device_stats_[session.index].breaker_reopens += 1;
-            }
-            demote_to_cpu(session);
-            continue;
-          default:
-            break;
+        const CircuitBreaker::Event event = session.breaker.on_fault();
+        if (event == CircuitBreaker::Event::kOpened ||
+            event == CircuitBreaker::Event::kReopened) {
+          // A reopen is a faulted half-open probe: back to CPU, with the
+          // longer cooldown the breaker just set.
+          record_breaker_event(session, event);
+          demote_to_cpu(session);
+          continue;
         }
       }
       if (!e.transient() || attempt >= config_.fault.max_retries) throw;
@@ -798,10 +781,16 @@ void InferenceEngine::process_batch(WorkerSession& session, MicroBatch& batch) {
   // Re-check deadlines between batch formation and execution: expired rows
   // are shed with RequestExpired before the IP is touched, and a batch with
   // nothing live left is skipped entirely.
-  if (shed_expired_slices(batch) == 0) {
-    swap_tick();
-    return;
-  }
+  if (shed_expired_slices(batch) > 0) run_batch(session, batch);
+  // Batch boundary, reached on every path: the board's counters (isolation
+  // re-runs included) reach its ledger, and the in-flight canary is checked
+  // against the rollback triggers and the promotion gate — any worker's
+  // boundary may conclude it.
+  absorb_device_counters(session);
+  if (swap_.in_flight()) swap_.tick(std::chrono::steady_clock::now());
+}
+
+void InferenceEngine::run_batch(WorkerSession& session, MicroBatch& batch) {
   // A continuation batch carries later rows of a request whose earlier rows
   // already shipped on the version staged LAST batch. Re-staging now would
   // split that request across versions, so the swap waits one more boundary.
@@ -844,7 +833,7 @@ void InferenceEngine::process_batch(WorkerSession& session, MicroBatch& batch) {
       } catch (...) {
         // A canary replica failure must never cost the client: count it
         // against the candidate and serve the batch on the active path.
-        note_canary_fault();
+        swap_.on_canary_fault();
         output = run_with_recovery(session, batch);
       }
     } else {
@@ -882,28 +871,19 @@ void InferenceEngine::process_batch(WorkerSession& session, MicroBatch& batch) {
       device_stats_[session.index].rows += static_cast<std::uint64_t>(batch.rows());
     }
     finish_rows(batch, output);
-    absorb_device_counters(session);
   } catch (...) {
-    absorb_device_counters(session);
     // Requests whose deadline ran out while the batch was failing resolve
     // as expired, not as casualties of the device error.
     const std::size_t live = shed_expired_slices(batch);
-    if (live == 0) {
-      swap_tick();
-      return;
-    }
     if (live > 1) {
       // The coalesced batch failed even after retries. Don't fail every
       // co-batched request collectively — re-run each request's slice alone
       // so only the ones that fail on their own carry the error.
       isolate_slices(session, batch);
-    } else {
+    } else if (live == 1) {
       fail_batch(batch, std::current_exception());
     }
   }
-  // Batch boundary: evaluate the in-flight canary against the rollback
-  // triggers and the promotion gate. Any worker's boundary may conclude it.
-  swap_tick();
 }
 
 void InferenceEngine::isolate_slices(WorkerSession& session, MicroBatch& batch) {
@@ -997,15 +977,9 @@ void InferenceEngine::fail_batch(MicroBatch& batch, std::exception_ptr error) {
 // ── Live model updates ──────────────────────────────────────────────────────
 
 void InferenceEngine::sync_session_version(WorkerSession& session) {
-  const std::uint64_t epoch = swap_epoch_.load(std::memory_order_acquire);
+  const std::uint64_t epoch = swap_.epoch();
   if (session.staged_epoch == epoch) return;  // fast path: nothing changed
-  std::shared_ptr<const ModelVersion> active;
-  std::shared_ptr<const ModelVersion> canary;
-  {
-    std::lock_guard lk(swap_mu_);
-    active = active_version_ptr_;
-    canary = candidate_version_;
-  }
+  const auto [active, canary] = swap_.versions();
   const bool restage = session.staged_version != active;
   const bool canary_change = session.canary_version != canary;
   if (!restage && !canary_change) {
@@ -1026,22 +1000,16 @@ void InferenceEngine::sync_session_version(WorkerSession& session) {
       if (session.cpu_ip) {
         // kCpuFloat here covers both a CPU home backend and the demoted /
         // fallback replica of an FPGA session (same float datapath point).
-        session.cpu_ip = std::make_unique<hls::MhsaIpCore>(
-            datapath_point(is_cpu(session.home_backend) ? session.home_backend
-                                                        : Backend::kCpuFloat),
-            active->weights);
+        session.cpu_ip = build_ip(
+            is_cpu(session.home_backend) ? session.home_backend : Backend::kCpuFloat, *active);
       }
       if (session.accel) {
         // Re-stage the board: batch-resident weights are invalidated, so the
         // next START streams the new version (rt.mhsa_accel.swap_ip).
-        session.accel->swap_ip(std::make_unique<hls::MhsaIpCore>(
-            datapath_point(session.home_backend), active->weights));
+        session.accel->swap_ip(build_ip(session.home_backend, *active));
       }
       session.staged_version = active;
       session.staged_counters = VersionCounters(active->id);
-      restages_.fetch_add(1, std::memory_order_relaxed);
-      static auto& restaged = obs::Registry::instance().counter("serve.swap.restages");
-      restaged.add();
       obs::flight_event(0, obs::FlightKind::kSwapStage,
                         static_cast<std::int64_t>(session.index),
                         static_cast<std::int64_t>(active->id));
@@ -1051,9 +1019,8 @@ void InferenceEngine::sync_session_version(WorkerSession& session) {
         // Canary and shadow replicas are built at the session's HOME datapath
         // point, so a canary batch is bitwise what the promoted version will
         // serve on this board, and the shadow baseline is scored like-for-like.
-        const hls::MhsaDesignPoint point = datapath_point(session.home_backend);
-        session.canary_ip = std::make_unique<hls::MhsaIpCore>(point, canary->weights);
-        session.shadow_ip = std::make_unique<hls::MhsaIpCore>(point, active->weights);
+        session.canary_ip = build_ip(session.home_backend, *canary);
+        session.shadow_ip = build_ip(session.home_backend, *active);
       } else {
         session.canary_ip.reset();
         session.shadow_ip.reset();
@@ -1062,20 +1029,15 @@ void InferenceEngine::sync_session_version(WorkerSession& session) {
       if (canary) session.canary_counters = VersionCounters(canary->id);
     }
     session.staged_epoch = epoch;
-    const double us = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    stage_pause_us_.observe(us);
-    static auto& stage_hist = obs::Registry::instance().histogram("serve.swap.stage_us");
-    stage_hist.observe(us);
+    swap_.on_stage(restage, static_cast<double>(
+                                std::chrono::duration_cast<std::chrono::microseconds>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count()));
   } catch (const fault::FaultError&) {
     // Keep the old staging intact — the session continues serving its current
     // version coherently and retries at the next batch boundary. A canary
     // that can never stage is bounded by the swap timeout.
-    stage_failures_.fetch_add(1, std::memory_order_relaxed);
-    static auto& failures = obs::Registry::instance().counter("serve.swap.stage_failures");
-    failures.add();
+    swap_.on_stage_failure();
   }
 }
 
@@ -1110,223 +1072,34 @@ Tensor InferenceEngine::run_canary(WorkerSession& session, const MicroBatch& bat
     }
   }
   Tensor output = session.canary_ip->run(batch.input);
-  double divergence = 0.0;
-  bool shadowed = false;
-  const HotSwapConfig& hs = config_.hot_swap;
-  if (hs.shadow_every > 0 && session.shadow_ip) {
-    const auto k = shadow_pick_counter_.fetch_add(1, std::memory_order_relaxed);
-    if (k % hs.shadow_every == 0) {
-      // Shadow scoring: the same rows on the active version's replica, scored
-      // as normalized mean absolute divergence. The shadow output is never
-      // served — it only feeds the promotion gate.
-      Tensor baseline = session.shadow_ip->run(batch.input);
-      double num = 0.0;
-      double den = 0.0;
-      const float* a = output.data();
-      const float* b = baseline.data();
-      for (index_t i = 0; i < output.numel(); ++i) {
-        num += std::abs(static_cast<double>(a[i]) - static_cast<double>(b[i]));
-        den += std::abs(static_cast<double>(b[i]));
-      }
-      divergence = num / (den + 1e-12);
-      shadowed = true;
-    }
+  // Shadow scoring: the same rows on the active version's replica, scored as
+  // normalized mean absolute divergence. The shadow output is never served —
+  // it only feeds the promotion gate.
+  const Tensor baseline = session.shadow_ip->run(batch.input);
+  double num = 0.0;
+  double den = 0.0;
+  const float* a = output.data();
+  const float* b = baseline.data();
+  for (index_t i = 0; i < output.numel(); ++i) {
+    num += std::abs(static_cast<double>(a[i]) - static_cast<double>(b[i]));
+    den += std::abs(static_cast<double>(b[i]));
   }
-  canary_batches_total_.fetch_add(1, std::memory_order_relaxed);
-  static auto& canary_ctr = obs::Registry::instance().counter("serve.swap.canary_batches");
-  canary_ctr.add();
-  {
-    std::lock_guard lk(swap_mu_);
-    // Guard against a phase that concluded while this batch ran: stale
-    // samples must not pollute the NEXT candidate's gate.
-    if (candidate_version_ && candidate_version_->id == cand_id) {
-      ++canary_batches_cur_;
-      if (shadowed) {
-        ++shadow_cur_;
-        shadow_total_.fetch_add(1, std::memory_order_relaxed);
-        div_sum_ += divergence;
-        div_max_ = std::max(div_max_, divergence);
-        static auto& div_hist = obs::Registry::instance().histogram("serve.swap.divergence");
-        div_hist.observe(divergence);
-      }
-    }
-  }
+  swap_.on_canary_batch(cand_id, num / (den + 1e-12));
   return output;
-}
-
-void InferenceEngine::note_canary_fault() {
-  if (!canary_active_.load(std::memory_order_relaxed)) return;
-  std::lock_guard lk(swap_mu_);
-  if (candidate_version_) ++canary_faults_;
-}
-
-void InferenceEngine::swap_tick() {
-  if (!canary_active_.load(std::memory_order_relaxed)) return;
-  // snapshot() outside swap_mu_: the SLO monitor takes its own lock.
-  const SloSnapshot slo = slo_.snapshot();
-  std::unique_lock lk(swap_mu_);
-  if (!candidate_version_) return;
-  const HotSwapConfig& hs = config_.hot_swap;
-  const double mean_div =
-      shadow_cur_ > 0 ? div_sum_ / static_cast<double>(shadow_cur_) : 0.0;
-  // Rollback triggers are edge-checked at every batch boundary, in severity
-  // order; the first that fires concludes the phase.
-  if (hs.max_divergence > 0.0 && shadow_cur_ > 0 && mean_div > hs.max_divergence) {
-    rollback_locked(RollbackReason::kDivergence);
-    return;
-  }
-  if (hs.rollback_fault_burst > 0 && canary_faults_ >= hs.rollback_fault_burst) {
-    rollback_locked(RollbackReason::kFaultBurst);
-    return;
-  }
-  if (hs.rollback_slo_breaches > 0 &&
-      slo.breaches >= slo_breaches_at_start_ + hs.rollback_slo_breaches) {
-    rollback_locked(RollbackReason::kSlo);
-    return;
-  }
-  if (hs.swap_timeout_us > 0 &&
-      std::chrono::steady_clock::now() - canary_started_ >=
-          std::chrono::microseconds(hs.swap_timeout_us)) {
-    rollback_locked(RollbackReason::kTimeout);
-    return;
-  }
-  // Promotion gate: enough canary traffic, and (when shadow scoring gates)
-  // at least one in-threshold shadow sample. mean_div <= max_divergence is
-  // implied here — a breach would have rolled back above.
-  if (canary_batches_cur_ >= hs.min_canary_batches &&
-      (hs.shadow_every == 0 || hs.max_divergence <= 0.0 || shadow_cur_ > 0)) {
-    promote_locked(lk);
-  }
-}
-
-void InferenceEngine::promote_locked(std::unique_lock<std::mutex>& lk) {
-  // The commit point itself is a fault site: an injected failure here must
-  // leave the OLD version active — rollback, never a half-commit.
-  if (fault::fire("serve.swap.commit")) {
-    rollback_locked(RollbackReason::kCommitFault);
-    return;
-  }
-  const std::shared_ptr<const ModelVersion> promoted = candidate_version_;
-  registry_.activate(promoted->id);
-  active_version_ptr_ = promoted;
-  candidate_version_.reset();
-  canary_active_.store(false, std::memory_order_relaxed);
-  const std::uint64_t batches = canary_batches_cur_;
-  swaps_committed_.fetch_add(1, std::memory_order_relaxed);
-  // Publish AFTER the new active pointer is in place: a worker that observes
-  // the new epoch always finds the promoted version.
-  swap_epoch_.fetch_add(1, std::memory_order_release);
-  lk.unlock();
-  obs::Registry::instance().gauge("serve.model.version").set(
-      static_cast<double>(promoted->id));
-  obs::Registry::instance().counter("serve.swap.commits").add();
-  obs::flight_event(0, obs::FlightKind::kSwapCommit,
-                    static_cast<std::int64_t>(promoted->id),
-                    static_cast<std::int64_t>(batches));
-}
-
-void InferenceEngine::rollback_locked(RollbackReason reason) {
-  const std::shared_ptr<const ModelVersion> rejected = candidate_version_;
-  if (!rejected) return;
-  // A candidate is marked rejected in the registry; a RETIRED version that
-  // was being rolled forward (begin_swap of an old id) just stays retired.
-  if (registry_.state(rejected->id) == VersionState::kCandidate) {
-    registry_.reject(rejected->id);
-  }
-  candidate_version_.reset();
-  canary_active_.store(false, std::memory_order_relaxed);
-  swaps_rolled_back_.fetch_add(1, std::memory_order_relaxed);
-  rollbacks_by_reason_[static_cast<std::size_t>(reason)] += 1;
-  // Epoch bump tears down every session's canary/shadow replicas at its next
-  // batch boundary; the active staging is untouched (nothing to restore —
-  // non-canary traffic never left the old version).
-  swap_epoch_.fetch_add(1, std::memory_order_release);
-  obs::Registry::instance().counter("serve.swap.rollbacks").add();
-  obs::Registry::instance()
-      .counter(std::string("serve.swap.rollbacks.") + to_string(reason))
-      .add();
-  obs::flight_event(0, obs::FlightKind::kSwapRollback,
-                    static_cast<std::int64_t>(rejected->id),
-                    static_cast<std::int64_t>(reason));
-  // A rollback is a wired dump trigger: the canary's divergence/fault run-up
-  // is still in the flight-recorder rings.
-  obs::FlightRecorder::instance().dump("swap_rollback");
 }
 
 void InferenceEngine::begin_swap(std::uint64_t id) {
   if (stopped_.load(std::memory_order_relaxed)) {
     throw EngineStoppedError("InferenceEngine::begin_swap: engine is shut down");
   }
-  std::shared_ptr<const ModelVersion> v = registry_.get(id);  // throws on unknown id
-  if (registry_.state(id) == VersionState::kRejected) {
-    throw std::invalid_argument("InferenceEngine::begin_swap: version " + std::to_string(id) +
-                                " was rejected; republish it instead");
-  }
-  std::lock_guard lk(swap_mu_);
-  if (candidate_version_) {
-    throw std::invalid_argument("InferenceEngine::begin_swap: swap already in flight "
-                                "(candidate " +
-                                std::to_string(candidate_version_->id) + ")");
-  }
-  if (active_version_ptr_ && active_version_ptr_->id == id) {
-    throw std::invalid_argument("InferenceEngine::begin_swap: version " + std::to_string(id) +
-                                " is already active");
-  }
-  canary_batches_cur_ = 0;
-  shadow_cur_ = 0;
-  div_sum_ = 0.0;
-  div_max_ = 0.0;
-  canary_faults_ = 0;
-  slo_breaches_at_start_ = slo_.snapshot().breaches;
-  canary_started_ = std::chrono::steady_clock::now();
-  candidate_version_ = std::move(v);
-  canary_active_.store(true, std::memory_order_relaxed);
-  swaps_begun_.fetch_add(1, std::memory_order_relaxed);
-  swap_epoch_.fetch_add(1, std::memory_order_release);
-  obs::Registry::instance().counter("serve.swap.begins").add();
-  obs::flight_event(0, obs::FlightKind::kSwapBegin, static_cast<std::int64_t>(id));
+  swap_.begin(id, std::chrono::steady_clock::now());
 }
 
-bool InferenceEngine::cancel_swap() {
-  std::lock_guard lk(swap_mu_);
-  if (!candidate_version_) return false;
-  rollback_locked(RollbackReason::kManual);
-  return true;
-}
+bool InferenceEngine::cancel_swap() { return swap_.cancel(); }
 
-std::uint64_t InferenceEngine::active_version() const {
-  std::lock_guard lk(swap_mu_);
-  return active_version_ptr_ ? active_version_ptr_->id : 0;
-}
+std::uint64_t InferenceEngine::active_version() const { return swap_.versions().active->id; }
 
-SwapStats InferenceEngine::swap_stats() const {
-  SwapStats s;
-  {
-    std::lock_guard lk(swap_mu_);
-    s.active_version = active_version_ptr_ ? active_version_ptr_->id : 0;
-    s.candidate_version = candidate_version_ ? candidate_version_->id : 0;
-    s.canary_in_flight = candidate_version_ != nullptr;
-    s.divergence_mean =
-        shadow_cur_ > 0 ? div_sum_ / static_cast<double>(shadow_cur_) : 0.0;
-    s.divergence_max = div_max_;
-    s.rollbacks_divergence = rollbacks_by_reason_[0];
-    s.rollbacks_fault_burst = rollbacks_by_reason_[1];
-    s.rollbacks_slo = rollbacks_by_reason_[2];
-    s.rollbacks_timeout = rollbacks_by_reason_[3];
-    s.rollbacks_commit_fault = rollbacks_by_reason_[4];
-    s.rollbacks_manual = rollbacks_by_reason_[5];
-  }
-  s.swaps_begun = swaps_begun_.load(std::memory_order_relaxed);
-  s.swaps_committed = swaps_committed_.load(std::memory_order_relaxed);
-  s.swaps_rolled_back = swaps_rolled_back_.load(std::memory_order_relaxed);
-  s.canary_batches = canary_batches_total_.load(std::memory_order_relaxed);
-  s.shadow_samples = shadow_total_.load(std::memory_order_relaxed);
-  s.restages = restages_.load(std::memory_order_relaxed);
-  s.stage_failures = stage_failures_.load(std::memory_order_relaxed);
-  s.stage_p50_us = stage_pause_us_.percentile(50);
-  s.stage_p99_us = stage_pause_us_.percentile(99);
-  return s;
-}
+SwapStats InferenceEngine::swap_stats() const { return swap_.stats(); }
 
 void InferenceEngine::shutdown() {
   std::lock_guard lk(shutdown_mu_);

@@ -6,12 +6,16 @@
 
 #include <chrono>
 #include <future>
+#include <iterator>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "nodetr/rt/accelerator.hpp"
 
 namespace fault = nodetr::fault;
+namespace obs = nodetr::obs;
 namespace serve = nodetr::serve;
 namespace hls = nodetr::hls;
 namespace rt = nodetr::rt;
@@ -292,6 +296,17 @@ TEST_F(ServeFaultTest, EngineCountersAreSumsOverThePerBoardLedger) {
   cfg.fault.backoff_us = 0;
   cfg.breaker.open_after = 2;
   cfg.breaker.cooldown_us = 200;
+  // Each board's breaker transitions also land in its serve.device.<name>.*
+  // registry counters. The registry is process-wide, so compare deltas.
+  const char* kTransitions[] = {"breaker_opens", "breaker_probes", "breaker_reopens",
+                                "breaker_closes"};
+  const auto board_counter = [](const std::string& board, const char* transition) -> auto& {
+    return obs::Registry::instance().counter("serve.device." + board + "." + transition);
+  };
+  std::map<std::string, std::int64_t> before;
+  for (const std::string board : {"dev0", "dev1"}) {
+    for (const char* t : kTransitions) before[board + t] = board_counter(board, t).value();
+  }
   serve::InferenceEngine engine(cfg, weights());
   // The input fixes the outcome, whatever the host's timing: one request is
   // in flight at a time, and the first two DMA transfers fail. The first
@@ -342,6 +357,46 @@ TEST_F(ServeFaultTest, EngineCountersAreSumsOverThePerBoardLedger) {
   EXPECT_EQ(agg.dma_cycles, sum.counters.dma_cycles);
   EXPECT_EQ(agg.compute_cycles, sum.counters.compute_cycles);
   EXPECT_EQ(agg.stall_cycles, sum.counters.stall_cycles);
+  for (const auto& [name, ds] : s.device_stats) {
+    const std::uint64_t ledger[] = {ds.breaker_opens, ds.breaker_probes, ds.breaker_reopens,
+                                    ds.breaker_closes};
+    for (std::size_t i = 0; i < std::size(kTransitions); ++i) {
+      const char* t = kTransitions[i];
+      EXPECT_EQ(board_counter(name, t).value() - before[name + t],
+                static_cast<std::int64_t>(ledger[i]))
+          << name << " " << t;
+    }
+  }
+}
+
+TEST_F(ServeFaultTest, IsolatedRerunCountersReachTheBoardLedger) {
+  // Two co-batched requests whose batch faults with no retry left are re-run
+  // slice by slice. When that isolation is the worker's last batch, the
+  // re-runs' STARTs and DMA bytes must still reach the board's ledger.
+  serve::EngineConfig cfg = config(serve::Backend::kFpgaFloat);
+  cfg.batcher.max_batch = 2;
+  cfg.batcher.max_wait_us = 2'000'000;  // the two requests form one batch
+  cfg.fault.max_retries = 0;
+  cfg.breaker.open_after = 100;
+  auto& isolations = obs::Registry::instance().counter("serve.isolation_runs");
+  const std::int64_t isolations_before = isolations.value();
+  serve::InferenceEngine engine(cfg, weights());
+  fault::Injector::instance().arm("rt.dma.error", fault::Schedule::at_ops({0}));
+  std::vector<nt::Tensor> xs;
+  std::vector<std::future<nt::Tensor>> futures;
+  for (int i = 0; i < 2; ++i) {
+    xs.push_back(rng_.rand(nt::Shape{1, point_.dim, point_.height, point_.width}));
+    futures.push_back(engine.submit(xs.back()));
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(30)), std::future_status::ready);
+    EXPECT_EQ(nt::max_abs_diff(futures[i].get(), reference(xs[i])), 0.0f);
+  }
+  engine.shutdown();
+  EXPECT_EQ(isolations.value() - isolations_before, 1);
+  const rt::DeviceCounters c = engine.stats().device_stats.at("dev0").counters;
+  EXPECT_EQ(c.starts, 2);
+  EXPECT_EQ(c.dma_bytes_in, 9472);
 }
 
 TEST_F(ServeFaultTest, ShutdownDrainsUnderFaults) {

@@ -23,7 +23,6 @@
 #include "nodetr/serve/serve.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/train/checkpoint.hpp"
-#include "nodetr/train/continual_tuner.hpp"
 
 namespace serve = nodetr::serve;
 namespace hls = nodetr::hls;
@@ -103,7 +102,6 @@ struct HotSwapFixture : ::testing::Test {
     // individual tests opt into exactly the trigger they exercise.
     c.hot_swap.canary_fraction = 1.0;
     c.hot_swap.min_canary_batches = 1;
-    c.hot_swap.shadow_every = 1;
     c.hot_swap.max_divergence = 0.0;  // divergence gate off unless a test arms it
     c.hot_swap.rollback_fault_burst = 0;
     c.hot_swap.rollback_slo_breaches = 0;
@@ -423,141 +421,4 @@ TEST_F(HotSwapFixture, ThousandSwapsUnderStormNoDroppedFuturesAllAttributable) {
   const auto& final_ref = (swaps - 1) % 2 == 0 ? ref_b : ref_a;
   EXPECT_TRUE(nt::allclose(engine.submit(x).get(), final_ref, 0.0f, 0.0f));
   EXPECT_EQ(engine.active_version(), engine.registry().active());
-}
-
-TEST_F(HotSwapFixture, ContinualTunerLearnsAndPublishes) {
-  // Teacher-student drift: the stream's targets come from weights_b; the
-  // tuner starts at weights_a and must reduce MSE across publishes.
-  hls::MhsaDesignPoint p = point;
-  p.dtype = hls::DataType::kFloat32;
-  hls::MhsaIpCore teacher(p, weights_b);
-  nt::Rng stream_rng(99);
-  auto stream = [&]() {
-    train::DriftBatch b;
-    b.input = stream_rng.rand(nt::Shape{4, cfg.dim, cfg.height, cfg.width});
-    b.target = teacher.run(b.input);
-    return b;
-  };
-  std::vector<double> losses;
-  std::mutex mu;
-  serve::ModelRegistry registry(point, weights_a);
-  auto publish = [&](const hls::MhsaWeights& w, const train::TunerStats& s) {
-    (void)registry.publish(w, "tuner");  // validates: finite, right shapes
-    std::lock_guard lk(mu);
-    losses.push_back(s.last_loss);
-  };
-  train::TunerConfig tc;
-  tc.sgd.lr = 0.05f;
-  tc.sgd.momentum = 0.9f;
-  tc.sgd.weight_decay = 0.0f;
-  tc.steps_per_publish = 8;
-  tc.max_publishes = 4;
-  train::ContinualTuner tuner(cfg, weights_a, tc, stream, publish);
-  tuner.start();
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (tuner.stats().publishes < tc.max_publishes &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  tuner.stop();
-  const auto stats = tuner.stats();
-  ASSERT_EQ(stats.publishes, 4u);
-  EXPECT_EQ(stats.steps, 32u);
-  EXPECT_EQ(stats.crashes, 0u);
-  ASSERT_EQ(losses.size(), 4u);
-  EXPECT_LT(losses.back(), losses.front()) << "fine-tuning did not reduce drift MSE";
-  EXPECT_EQ(registry.latest(), 5u);  // seed + 4 published candidates
-}
-
-TEST_F(HotSwapFixture, TunerSurvivesInjectedCrashAndKeepsPublishing) {
-  nt::Rng stream_rng(7);
-  hls::MhsaDesignPoint p = point;
-  p.dtype = hls::DataType::kFloat32;
-  hls::MhsaIpCore teacher(p, weights_b);
-  auto stream = [&]() {
-    train::DriftBatch b;
-    b.input = stream_rng.rand(nt::Shape{2, cfg.dim, cfg.height, cfg.width});
-    b.target = teacher.run(b.input);
-    return b;
-  };
-  std::atomic<std::uint64_t> published{0};
-  auto publish = [&](const hls::MhsaWeights& w, const train::TunerStats&) {
-    // Published candidates must be complete, structurally valid snapshots
-    // even with a crash in between — half-stepped weights never escape.
-    serve::ModelRegistry probe(point, weights_a);
-    (void)probe.publish(w);
-    published.fetch_add(1);
-  };
-  // Crash on the 3rd step: un-published progress is discarded, the loop
-  // restarts from the last published weights and keeps going.
-  fault::Injector::instance().arm("train.tuner.crash",
-                                  fault::Schedule::at_ops({2}));
-  train::TunerConfig tc;
-  tc.steps_per_publish = 4;
-  tc.max_publishes = 3;
-  train::ContinualTuner tuner(cfg, weights_a, tc, stream, publish);
-  tuner.start();
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (tuner.stats().publishes < tc.max_publishes &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  tuner.stop();
-  const auto stats = tuner.stats();
-  EXPECT_EQ(stats.crashes, 1u);
-  EXPECT_EQ(stats.publishes, 3u);
-  EXPECT_EQ(published.load(), 3u);
-  // The crashed step's progress was discarded: 2 steps lost, then 3 * 4 to
-  // publish three candidates.
-  EXPECT_EQ(stats.steps, 14u);
-}
-
-TEST_F(HotSwapFixture, ContinualTunerFeedsHotSwapEndToEnd) {
-  // The full loop: tuner thread fine-tunes from the drift stream, publishes
-  // into the ENGINE's registry, and begins a swap whenever none is in
-  // flight; the engine canaries and promotes while serving traffic.
-  serve::InferenceEngine engine(config(serve::Backend::kCpuFloat, 1), weights_a);
-  hls::MhsaDesignPoint p = point;
-  p.dtype = hls::DataType::kFloat32;
-  hls::MhsaIpCore teacher(p, weights_b);
-  nt::Rng stream_rng(41);
-  auto stream = [&]() {
-    train::DriftBatch b;
-    b.input = stream_rng.rand(nt::Shape{2, cfg.dim, cfg.height, cfg.width});
-    b.target = teacher.run(b.input);
-    return b;
-  };
-  auto publish = [&](const hls::MhsaWeights& w, const train::TunerStats&) {
-    const auto id = engine.registry().publish(w, "tuner candidate");
-    try {
-      engine.begin_swap(id);
-    } catch (const std::invalid_argument&) {
-      // A swap is already in flight — this candidate stays parked in the
-      // registry; a later publish will roll traffic forward.
-    }
-  };
-  train::TunerConfig tc;
-  tc.sgd.lr = 0.05f;
-  tc.steps_per_publish = 4;
-  tc.max_publishes = 6;
-  train::ContinualTuner tuner(cfg, weights_a, tc, stream, publish);
-  tuner.start();
-  const auto x = rng.rand(nt::Shape{1, cfg.dim, cfg.height, cfg.width});
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  std::uint64_t ok = 0;
-  while (engine.swap_stats().swaps_committed == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    (void)engine.submit(x).get();
-    ++ok;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  tuner.stop();
-  // Let any final in-flight canary conclude before asserting.
-  std::vector<std::pair<nt::Tensor, std::future<nt::Tensor>>> traffic;
-  ASSERT_TRUE(drive_until_swap_concludes(engine, x, traffic));
-  for (auto& [input, f] : traffic) (void)f.get();
-  EXPECT_GE(engine.swap_stats().swaps_committed, 1u);
-  EXPECT_GT(engine.active_version(), 1u) << "tuner candidate never promoted";
-  EXPECT_GT(ok, 0u);
-  EXPECT_EQ(engine.stats().failed, 0u);
 }

@@ -383,7 +383,6 @@ TEST(Soak, SwapStormOnDegradedFleetNeverFailsAFutureAndConverges) {
   // Every whole-request batch canaries; one shadow-scored batch promotes.
   cfg.hot_swap.canary_fraction = 1.0;
   cfg.hot_swap.min_canary_batches = 1;
-  cfg.hot_swap.shadow_every = 1;
   cfg.hot_swap.max_divergence = 0.0;  // quality gates off: churn is the test
   cfg.hot_swap.rollback_fault_burst = 0;
   cfg.hot_swap.rollback_slo_breaches = 0;
