@@ -1,7 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): the primitive operations the
-// models are built from — GEMM, convolution, depthwise-separable conv,
-// software MHSA, the bit-accurate fixed-point MHSA datapath, and ODE solver
-// steps.
+// models are built from — each GEMM microkernel alone, GEMM, convolution,
+// depthwise-separable conv, software MHSA, the bit-accurate fixed-point MHSA
+// datapath, and ODE solver steps.
 //
 // Besides the console table, a machine-readable BENCH_kernels.json is written
 // to $NODETR_BENCH_JSON_DIR (default: cwd) with per-benchmark CPU time and
@@ -9,6 +9,7 @@
 // so the speedup trajectory stays diffable across PRs.
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,9 +21,11 @@
 #include "nodetr/nn/attention.hpp"
 #include "nodetr/nn/conv_layers.hpp"
 #include "nodetr/ode/solver.hpp"
+#include "nodetr/tensor/arena.hpp"
 #include "nodetr/tensor/conv.hpp"
 #include "nodetr/tensor/gemm.hpp"
 #include "nodetr/tensor/rng.hpp"
+#include "nodetr/tensor/simd.hpp"
 #include "nodetr/tensor/tune.hpp"
 
 namespace nt = nodetr::tensor;
@@ -74,6 +77,29 @@ static void BM_GemmAttention(benchmark::State& state) {
             2.0 * seq * seq * hd);
 }
 BENCHMARK(BM_GemmAttention)->Args({36, 16});
+
+/// One microkernel alone: an MR x NR tile at kc = 256 from L1-resident
+/// panels, on one thread, with no packing and no pool. It reads the
+/// kernel's own throughput, so a change that spills its accumulators to the
+/// stack shows up here. Registered in main() once per available kernel.
+void BM_Microkernel(benchmark::State& state, const nt::simd::MicroKernel& kern) {
+  constexpr int kKc = 256;
+  auto& arena = nt::ScratchArena::local();
+  nt::ScratchArena::Scope scope(arena);
+  float* ap = arena.alloc<float>(static_cast<std::size_t>(kKc * kern.mr));
+  float* bp = arena.alloc<float>(static_cast<std::size_t>(kKc * kern.nr));
+  float* c = arena.alloc<float>(static_cast<std::size_t>(kern.mr * kern.nr));
+  nt::Rng rng(9);
+  for (nt::index_t i = 0; i < kKc * kern.mr; ++i) ap[i] = rng.normal();
+  for (nt::index_t i = 0; i < kKc * kern.nr; ++i) bp[i] = rng.normal();
+  for (auto _ : state) {
+    kern.fn(kKc, ap, bp, c, kern.nr, kern.mr, kern.nr, /*first=*/true);
+    benchmark::DoNotOptimize(c);
+    benchmark::ClobberMemory();
+  }
+  set_flops(state, std::string("BM_Microkernel/") + kern.name,
+            2.0 * kKc * static_cast<double>(kern.mr * kern.nr));
+}
 
 static void BM_Conv2d(benchmark::State& state) {
   const nt::index_t c = state.range(0);
@@ -219,6 +245,10 @@ int main(int argc, char** argv) {
   // attributable to a specific microkernel + blocking.
   const auto& kcfg = nt::tune::gemm_config();
   std::printf("%s\n", nt::tune::describe(kcfg).c_str());
+  for (const auto& kern : nt::simd::available_kernels()) {
+    benchmark::RegisterBenchmark((std::string("BM_Microkernel/") + kern.name).c_str(),
+                                 BM_Microkernel, std::cref(kern));
+  }
   CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
 

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <type_traits>
+#include <string_view>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "nodetr/tensor/arena.hpp"
 #include "nodetr/tensor/gemm.hpp"
 #include "nodetr/tensor/parallel.hpp"
+#include "nodetr/tensor/tune.hpp"
 
 namespace nodetr::tensor {
 
@@ -77,12 +82,80 @@ void dw3_cols(const float* src, index_t w, index_t y0, index_t x0, index_t ky_lo
   for (int j = 0; j < N; ++j) dst[j] = interior ? b + acc[j] : acc[j];
 }
 
+/// One 3x3 stride-1 row: the `n` adjacent outputs whose windows start at
+/// input (y0, x0 .. x0 + n - 1), with the same contract as `dw3_cols`.
+using Dw3RowFn = void (*)(const float* src, index_t w, index_t y0, index_t x0, index_t n,
+                          index_t ky_lo, index_t ky_hi, const float* ker, float b, float* dst);
+
+/// Portable row: 16 and 8 columns at a time, then a tail.
+void dw3_row(const float* src, index_t w, index_t y0, index_t x0, index_t n, index_t ky_lo,
+             index_t ky_hi, const float* ker, float b, float* dst) {
+  index_t j = 0;
+  for (; j + 16 <= n; j += 16) dw3_cols<16>(src, w, y0, x0 + j, ky_lo, ky_hi, ker, b, dst + j);
+  for (; j + 8 <= n; j += 8) dw3_cols<8>(src, w, y0, x0 + j, ky_lo, ky_hi, ker, b, dst + j);
+  if (j < n && n >= 8) {
+    // The tail as the row's last 8 cells: recomputing a cell writes the
+    // same bits.
+    dw3_cols<8>(src, w, y0, x0 + n - 8, ky_lo, ky_hi, ker, b, dst + n - 8);
+    j = n;
+  }
+  for (; j < n; ++j) dw3_cols<1>(src, w, y0, x0 + j, ky_lo, ky_hi, ker, b, dst + j);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+/// `dw3_row` with each 8 columns one __m256: the same products summed in the
+/// same order, so the same bits. No multiply and add may be contracted into
+/// an FMA: the row is compiled for AVX2 without FMA, and this file with
+/// -ffp-contract=off for builds whose base target has FMA.
+__attribute__((target("avx2"))) void dw3_row_avx2(const float* src, index_t w, index_t y0,
+                                                  index_t x0, index_t n, index_t ky_lo,
+                                                  index_t ky_hi, const float* ker, float b,
+                                                  float* dst) {
+  if (n < 8) {
+    dw3_row(src, w, y0, x0, n, ky_lo, ky_hi, ker, b, dst);
+    return;
+  }
+  const bool interior = ky_lo == 0 && ky_hi == 3;
+  const __m256 bias = _mm256_set1_ps(b);
+  __m256 kv[9];
+  for (int t = 0; t < 9; ++t) kv[t] = _mm256_set1_ps(ker[t]);
+  for (index_t j = 0; j < n; j += 8) {
+    const index_t at = std::min(j, n - 8);  // the tail as the last 8 cells
+    __m256 acc = interior ? _mm256_setzero_ps() : bias;
+    // Constant tap indices keep the nine broadcast taps in registers.
+    for (int ky = 0; ky < 3; ++ky) {
+      if (ky < ky_lo || ky >= ky_hi) continue;
+      const float* row = src + (y0 + ky) * w + x0 + at;
+      for (int kx = 0; kx < 3; ++kx) {
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(kv[ky * 3 + kx], _mm256_loadu_ps(row + kx)));
+      }
+    }
+    _mm256_storeu_ps(dst + at, interior ? _mm256_add_ps(bias, acc) : acc);
+  }
+}
+
+#endif
+
+/// The 3x3 stride-1 row for this process: the AVX2 one when the GEMM runs an
+/// AVX2 microkernel (so the host has AVX2), the portable one otherwise. A
+/// pinned `scalar_4x8` GEMM config therefore runs the portable row.
+Dw3RowFn dw3_row_for_host() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (std::string_view(tune::gemm_config().kernel->name).starts_with("avx2_")) {
+    return dw3_row_avx2;
+  }
+#endif
+  return dw3_row;
+}
+
 /// One depthwise output plane (ho x wo) of `src` (h x w) with the K x K
 /// kernel `ker` and bias `b`. A cell whose window leaves the input adds its
 /// in-bounds taps, in row-major order, onto the bias; an interior cell adds
-/// the bias to the full-window dot.
+/// the bias to the full-window dot. `row3` runs the columns of a 3x3
+/// stride-1 row whose kx taps are all in bounds.
 void depthwise_plane(const float* src, index_t h, index_t w, const float* ker, float b,
-                     const Conv2dGeom& g, float* dst) {
+                     const Conv2dGeom& g, Dw3RowFn row3, float* dst) {
   const index_t k = g.kernel;
   const index_t ho = g.out_extent(h), wo = g.out_extent(w);
   const ValidRange ix_r = interior_range(w, wo, g.stride, g.pad, k);
@@ -104,21 +177,8 @@ void depthwise_plane(const float* src, index_t h, index_t w, const float* ker, f
     };
     for (index_t ox = 0; ox < ix_r.lo; ++ox) edge_cell(ox);
     if (k == 3 && g.stride == 1) {
-      auto cols = [&](auto n, index_t ox) {
-        dw3_cols<n()>(src, w, y0, ox - g.pad, ky_lo, ky_hi, ker, b, drow + ox);
-      };
-      constexpr std::integral_constant<int, 16> k16;
-      constexpr std::integral_constant<int, 8> k8;
-      index_t ox = ix_r.lo;
-      for (; ox + 16 <= ix_r.hi; ox += 16) cols(k16, ox);
-      for (; ox + 8 <= ix_r.hi; ox += 8) cols(k8, ox);
-      if (ox < ix_r.hi && ix_r.hi - ix_r.lo >= 8) {
-        // The tail as the row's last 8 cells: recomputing a cell writes
-        // the same bits.
-        cols(k8, ix_r.hi - 8);
-        ox = ix_r.hi;
-      }
-      for (; ox < ix_r.hi; ++ox) cols(std::integral_constant<int, 1>{}, ox);
+      row3(src, w, y0, ix_r.lo - g.pad, ix_r.hi - ix_r.lo, ky_lo, ky_hi, ker, b,
+           drow + ix_r.lo);
     } else if (ky_lo == 0 && ky_hi == k) {
       // Interior row: the whole window is in bounds, no checks.
       for (index_t ox = ix_r.lo; ox < ix_r.hi; ++ox) {
@@ -278,11 +338,12 @@ Tensor depthwise_conv2d(const Tensor& x, const Tensor& weight, const Tensor& bia
   const index_t n = x.dim(0), c_ = x.dim(1), h = x.dim(2), w = x.dim(3);
   const index_t ho = g.out_extent(h), wo = g.out_extent(w);
   Tensor out(Shape{n, c_, ho, wo});
+  const Dw3RowFn row3 = dw3_row_for_host();
   parallel_for(0, n * c_, [&](index_t lo, index_t hi) {
     for (index_t sc = lo; sc < hi; ++sc) {
       const index_t c = sc % c_;
       depthwise_plane(x.data() + sc * h * w, h, w, weight.data() + c * g.kernel * g.kernel,
-                      bias.empty() ? 0.0f : bias[c], g, out.data() + sc * ho * wo);
+                      bias.empty() ? 0.0f : bias[c], g, row3, out.data() + sc * ho * wo);
     }
   }, /*grain=*/1);
   return out;
@@ -296,12 +357,13 @@ Tensor depthwise_separable_conv2d(const Tensor& x, const Tensor& dw_weight,
   const index_t plane = ho * wo, cout = pw_weight.dim(0);
   Tensor out(Shape{n, cout, ho, wo});
   if (mid != nullptr) *mid = Tensor(Shape{n, c_, ho, wo});
+  const Dw3RowFn row3 = dw3_row_for_host();
   // Depthwise planes [lo, hi) of sample s into `m`, the sample's (C, Ho*Wo)
   // buffer; the pointwise conv is then the GEMM (Cout x C) * m, read in place.
   auto depthwise = [&](index_t s, index_t lo, index_t hi, float* m) {
     for (index_t c = lo; c < hi; ++c) {
       depthwise_plane(x.data() + (s * c_ + c) * h * w, h, w,
-                      dw_weight.data() + c * g.kernel * g.kernel, 0.0f, g, m + c * plane);
+                      dw_weight.data() + c * g.kernel * g.kernel, 0.0f, g, row3, m + c * plane);
     }
   };
   auto pointwise = [&](index_t s, const float* m) {

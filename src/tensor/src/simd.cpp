@@ -77,47 +77,52 @@ void kern_scalar_4x8(int kc, const float* __restrict__ ap, const float* __restri
 // unaligned loads: the packed panel base is 64-byte aligned, but an odd kc
 // can place later micro-panels off alignment, and loadu on aligned data costs
 // nothing on AVX2 hardware.
-#define NODETR_AVX2_KERNEL(NAME, MR, NV)                                                          \
-  __attribute__((target("avx2,fma"))) void NAME(int kc, const float* __restrict__ ap,             \
-                                                const float* __restrict__ bp,                     \
-                                                float* __restrict__ c, index_t ldc, index_t mr,   \
-                                                index_t nr, bool first) {                         \
-    constexpr int kNr = (NV) * 8;                                                                 \
-    __m256 acc[MR][NV];                                                                           \
-    for (int i = 0; i < (MR); ++i)                                                                \
-      for (int v = 0; v < (NV); ++v) acc[i][v] = _mm256_setzero_ps();                             \
-    for (int p = 0; p < kc; ++p) {                                                                \
-      __m256 b[NV];                                                                               \
-      for (int v = 0; v < (NV); ++v) b[v] = _mm256_loadu_ps(bp + p * kNr + v * 8);                \
-      for (int i = 0; i < (MR); ++i) {                                                            \
-        const __m256 a = _mm256_broadcast_ss(ap + p * (MR) + i);                                  \
-        for (int v = 0; v < (NV); ++v) acc[i][v] = _mm256_fmadd_ps(a, b[v], acc[i][v]);           \
-      }                                                                                           \
-    }                                                                                             \
-    if (mr == (MR) && nr == kNr) {                                                                \
-      if (first) {                                                                                \
-        for (int i = 0; i < (MR); ++i)                                                            \
-          for (int v = 0; v < (NV); ++v) _mm256_storeu_ps(c + i * ldc + v * 8, acc[i][v]);        \
-      } else {                                                                                    \
-        for (int i = 0; i < (MR); ++i)                                                            \
-          for (int v = 0; v < (NV); ++v) {                                                        \
-            float* out = c + i * ldc + v * 8;                                                     \
-            _mm256_storeu_ps(out, _mm256_add_ps(_mm256_loadu_ps(out), acc[i][v]));                \
-          }                                                                                       \
-      }                                                                                           \
-      return;                                                                                     \
-    }                                                                                             \
-    alignas(32) float tile[MR][kNr];                                                              \
-    for (int i = 0; i < (MR); ++i)                                                                \
-      for (int v = 0; v < (NV); ++v) _mm256_store_ps(&tile[i][v * 8], acc[i][v]);                 \
-    writeback_tail(&tile[0][0], kNr, c, ldc, mr, nr, first);                                      \
+//
+// Every loop over MR or NV is unrolled in full, so each acc[i][v] is a named
+// register to the compiler. A loop it leaves rolled indexes `acc` at run time,
+// which keeps the array in memory: the k loop then stores every accumulator
+// to the stack on every step (MR * NV extra stores per k; see DESIGN.md,
+// "Kernel layer", for the objdump check).
+template <int MR, int NV>
+__attribute__((target("avx2,fma"))) void kern_avx2(int kc, const float* __restrict__ ap,
+                                                   const float* __restrict__ bp,
+                                                   float* __restrict__ c, index_t ldc,
+                                                   index_t mr, index_t nr, bool first) {
+  constexpr int kNr = NV * 8;
+  __m256 acc[MR][NV];
+#pragma GCC unroll 16
+  for (int i = 0; i < MR; ++i)
+#pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) acc[i][v] = _mm256_setzero_ps();
+  for (int p = 0; p < kc; ++p) {
+    __m256 b[NV];
+#pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) b[v] = _mm256_loadu_ps(bp + p * kNr + v * 8);
+#pragma GCC unroll 16
+    for (int i = 0; i < MR; ++i) {
+      const __m256 a = _mm256_broadcast_ss(ap + p * MR + i);
+#pragma GCC unroll 16
+      for (int v = 0; v < NV; ++v) acc[i][v] = _mm256_fmadd_ps(a, b[v], acc[i][v]);
+    }
   }
-
-NODETR_AVX2_KERNEL(kern_avx2_6x16, 6, 2)  // 12 acc + 2 B + 1 A = 15 of 16 ymm
-NODETR_AVX2_KERNEL(kern_avx2_4x16, 4, 2)  // shallower tile for short-M (attention) shapes
-NODETR_AVX2_KERNEL(kern_avx2_8x8, 8, 1)   // tall tile for skinny-N products
-
-#undef NODETR_AVX2_KERNEL
+  if (mr == MR && nr == kNr) {
+#pragma GCC unroll 16
+    for (int i = 0; i < MR; ++i)
+#pragma GCC unroll 16
+      for (int v = 0; v < NV; ++v) {
+        float* out = c + i * ldc + v * 8;
+        _mm256_storeu_ps(out, first ? acc[i][v]
+                                    : _mm256_add_ps(_mm256_loadu_ps(out), acc[i][v]));
+      }
+    return;
+  }
+  alignas(32) float tile[MR][kNr];
+#pragma GCC unroll 16
+  for (int i = 0; i < MR; ++i)
+#pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) _mm256_store_ps(&tile[i][v * 8], acc[i][v]);
+  writeback_tail(&tile[0][0], kNr, c, ldc, mr, nr, first);
+}
 
 bool host_has_avx2_fma() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -168,9 +173,11 @@ std::vector<MicroKernel> build_kernel_list() {
   std::vector<MicroKernel> kernels;
 #if defined(__x86_64__) || defined(__i386__)
   if (host_has_avx2_fma()) {
-    kernels.push_back({"avx2_6x16", 1, 6, 16, kern_avx2_6x16});
-    kernels.push_back({"avx2_4x16", 2, 4, 16, kern_avx2_4x16});
-    kernels.push_back({"avx2_8x8", 3, 8, 8, kern_avx2_8x8});
+    // 6x16: 12 acc + 2 B + 1 A = 15 of 16 ymm. 4x16: a shallower tile for
+    // short-M (attention) shapes. 8x8: a tall tile for skinny-N products.
+    kernels.push_back({"avx2_6x16", 1, 6, 16, kern_avx2<6, 2>});
+    kernels.push_back({"avx2_4x16", 2, 4, 16, kern_avx2<4, 2>});
+    kernels.push_back({"avx2_8x8", 3, 8, 8, kern_avx2<8, 1>});
   }
 #elif defined(__aarch64__)
   kernels.push_back({"neon_8x8", 4, 8, 8, kern_neon_8x8});

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "nodetr/fault/fault.hpp"
@@ -66,6 +67,11 @@ void expect_complete_timeline(const std::vector<obs::FlightEvent>& tl, std::uint
   for (const auto& e : tl) EXPECT_EQ(e.trace_id, id);
   for (std::size_t i = 1; i < tl.size(); ++i) EXPECT_LE(tl[i - 1].ts_ns, tl[i].ts_ns);
 }
+
+/// Rows of a request that pins the single worker while a test floods the
+/// queue behind it: at max_batch 2 that is 512 micro-batches, far longer
+/// than the submit loop, however fast the float kernels run.
+constexpr index_t kPinRows = 1024;
 
 class TraceTest : public ::testing::Test {
  protected:
@@ -229,9 +235,11 @@ TEST_F(TraceTest, RejectedRequestLeavesRejectedEvent) {
   c.batcher.max_batch = 2;
   serve::InferenceEngine engine(c, weights());
   std::vector<std::future<nt::Tensor>> futures;
-  // A 64-row request keeps the single worker busy for 32 micro-batches; the
-  // capacity-1 queue must overflow for one of the singles submitted behind it.
-  futures.push_back(engine.submit(input(/*rows=*/64)));
+  // A pin request keeps the single worker busy for hundreds of micro-batches;
+  // once the worker has taken it, the capacity-1 queue must overflow for one
+  // of the singles submitted behind it.
+  futures.push_back(engine.submit(input(kPinRows)));
+  while (engine.stats().batches == 0) std::this_thread::yield();
   bool saw_reject = false;
   for (int i = 0; i < 8 && !saw_reject; ++i) {
     serve::SubmitOptions opts;
@@ -329,9 +337,11 @@ TEST_F(TraceTest, ShedOldestLeavesShedTimelineAndSloSample) {
   c.batcher.max_batch = 2;
   serve::InferenceEngine engine(c, weights());
   std::vector<std::future<nt::Tensor>> futures;
-  // Occupy the worker with a 64-row request, then flood the capacity-2 queue:
-  // the kShedOldest policy must evict queued requests to admit newer ones.
-  futures.push_back(engine.submit(input(/*rows=*/64)));
+  // Occupy the worker with a pin request, then, once the worker has taken
+  // it, flood the capacity-2 queue: the kShedOldest policy must evict queued
+  // requests to admit newer ones.
+  futures.push_back(engine.submit(input(kPinRows)));
+  while (engine.stats().batches == 0) std::this_thread::yield();
   for (int i = 0; i < 24; ++i) {
     serve::SubmitOptions opts;
     opts.trace_id = 7400 + static_cast<std::uint64_t>(i);

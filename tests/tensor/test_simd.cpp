@@ -12,6 +12,7 @@
 // exercises the shared packed-panel buffers across pool workers.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -212,6 +213,51 @@ TEST_P(SimdKernels, DefaultBlockingMatchesNaive) {
   auto a = rng.randn(nt::Shape{70, 65});
   auto b = rng.randn(nt::Shape{65, 50});
   EXPECT_TRUE(nt::allclose(run_cfg(a, b, cfg), naive_matmul(a, b), 1e-4f, 1e-4f));
+}
+
+// The vector kernels run one FMA chain per output element, so each output is
+// exactly a scalar std::fma chain from 0 in ascending k, stored (`first`) or
+// added onto C. Checked bit for bit on every live tile shape, with C's
+// untouched region (rows and columns past mr x nr) left as it was.
+TEST(SimdKernelBits, FmaKernelsEqualScalarFmaChain) {
+  nt::Rng rng(17);
+  int kernels = 0;
+  for (const auto& kern : simd::available_kernels()) {
+    if (&kern == &simd::scalar_kernel()) continue;  // no FMA: rounds each product
+    ++kernels;
+    const nt::index_t kmr = kern.mr, knr = kern.nr, ldc = knr + 3;
+    for (const int kc : {1, 2, 7, 64, 257}) {
+      const nt::Tensor a_src = rng.randn(nt::Shape{kc, kmr});
+      const nt::Tensor b = rng.randn(nt::Shape{kc, knr});
+      const nt::Tensor c0 = rng.randn(nt::Shape{kmr + 1, ldc});
+      for (nt::index_t mr = 1; mr <= kmr; ++mr) {
+        // Packed A: rows past mr are zero, as the GEMM packs a short tile.
+        nt::Tensor a(nt::Shape{kc, kmr});
+        for (int p = 0; p < kc; ++p)
+          for (nt::index_t i = 0; i < mr; ++i) a.at(p, i) = a_src.at(p, i);
+        for (nt::index_t nr = 1; nr <= knr; ++nr) {
+          for (const bool first : {true, false}) {
+            nt::Tensor c = c0;
+            kern.fn(kc, a.data(), b.data(), c.data(), ldc, mr, nr, first);
+            for (nt::index_t i = 0; i <= kmr; ++i)
+              for (nt::index_t j = 0; j < ldc; ++j) {
+                float want = c0.at(i, j);
+                if (i < mr && j < nr) {
+                  float acc = 0.0f;
+                  for (int p = 0; p < kc; ++p) acc = std::fma(a.at(p, i), b.at(p, j), acc);
+                  want = first ? acc : want + acc;
+                }
+                ASSERT_EQ(std::memcmp(&c.at(i, j), &want, sizeof(float)), 0)
+                    << kern.name << " kc " << kc << " tile " << mr << "x" << nr << " first "
+                    << first << " at (" << i << ", " << j << "): " << c.at(i, j) << " vs "
+                    << want;
+              }
+          }
+        }
+      }
+    }
+  }
+  if (kernels == 0) GTEST_SKIP() << "no vector microkernel on this host";
 }
 
 INSTANTIATE_TEST_SUITE_P(
