@@ -49,6 +49,10 @@ class LightweightTransformer {
 
   /// Logits for a batch (B, 3, S, S), run under an nn::InferenceScope: eval
   /// mode, no backward state recorded, the model's mode restored afterwards.
+  /// Above batch 1 the images split across the global pool, each run whole
+  /// on one thread, so row i is bitwise the batch-1 logits of image i; batch
+  /// 1, or a model whose MHSA is offloaded, runs each op across the pool.
+  /// An error from any image is rethrown here.
   [[nodiscard]] Tensor predict_logits(const Tensor& batch);
   /// Predicted class of one image (3, S, S).
   [[nodiscard]] index_t predict(const Tensor& image);

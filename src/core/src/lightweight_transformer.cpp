@@ -1,9 +1,12 @@
 #include "nodetr/core/lightweight_transformer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/ops.hpp"
+#include "nodetr/tensor/parallel.hpp"
+#include "nodetr/tensor/tune.hpp"
 #include "nodetr/train/checkpoint.hpp"
 
 namespace nodetr::core {
@@ -39,9 +42,29 @@ float LightweightTransformer::evaluate(const std::vector<data::Sample>& test_set
 
 Tensor LightweightTransformer::predict_logits(const Tensor& batch) {
   obs::ScopedSpan span("core.predict_logits");
-  span.attr("batch", batch.dim(0));
+  const index_t b = batch.dim(0);
+  span.attr("batch", b);
   const nn::InferenceScope inference(*model_);
-  return model_->forward(batch);
+  // An offload hook is caller code that need not be safe to run from two
+  // threads at once, so with one installed the batch runs layer by layer.
+  nn::MhsaBlock* block = model_->mhsa_block();
+  if (b <= 1 || (block != nullptr && block->mhsa().has_forward_override())) {
+    return model_->forward(batch);
+  }
+  // One task per image, each running the whole network, whose ops fall back
+  // to serial execution inside the task. An inference forward writes no
+  // module state, so the tasks share the model. The GEMM config is resolved
+  // first: a first-call autotune inside a task would time serial runs.
+  (void)nodetr::tensor::tune::gemm_config();
+  const index_t k = options_.classes;
+  Tensor logits(nodetr::tensor::Shape{b, k});
+  nodetr::tensor::parallel_for(0, b, [&](index_t lo, index_t hi) {
+    for (index_t s = lo; s < hi; ++s) {
+      const Tensor row = model_->forward(batch.slice0(s, s + 1));
+      std::copy_n(row.data(), k, logits.data() + s * k);
+    }
+  }, /*grain=*/1);
+  return logits;
 }
 
 index_t LightweightTransformer::predict(const Tensor& image) {

@@ -66,11 +66,15 @@ class MultiHeadSelfAttention final : public Module {
 
   /// Mean fraction of exactly-zero attention weights over the last forward —
   /// ReLU attention sparsifies the attention map ([25], Sec. V-A).
+  /// An inference forward run inside a task of the global pool (each image
+  /// of a batched LightweightTransformer::predict_logits) leaves this and
+  /// attention_weights() as they were.
   [[nodiscard]] float last_attention_sparsity() const { return last_sparsity_; }
 
   /// Attention weights (N, N) of `head` for batch element `sample` from the
   /// most recent (non-overridden) forward — for analyzing information flow,
-  /// e.g. the sparsification study of [25].
+  /// e.g. the sparsification study of [25]. Kept under the same rule as
+  /// last_attention_sparsity().
   [[nodiscard]] const Tensor& attention_weights(index_t sample, index_t head) const;
 
   void set_forward_override(ForwardOverride f) { override_ = std::move(f); }
@@ -105,7 +109,8 @@ class MultiHeadSelfAttention final : public Module {
   // Backward state, kept only by a recording forward.
   Tensor tokens_;  ///< (B*N, D) projection input (after abs-pos addition)
   Tensor q_, k_, v_;
-  // Kept by every local forward, for attention_weights().
+  // Kept by every local forward outside a global-pool task, and by every
+  // recording forward, for attention_weights() and backward().
   std::vector<Tensor> attn_;  ///< per (b*heads + h): (N, N) attention weights
   index_t batch_ = 0;
   float last_sparsity_ = 0.0f;

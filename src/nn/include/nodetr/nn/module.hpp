@@ -8,7 +8,8 @@
 //
 // Inference runs the same forward() under an InferenceScope, which records
 // nothing for backward(); a backward() after such a forward throws
-// NoBackwardState.
+// NoBackwardState. An inference forward writes no module state, so several
+// threads may run inference forwards on one module at once.
 #pragma once
 
 #include <memory>
@@ -95,8 +96,12 @@ class Module {
 
  protected:
   /// Every forward() calls this first: backward() is valid afterwards only
-  /// when this forward records.
-  void begin_forward() { has_backward_state_ = recording_; }
+  /// when this forward records. A forward that does not record writes
+  /// nothing here: InferenceScope already cleared the flag on entry, so
+  /// concurrent inference forwards on one module do not race on it.
+  void begin_forward() {
+    if (recording_) has_backward_state_ = true;
+  }
 
   /// Every backward() calls this first. Throws NoBackwardState, naming this
   /// module, when the most recent forward() recorded nothing.

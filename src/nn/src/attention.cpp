@@ -129,7 +129,11 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
   const index_t b = x.dim(0), d = config_.dim, n = config_.tokens();
   const index_t heads = config_.heads, dh = config_.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  batch_ = b;
+  // backward() needs attn_ and batch_, so a recording forward always keeps
+  // them. An inference forward inside a task of the global pool may run
+  // beside other forwards on this module (predict_logits runs one image per
+  // task), so it leaves the diagnostics as they were.
+  const bool keep = recording() || !nt::ThreadPool::global().in_task();
 
   Tensor tokens = to_tokens(x);
   if (config_.pos == PosEncodingKind::kAbsoluteSinusoidal) {
@@ -152,7 +156,10 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
   const std::vector<Tensor> rel = relative_matrices();
 
   Tensor out(Shape{b * n, d});
-  attn_.assign(static_cast<std::size_t>(b * heads), Tensor());
+  if (keep) {
+    batch_ = b;
+    attn_.assign(static_cast<std::size_t>(b * heads), Tensor());
+  }
   std::vector<index_t> zeros(static_cast<std::size_t>(b * heads), 0);
   obs::ScopedSpan attn_span("mhsa.attention");
   // One task per (sample, head). Each task's GEMMs are far below the GEMM's
@@ -181,14 +188,15 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
       zeros[static_cast<std::size_t>(task)] = z;
       // O head block = A V, written straight into its strided slot of `out`.
       nt::gemm_blocked(n, n, dh, nt::GemmView::plain(a.data(), n), vh, out.data() + off, d);
-      attn_[static_cast<std::size_t>(task)] = std::move(a);
+      if (keep) attn_[static_cast<std::size_t>(task)] = std::move(a);
     }
   }, /*grain=*/1);
   index_t zero_count = 0;
   for (const index_t z : zeros) zero_count += z;
-  last_sparsity_ = static_cast<float>(static_cast<double>(zero_count) /
-                                      static_cast<double>(b * heads * n * n));
-  attn_span.attr("sparsity", static_cast<double>(last_sparsity_));
+  const float sparsity = static_cast<float>(static_cast<double>(zero_count) /
+                                            static_cast<double>(b * heads * n * n));
+  if (keep) last_sparsity_ = sparsity;
+  attn_span.attr("sparsity", static_cast<double>(sparsity));
   attn_span.end();
 
   if (ln_) {

@@ -23,15 +23,30 @@ MhsaBlock::MhsaBlock(MhsaBlockConfig config, Rng& rng) : config_(config) {
                                      /*bias=*/false, rng);
 }
 
+namespace {
+
+/// BN then ReLU. Under inference this is one BatchNorm2d::eval_into pass
+/// into `out` (which may alias `x`), as Sequential runs the pair; otherwise
+/// the two recording forwards.
+void bn_relu(BatchNorm2d& bn, ReLU& relu, const Tensor& x, Tensor& out) {
+  if (bn.training() || bn.recording() || relu.recording()) {
+    out = relu.forward(bn.forward(x));
+    return;
+  }
+  if (&out != &x) out = Tensor(x.shape());
+  bn.eval_into(x, out, /*relu=*/true);
+}
+
+}  // namespace
+
 Tensor MhsaBlock::forward(const Tensor& x) {
   begin_forward();
   NODETR_TRACE_SCOPE("mhsa.block");
   obs::ScopedSpan pre("mhsa.block.bottleneck_in");
-  Tensor h = bn_in_->forward(x);
-  h = relu_in_->forward(h);
+  Tensor h;
+  bn_relu(*bn_in_, *relu_in_, x, h);
   h = reduce_->forward(h);
-  h = bn_mid_->forward(h);
-  h = relu_mid_->forward(h);
+  bn_relu(*bn_mid_, *relu_mid_, h, h);
   pre.end();
   h = mhsa_->forward(h);
   NODETR_TRACE_SCOPE("mhsa.block.expand");

@@ -63,7 +63,7 @@ class Rk4Solver final : public OdeSolver {
 
 /// Adaptive Dormand-Prince 4(5) with PI step-size control. `integrate`
 /// ignores `steps` and uses the tolerances instead; `last_stats` reports the
-/// work done.
+/// work done by the last call made outside a task of the global pool.
 class DormandPrince45 final : public OdeSolver {
  public:
   struct Stats {

@@ -33,8 +33,14 @@ Tensor OdeBlock::forward(const Tensor& x) {
   obs::ScopedSpan span("ode.block.forward");
   span.attr("solver", to_string(kind_));
   span.attr("steps", steps_);
-  states_.clear();
-  if (kind_ == SolverKind::kEuler) {
+  // Only a recording forward touches states_ and forward_was_euler_, so
+  // inference forwards may run concurrently.
+  const bool euler = kind_ == SolverKind::kEuler;
+  if (recording()) {
+    states_.clear();
+    forward_was_euler_ = euler;
+  }
+  if (euler) {
     // Inline Euler so the trajectory can be cached for backward.
     const float h = (t1_ - t0_) / static_cast<float>(steps_);
     if (recording()) states_.reserve(static_cast<std::size_t>(steps_));
@@ -46,10 +52,8 @@ Tensor OdeBlock::forward(const Tensor& x) {
       const float t = t0_ + h * static_cast<float>(j);
       z.add_scaled(eval_dynamics(z, t), h);
     }
-    forward_was_euler_ = true;
     return z;
   }
-  forward_was_euler_ = false;
   return solver_->integrate(x, t0_, t1_, steps_,
                             [this](const Tensor& z, float t) { return eval_dynamics(z, t); });
 }

@@ -5,6 +5,7 @@
 
 #include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/ops.hpp"
+#include "nodetr/tensor/parallel.hpp"
 
 namespace nodetr::ode {
 
@@ -99,7 +100,7 @@ Tensor DormandPrince45::integrate(const Tensor& z0, float t0, float t1, index_t 
   static constexpr double b4[7] = {5179.0 / 57600,  0.0,         7571.0 / 16695, 393.0 / 640,
                                    -92097.0 / 339200, 187.0 / 2100, 1.0 / 40};
 
-  stats_ = Stats{};
+  Stats stats;
   Tensor z = z0;
   float t = t0;
   float h = (t1 - t0) * 0.1f;
@@ -113,7 +114,7 @@ Tensor DormandPrince45::integrate(const Tensor& z0, float t0, float t1, index_t 
         if (a[i][j] != 0.0) zi.add_scaled(k[j], h * static_cast<float>(a[i][j]));
       }
       k[i] = f(zi, t + h * static_cast<float>(c[i]));
-      ++stats_.rhs_evals;
+      ++stats.rhs_evals;
     }
     Tensor z5 = z, z4 = z;
     for (int i = 0; i < 7; ++i) {
@@ -131,17 +132,21 @@ Tensor DormandPrince45::integrate(const Tensor& z0, float t0, float t1, index_t 
     if (err <= 1.0 || h <= h_min) {
       t += h;
       z = std::move(z5);
-      ++stats_.accepted;
+      ++stats.accepted;
     } else {
-      ++stats_.rejected;
+      ++stats.rejected;
     }
     const double factor = 0.9 * std::pow(std::max(err, 1e-10), -0.2);
     h *= static_cast<float>(std::clamp(factor, 0.2, 5.0));
     h = std::max(h, h_min);
   }
-  span.attr("accepted", stats_.accepted);
-  span.attr("rejected", stats_.rejected);
-  span.attr("rhs_evals", stats_.rhs_evals);
+  span.attr("accepted", stats.accepted);
+  span.attr("rejected", stats.rejected);
+  span.attr("rhs_evals", stats.rhs_evals);
+  // Inside a task of the global pool this may run beside other integrations
+  // on the same solver (predict_logits runs one image per task), so the
+  // diagnostics stay as they were.
+  if (!nodetr::tensor::ThreadPool::global().in_task()) stats_ = stats;
   return z;
 }
 

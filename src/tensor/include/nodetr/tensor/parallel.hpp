@@ -62,6 +62,11 @@ class ThreadPool {
   /// (nested fork-join would deadlock against the submission lock).
   void run_chunks(std::size_t num_chunks, const std::function<void(std::size_t)>& fn);
 
+  /// True while the calling thread runs a chunk of a run on this pool with
+  /// more than one chunk, whether the run forked or ran serially on a pool
+  /// without workers. A run_chunks call made then executes serially.
+  [[nodiscard]] bool in_task() const;
+
   /// Process-wide default pool (lazily constructed).
   static ThreadPool& global();
 

@@ -17,6 +17,21 @@ namespace {
 /// instead of deadlocking on the submission lock.
 thread_local const ThreadPool* t_active_pool = nullptr;
 
+/// Sets t_active_pool for one serial run and restores the enclosing value on
+/// every exit path, a throwing chunk included.
+class ActiveScope {
+ public:
+  explicit ActiveScope(const ThreadPool* pool) : enclosing_(t_active_pool) {
+    t_active_pool = pool;
+  }
+  ~ActiveScope() { t_active_pool = enclosing_; }
+  ActiveScope(const ActiveScope&) = delete;
+  ActiveScope& operator=(const ActiveScope&) = delete;
+
+ private:
+  const ThreadPool* enclosing_;
+};
+
 constexpr index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
 
 /// How long an idle thread spins before it parks. Long enough to bridge the
@@ -170,6 +185,10 @@ void ThreadPool::run_chunks(std::size_t num_chunks, const std::function<void(std
   chunks.add(static_cast<std::int64_t>(num_chunks));
   if (workers_.empty() || num_chunks == 1 || t_active_pool == this) {
     serial_runs.add();
+    // A pool without workers still runs its chunks as tasks, so in_task()
+    // reads the same at every pool size. A single chunk is no task: runs it
+    // makes may still fork.
+    const ActiveScope scope(num_chunks > 1 ? this : t_active_pool);
     for (std::size_t c = 0; c < num_chunks; ++c) fn(c);
     return;
   }
@@ -198,6 +217,8 @@ void ThreadPool::run_chunks(std::size_t num_chunks, const std::function<void(std
     std::rethrow_exception(std::exchange(error_, nullptr));
   }
 }
+
+bool ThreadPool::in_task() const { return t_active_pool == this; }
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
+#include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/ops.hpp"
+#include "nodetr/tensor/parallel.hpp"
+#include "nodetr/tensor/tune.hpp"
 
 namespace core = nodetr::core;
 namespace nt = nodetr::tensor;
@@ -133,13 +137,99 @@ TEST(Core, PaperModelLogitsBitwiseEqualWithAndWithoutInferenceScope) {
   }
 }
 
+// At batch 4 the error is thrown inside a pool task and rethrown on the
+// caller.
 TEST(Core, PredictLogitsRestoresTrainingModeWhenForwardThrows) {
   core::LightweightTransformer model(tiny_options());
   model.model().train(true);
-  EXPECT_THROW((void)model.predict_logits(nt::Tensor(nt::Shape{1, 4, 32, 32})),
-               std::invalid_argument);
-  EXPECT_TRUE(model.model().training());
-  EXPECT_TRUE(model.model().recording());
+  for (const nt::index_t b : {1, 4}) {
+    EXPECT_THROW((void)model.predict_logits(nt::Tensor(nt::Shape{b, 4, 32, 32})),
+                 std::invalid_argument)
+        << "batch " << b;
+    EXPECT_TRUE(model.model().training()) << "batch " << b;
+    EXPECT_TRUE(model.model().recording()) << "batch " << b;
+  }
+}
+
+// Above batch 1 each image runs whole in its own pool task. Row i is bitwise
+// the batch-1 logits of image i; at batch 17 on a pool of up to four threads
+// some tasks run more than one image.
+TEST(Core, PredictLogitsRowsBitwiseEqualBatch1Logits) {
+  core::LightweightTransformer model(tiny_options());
+  nt::Rng rng(53);
+  const auto batch = rng.rand(nt::Shape{17, 3, 32, 32});
+  std::vector<nt::Tensor> single;
+  for (nt::index_t i = 0; i < 17; ++i) single.push_back(model.predict_logits(batch.slice0(i, i + 1)));
+  const auto k = single[0].numel();
+  for (const nt::index_t b : {2, 3, 8, 17}) {
+    const auto logits = model.predict_logits(batch.slice0(0, b));
+    ASSERT_EQ(logits.shape(), (nt::Shape{b, k}));
+    for (nt::index_t i = 0; i < b; ++i) {
+      EXPECT_EQ(std::memcmp(single[static_cast<std::size_t>(i)].data(), logits.data() + i * k,
+                            sizeof(float) * static_cast<std::size_t>(k)),
+                0)
+          << "batch " << b << " row " << i;
+    }
+  }
+}
+
+// One fork/join for the whole batch: every op inside an image task runs
+// serially on that task's thread.
+TEST(Core, BatchedPredictLogitsIsOnePoolRun) {
+  core::LightweightTransformer model(tiny_options());
+  nt::Rng rng(54);
+  const auto batch = rng.rand(nt::Shape{8, 3, 32, 32});
+  (void)nt::tune::gemm_config();  // the first call autotunes on the pool
+  auto& runs = nodetr::obs::Registry::instance().counter("tensor.pool.runs");
+  const std::int64_t before = runs.value();
+  (void)model.predict_logits(batch);
+  const std::int64_t want = nt::ThreadPool::global().size() > 1 ? 1 : 0;
+  EXPECT_EQ(runs.value() - before, want);
+}
+
+// The image tasks leave the MHSA diagnostics alone: they still describe the
+// last forward made outside the pool.
+TEST(Core, BatchedPredictLogitsKeepsAttentionDiagnostics) {
+  core::LightweightTransformer model(tiny_options());
+  auto& mhsa = model.model().mhsa_block()->mhsa();
+  const auto& cfg = mhsa.config();
+  nt::Rng rng(55);
+  (void)mhsa.forward(rng.randn(nt::Shape{2, cfg.dim, cfg.height, cfg.width}));
+  const float sparsity = mhsa.last_attention_sparsity();
+  const nt::Tensor weights = mhsa.attention_weights(1, cfg.heads - 1);
+  (void)model.predict_logits(rng.rand(nt::Shape{8, 3, 32, 32}));
+  EXPECT_EQ(mhsa.last_attention_sparsity(), sparsity);
+  EXPECT_TRUE(bitwise_equal(mhsa.attention_weights(1, cfg.heads - 1), weights));
+}
+
+// Concurrent inference forwards leave no state behind that breaks training.
+TEST(Core, TrainingStepWorksAfterBatchedPredictLogits) {
+  core::LightweightTransformer model(tiny_options());
+  nt::Rng rng(56);
+  (void)model.predict_logits(rng.rand(nt::Shape{8, 3, 32, 32}));
+  model.model().train(true);
+  model.model().zero_grad();
+  const auto y = model.model().forward(rng.rand(nt::Shape{2, 3, 32, 32}));
+  (void)model.model().backward(nt::Tensor(y.shape(), 1.0f));
+  float grad_norm = 0.0f;
+  for (const auto* p : model.model().parameters()) {
+    for (nt::index_t i = 0; i < p->grad.numel(); ++i) {
+      ASSERT_TRUE(std::isfinite(p->grad[i])) << p->name;
+      grad_norm += p->grad[i] * p->grad[i];
+    }
+  }
+  EXPECT_GT(grad_norm, 0.0f);
+}
+
+// An offload hook need not be safe to call from two threads, so with one
+// installed a batch runs layer by layer: the logits are the session's.
+TEST(Core, BatchedPredictLogitsWithOffloadRunsLayerByLayer) {
+  core::LightweightTransformer model(tiny_options());
+  nt::Rng rng(57);
+  const auto batch = rng.rand(nt::Shape{4, 3, 32, 32});
+  auto session = model.offload(hls::DataType::kFloat32);
+  const auto logits = model.predict_logits(batch);
+  EXPECT_TRUE(bitwise_equal(logits, session->forward(batch)));
 }
 
 // Training forward, predict_logits, backward on the whole model: a typed

@@ -76,6 +76,23 @@ TEST(ThreadPool, NestedSubmissionFallsBackToSerial) {
   EXPECT_EQ(inner.load(), 12);
 }
 
+// in_task() holds in every chunk of a multi-chunk run, forked or serial, and
+// is cleared afterwards, a throwing serial chunk included.
+TEST(ThreadPool, InTaskHoldsInsideMultiChunkRunsOnly) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    nt::ThreadPool pool(threads);
+    EXPECT_FALSE(pool.in_task());
+    std::atomic<int> inside{0};
+    pool.run_chunks(6, [&](std::size_t) { inside += pool.in_task() ? 1 : 0; });
+    EXPECT_EQ(inside.load(), 6) << threads << " threads";
+    pool.run_chunks(1, [&](std::size_t) { EXPECT_FALSE(pool.in_task()); });
+    EXPECT_THROW(pool.run_chunks(2, [](std::size_t) { throw std::runtime_error("chunk"); }),
+                 std::runtime_error);
+    EXPECT_FALSE(pool.in_task()) << threads << " threads";
+    EXPECT_FALSE(nt::ThreadPool::global().in_task());
+  }
+}
+
 TEST(ThreadPool, ExceptionFromAnyChunkIsRethrownAndPoolStaysUsable) {
   nt::ThreadPool pool(4);
   auto& serial_runs = obs::Registry::instance().counter("tensor.pool.serial_runs");
