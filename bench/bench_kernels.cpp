@@ -240,9 +240,9 @@ constexpr SeedBaseline kSeedBaselines[] = {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Resolve the tuned config (running the autotuner if needed) BEFORE any
-  // benchmark is timed, and print it so every reported GFLOP/s number is
-  // attributable to a specific microkernel + blocking.
+  // Resolve the GEMM config BEFORE any benchmark is timed, and print it so
+  // every reported GFLOP/s number is attributable to a specific microkernel
+  // + blocking.
   const auto& kcfg = nt::tune::gemm_config();
   std::printf("%s\n", nt::tune::describe(kcfg).c_str());
   for (const auto& kern : nt::simd::available_kernels()) {

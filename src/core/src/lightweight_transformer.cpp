@@ -6,7 +6,6 @@
 #include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/tensor/parallel.hpp"
-#include "nodetr/tensor/tune.hpp"
 #include "nodetr/train/checkpoint.hpp"
 
 namespace nodetr::core {
@@ -53,9 +52,7 @@ Tensor LightweightTransformer::predict_logits(const Tensor& batch) {
   }
   // One task per image, each running the whole network, whose ops fall back
   // to serial execution inside the task. An inference forward writes no
-  // module state, so the tasks share the model. The GEMM config is resolved
-  // first: a first-call autotune inside a task would time serial runs.
-  (void)nodetr::tensor::tune::gemm_config();
+  // module state, so the tasks share the model.
   const index_t k = options_.classes;
   Tensor logits(nodetr::tensor::Shape{b, k});
   nodetr::tensor::parallel_for(0, b, [&](index_t lo, index_t hi) {

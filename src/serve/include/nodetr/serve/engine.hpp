@@ -277,7 +277,7 @@ struct KernelConfigStats {
   index_t mr = 0, nr = 0;   ///< register-tile shape
   index_t mc = 0, kc = 0, nc = 0;  ///< cache-blocking parameters
   std::size_t l1d_bytes = 0, l2_bytes = 0, l3_bytes = 0;  ///< detected caches
-  std::string source;  ///< how it was chosen: "env" | "cache" | "tuned" | "default"
+  std::string source;  ///< how it was chosen: "env" (NODETR_GEMM_CONFIG) | "default"
 };
 
 struct EngineStats {

@@ -189,9 +189,8 @@ InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& we
       admission_(config_.admission),
       slo_(config_.slo),
       swap_(config_.hot_swap, registry_, slo_) {
-  // Resolve the GEMM kernel/blocking now: first use runs the autotuner
-  // (tens of ms), which must be charged to engine startup, never to the
-  // first request's deadline.
+  // Resolve the GEMM kernel/blocking now: first use probes the caches, which
+  // is charged to engine startup, never to the first request's deadline.
   (void)tensor::tune::gemm_config();
   // Every pop reports its queue wait: the engine-local histogram backs the
   // stats() percentiles, the registry one the metrics dump, and the sample

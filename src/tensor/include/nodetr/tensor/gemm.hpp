@@ -3,21 +3,21 @@
 // Everything routes through one cache-blocked, register-tiled kernel
 // (`gemm_blocked`): A and B panels are packed into contiguous buffers sized
 // to the cache hierarchy, and an MR x NR microkernel — selected at runtime
-// from the SIMD dispatch table (simd.hpp) by the cache-aware autotuner
-// (tune.hpp) — does the arithmetic. Operands are described by views
+// from the SIMD dispatch table (simd.hpp), with the blocking derived from
+// the caches (tune.hpp) — does the arithmetic. Operands are described by views
 // (pointer + leading dimension + transpose flag), so the transposed product
 // variants and the per-head strided sub-matrices in attention run through
 // the same kernel without materializing copies. The jr/ir tile loops of each
 // macro-kernel block are partitioned across the thread pool BLIS-style, so
 // skinny shapes (few rows, many columns) parallelize as well as square ones.
 //
-// Every output element accumulates its k-products in ascending-k order
-// regardless of blocking, operand views, or how tiles are split across
-// threads — for a fixed selected microkernel, results are
-// bitwise-reproducible across batch sizes and thread counts, which the
-// serving engine's differential tests rely on. Results DO differ between
-// microkernels (FMA contraction), so reproducible pipelines pin the kernel
-// via NODETR_GEMM_CONFIG.
+// Every output element is one ascending-k chain regardless of blocking,
+// operand views, or how tiles are split across threads: each k panel after
+// the first continues the chain from C. So float results are bitwise
+// identical across MC/KC/NC, batch sizes, thread counts and the FMA kernels'
+// tile shapes, which the serving engine's differential tests rely on. They
+// differ between the FMA kernels and `scalar_4x8` (one rounding per FMA
+// against two per multiply-add).
 #pragma once
 
 #include "nodetr/tensor/tensor.hpp"
@@ -40,7 +40,7 @@ struct GemmView {
 /// Work fused into the kernel's output pass while the C panel is cache-hot:
 ///   c = relu?( alpha * (A B) + bias_col[j] + bias_row[i] + residual[i, j] )
 /// Fields left at their defaults are skipped. `accumulate` instead produces
-/// c += A B and ignores every other field.
+/// c += A B, adding the finished product to C, and ignores every other field.
 struct GemmEpilogue {
   float alpha = 1.0f;               ///< scales the product
   const float* bias_col = nullptr;  ///< length n, added to every row
@@ -54,13 +54,13 @@ struct GemmEpilogue {
 /// C(m x n) = op(A)(m x k) * op(B)(k x n) with an optional fused epilogue.
 /// C is row-major with row stride `ldc`; views may alias neither C nor the
 /// residual. Zero-extent problems are handled (k == 0 stores zeros, then the
-/// epilogue). Runs the process-wide tuned config (tune::gemm_config()).
+/// epilogue). Runs the process-wide config (tune::gemm_config()).
 void gemm_blocked(index_t m, index_t k, index_t n, GemmView a, GemmView b, float* c, index_t ldc,
                   const GemmEpilogue& epilogue = {});
 
 /// Same kernel with an explicit (microkernel, MC, KC, NC) plan — the
-/// autotuner's probe path and the per-variant differential tests. `cfg` must
-/// carry a non-null kernel and positive blocking.
+/// per-variant differential tests. `cfg` must carry a non-null kernel and
+/// positive blocking.
 void gemm_blocked_cfg(index_t m, index_t k, index_t n, GemmView a, GemmView b, float* c,
                       index_t ldc, const tune::GemmConfig& cfg,
                       const GemmEpilogue& epilogue = {});

@@ -7,20 +7,22 @@
 // runtime-dispatched via CPUID — even in the default build without
 // `-DNODETR_NATIVE=ON`. On aarch64 a NEON kernel takes their place.
 //
-// Contract every kernel obeys (the autotuner may pick any of them):
+// Contract every kernel obeys (NODETR_GEMM_CONFIG may pin any of them):
 //   - ap is a packed A micro-panel: element (i, p) at ap[p * mr_max + i],
 //     zero-padded rows when the tile is short; bp likewise with nr_max
 //     columns. Panels come from ScratchArena, so their base addresses are
 //     64-byte aligned.
 //   - Each output element's k-products are accumulated in ascending-k order
 //     in a single dependency chain (one FMA chain per element for the vector
-//     kernels). A partial tile (mr < mr_max or nr < nr_max) runs the same
-//     arithmetic over the zero-padded panel and writes back only the live
-//     mr x nr region. Together these make float results bitwise identical
-//     across batch sizes and thread counts *for a fixed kernel* — results do
-//     differ between kernels (FMA contracts the rounding the scalar kernel
-//     performs), which is why CI pins the kernel via NODETR_GEMM_CONFIG.
-//   - `first` stores (overwrites) the tile; otherwise it accumulates into C.
+//     kernels). `first` starts the chain from zero; otherwise it starts from
+//     the value in C, so a k split into panels continues one chain and
+//     rounds nothing extra. The result overwrites C either way. A partial
+//     tile (mr < mr_max or nr < nr_max) runs the same arithmetic over the
+//     zero-padded panel, reading and writing only the live mr x nr region.
+//     Together these make float results bitwise identical across blocking,
+//     batch sizes, thread counts and the FMA kernels' tile shapes. Results
+//     differ between the FMA kernels and `scalar_4x8`, which rounds each
+//     product before adding it.
 #pragma once
 
 #include <string>
@@ -50,7 +52,7 @@ struct MicroKernel {
 [[nodiscard]] const std::vector<MicroKernel>& available_kernels();
 
 /// Lookup by name among *available* kernels; nullptr when unknown or not
-/// runnable on this host (an AVX2 cache file read on a pre-AVX2 box).
+/// runnable on this host (an AVX2 spec pinned on a pre-AVX2 box).
 [[nodiscard]] const MicroKernel* find_kernel(std::string_view name);
 
 /// The portable fallback (also the float reference the differential tests

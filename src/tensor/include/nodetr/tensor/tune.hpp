@@ -1,22 +1,18 @@
-// Cache-aware GEMM autotuner.
+// GEMM configuration: which microkernel runs, and the MC/KC/NC cache
+// blocking around it.
 //
-// `gemm_blocked` needs two decisions made per host: which microkernel to run
-// (see simd.hpp) and the MC/KC/NC cache-blocking around it. This unit makes
-// them once per process, in priority order:
+// `gemm_blocked` needs both decided once per process. Blocking cannot change
+// a float bit (each output element is one ascending-k chain whatever the
+// blocking, gemm.hpp), so it is derived from the caches, not measured:
 //
-//   1. NODETR_GEMM_CONFIG="<kernel>[:MC:KC:NC]" — forced config, no probing.
-//      This is what CI pins for reproducible numbers (float results are
-//      bitwise per selected kernel, so pinning the kernel pins the bits).
-//   2. NODETR_TUNE_CACHE=<path> — a per-host tuning cache written by a
-//      previous run. The file carries a versioned header plus the host's
-//      cache sizes and ISA; any mismatch (new box, new build, corrupt file)
-//      rejects the file and falls through to a fresh tune, which rewrites it.
-//   3. Autotune: probe L1d/L2/L3 (sysfs, then sysconf, then safe defaults),
-//      derive candidate (kernel, MC, KC, NC) configs from the cache budget
-//      (A+B micro-panel pair in L1, packed A block in L2, packed B block in
-//      L3), micro-benchmark each on a fixed probe GEMM, and keep the fastest.
+//   1. NODETR_GEMM_CONFIG="<kernel>[:MC:KC:NC]" — a pinned config. Fields are
+//      plain decimal; a spec that does not parse is ignored with a warning.
+//   2. Otherwise `default_config` of the first available kernel: probe
+//      L1d/L2/L3 (sysfs, then sysconf, then safe defaults) and size the
+//      blocks from them (A+B micro-panel pair in L1, packed A block in L2,
+//      packed B block in L3), as BLIS's analytical model does.
 //
-// The winning config is exported through obs gauges (tensor.gemm.*,
+// The config is exported through obs gauges (tensor.gemm.*,
 // tensor.cpu.*_bytes — visible in the JSON dump and OpenMetrics) and via
 // `describe()` for startup banners.
 #pragma once
@@ -49,44 +45,25 @@ struct CacheInfo {
 struct GemmConfig {
   const simd::MicroKernel* kernel = nullptr;
   index_t mc = 0, kc = 0, nc = 0;
-  const char* source = "default";  ///< "env" | "cache" | "tuned" | "default"
+  const char* source = "default";  ///< "env" | "default"
 };
 
-/// Heuristic blocking for one kernel shape on one cache hierarchy (the
-/// no-benchmark fallback, and the seed every tune starts from).
+/// Cache-derived blocking for one kernel shape on one cache hierarchy: the
+/// config of every process that pins none.
 [[nodiscard]] GemmConfig default_config(const simd::MicroKernel& kernel, const CacheInfo& caches);
 
-/// Candidate set the autotuner benchmarks: per available kernel, the derived
-/// blocking plus a half-depth (KC/2) variant.
-[[nodiscard]] std::vector<GemmConfig> candidate_configs(const CacheInfo& caches);
-
-/// Micro-benchmark `candidate_configs` on a probe GEMM and return the
-/// fastest (source = "tuned"). Costs a few tens of milliseconds, once.
-[[nodiscard]] GemmConfig autotune(const CacheInfo& caches);
-
-/// "avx2_6x16:384:320:1024" — the NODETR_GEMM_CONFIG / cache-file syntax.
+/// "avx2_6x16:384:320:1024" — the NODETR_GEMM_CONFIG syntax.
 [[nodiscard]] std::string to_spec(const GemmConfig& cfg);
 
-/// Parse a spec ("kernel" alone gets heuristic blocking). nullopt when the
-/// kernel is unknown on this host or the blocking values are out of range.
+/// Parse a spec: "kernel" alone (cache-derived blocking) or "kernel:MC:KC:NC"
+/// with plain decimal fields in [8, 2^20]. nullopt for anything else,
+/// including a kernel this host cannot run.
 [[nodiscard]] std::optional<GemmConfig> parse_spec(const std::string& spec);
 
-/// Read a tuning-cache file. Rejects (returning nullopt) on a missing file,
-/// bad magic/version, host mismatch (cache sizes or ISA changed), unknown
-/// kernel, or malformed blocking — the caller re-tunes in every case.
-[[nodiscard]] std::optional<GemmConfig> load_cache_file(const std::string& path,
-                                                        const CacheInfo& host);
-
-/// Write the versioned cache file. Returns false (and warns) on I/O failure.
-bool save_cache_file(const std::string& path, const GemmConfig& cfg, const CacheInfo& host);
-
-/// The full selection policy (env override -> cache file -> autotune),
-/// parameterized for tests. Publishes the obs gauges for the winner.
-struct SelectOptions {
-  std::string env_spec;    ///< NODETR_GEMM_CONFIG value, "" = unset
-  std::string cache_path;  ///< NODETR_TUNE_CACHE value, "" = unset
-};
-[[nodiscard]] GemmConfig select_config(const SelectOptions& opts);
+/// The selection policy, parameterized for tests: `env_spec` (the
+/// NODETR_GEMM_CONFIG value, "" = unset) if it parses, else `default_config`
+/// of the first available kernel. Publishes the obs gauges for the result.
+[[nodiscard]] GemmConfig select_config(const std::string& env_spec);
 
 /// Process-wide selected config: select_config() driven by the environment,
 /// computed on first use (thread-safe) and fixed thereafter.

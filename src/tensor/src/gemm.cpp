@@ -67,8 +67,8 @@ void pack_b_panel(const GemmView& b, index_t pc, index_t col0, index_t kc, index
 }
 
 [[nodiscard]] bool needs_epilogue(const GemmEpilogue& ep) {
-  return !ep.accumulate && (ep.alpha != 1.0f || ep.bias_col != nullptr ||
-                            ep.bias_row != nullptr || ep.residual != nullptr || ep.relu);
+  return ep.alpha != 1.0f || ep.bias_col != nullptr || ep.bias_row != nullptr ||
+         ep.residual != nullptr || ep.relu;
 }
 
 /// Problems below this many MACs run on the calling thread: a pool
@@ -112,26 +112,13 @@ void check_rank2(const Tensor& t, const char* name) {
   if (t.rank() != 2) throw std::invalid_argument(std::string(name) + ": rank must be 2");
 }
 
-}  // namespace
-
-void gemm_blocked_cfg(index_t m, index_t k, index_t n, GemmView a, GemmView b, float* c,
-                      index_t ldc, const tune::GemmConfig& cfg, const GemmEpilogue& ep) {
-  if (m <= 0 || n <= 0) return;
-  static auto& calls = obs::Registry::instance().counter("tensor.gemm.calls");
-  static auto& flops = obs::Registry::instance().counter("tensor.gemm.flops");
-  calls.add();
-  flops.add(2 * m * k * n);
-  // The tile split never changes any element's k order, so running serially
-  // changes no output bit.
-  const bool serial = m * std::max<index_t>(k, 1) * n < kSerialMacs;
-  if (k <= 0) {
-    if (!ep.accumulate) {
-      for (index_t i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.0f);
-      if (needs_epilogue(ep)) apply_epilogue(c, ldc, m, n, 0, n, ep, serial);
-    }
-    return;
-  }
-
+/// The blocked product proper: C = op(A) op(B), then the epilogue. Each
+/// output element is one ascending-k chain: the kernel starts it from zero on
+/// the first k panel and from C on every later one, so neither the blocking
+/// nor the tile split changes a bit.
+void blocked_product(index_t m, index_t k, index_t n, GemmView a, GemmView b, float* c,
+                     index_t ldc, const tune::GemmConfig& cfg, const GemmEpilogue& ep,
+                     bool serial) {
   const simd::MicroKernel& ker = *cfg.kernel;
   const index_t kMr = ker.mr, kNr = ker.nr;
   const index_t kKc = cfg.kc, kMc = cfg.mc, kNc = cfg.nc;
@@ -153,7 +140,7 @@ void gemm_blocked_cfg(index_t m, index_t k, index_t n, GemmView a, GemmView b, f
     const index_t jpanels = ceil_div(nc, kNr);
     for (index_t pc = 0; pc < k; pc += kKc) {
       const index_t kc = std::min(kKc, k - pc);
-      const bool first = pc == 0 && !ep.accumulate;
+      const bool first = pc == 0;
       run_range(serial, jpanels, /*grain=*/8, [&](index_t lo, index_t hi) {
         for (index_t jp = lo; jp < hi; ++jp) {
           pack_b_panel(b, pc, jc + jp * kNr, kc, std::min(kNr, nc - jp * kNr), kNr,
@@ -187,6 +174,45 @@ void gemm_blocked_cfg(index_t m, index_t k, index_t n, GemmView a, GemmView b, f
     }
     if (needs_epilogue(ep)) apply_epilogue(c, ldc, m, n, jc, nc, ep, serial);
   }
+}
+
+}  // namespace
+
+void gemm_blocked_cfg(index_t m, index_t k, index_t n, GemmView a, GemmView b, float* c,
+                      index_t ldc, const tune::GemmConfig& cfg, const GemmEpilogue& ep) {
+  if (m <= 0 || n <= 0) return;
+  static auto& calls = obs::Registry::instance().counter("tensor.gemm.calls");
+  static auto& flops = obs::Registry::instance().counter("tensor.gemm.flops");
+  calls.add();
+  flops.add(2 * m * k * n);
+  // The tile split never changes any element's k order, so running serially
+  // changes no output bit.
+  const bool serial = m * std::max<index_t>(k, 1) * n < kSerialMacs;
+  if (k <= 0) {
+    if (!ep.accumulate) {
+      for (index_t i = 0; i < m; ++i) std::fill_n(c + i * ldc, n, 0.0f);
+      if (needs_epilogue(ep)) apply_epilogue(c, ldc, m, n, 0, n, ep, serial);
+    }
+    return;
+  }
+  if (!ep.accumulate) {
+    blocked_product(m, k, n, a, b, c, ldc, cfg, ep, serial);
+    return;
+  }
+  // c += A B adds the finished product to C: one rounding per element, after
+  // the chain. Seeding the chain from C would round differently, and the
+  // MHSA adds its relative-position logits Q R^T onto Q K^T this way.
+  auto& arena = ScratchArena::local();
+  ScratchArena::Scope scope(arena);
+  float* prod = arena.alloc<float>(static_cast<std::size_t>(m * n));
+  blocked_product(m, k, n, a, b, prod, n, cfg, {}, serial);
+  run_range(serial, m, /*grain=*/64, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) {
+      float* row = c + i * ldc;
+      const float* add = prod + i * n;
+      for (index_t j = 0; j < n; ++j) row[j] += add[j];
+    }
+  });
 }
 
 void gemm_blocked(index_t m, index_t k, index_t n, GemmView a, GemmView b, float* c, index_t ldc,

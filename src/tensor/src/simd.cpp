@@ -12,29 +12,23 @@ namespace nodetr::tensor::simd {
 
 namespace {
 
-/// Scalar writeback of a partial tile computed into a full-shape stack
-/// buffer. Shared by every vector kernel's tail path; the arithmetic already
-/// happened in the vector registers, so only the live region is copied.
-void writeback_tail(const float* tile, index_t tile_ld, float* c, index_t ldc, index_t mr,
-                    index_t nr, bool first) {
-  for (index_t i = 0; i < mr; ++i) {
-    const float* src = tile + i * tile_ld;
-    float* dst = c + i * ldc;
-    if (first) {
-      for (index_t j = 0; j < nr; ++j) dst[j] = src[j];
-    } else {
-      for (index_t j = 0; j < nr; ++j) dst[j] += src[j];
-    }
-  }
+/// Copies the live mr x nr region of a tile between C and a full-shape stack
+/// buffer: in before the k loop when a partial tile continues C's chain, out
+/// after it. The arithmetic happens in the accumulators, so this only moves
+/// bits.
+void copy_tile(const float* src, index_t src_ld, float* dst, index_t dst_ld, index_t mr,
+               index_t nr) {
+  for (index_t i = 0; i < mr; ++i) std::copy_n(src + i * src_ld, nr, dst + i * dst_ld);
 }
 
 /// Portable 4x8 kernel: 32 scalar accumulators the compiler auto-vectorizes
 /// at -O3. The k loop is unrolled by 4; each product lands in its accumulator
-/// in ascending-k order.
+/// in ascending-k order, starting from zero or, after the first panel, from C.
 void kern_scalar_4x8(int kc, const float* __restrict__ ap, const float* __restrict__ bp,
                      float* __restrict__ c, index_t ldc, index_t mr, index_t nr, bool first) {
   constexpr int kMr = 4, kNr = 8;
   float acc[kMr][kNr] = {};
+  if (!first) copy_tile(c, ldc, &acc[0][0], kNr, mr, nr);
   int p = 0;
   for (; p + 4 <= kc; p += 4) {
     for (int u = 0; u < 4; ++u) {
@@ -52,19 +46,7 @@ void kern_scalar_4x8(int kc, const float* __restrict__ ap, const float* __restri
       for (int j = 0; j < kNr; ++j) acc[i][j] += av[i] * bv[j];
     }
   }
-  if (mr == kMr && nr == kNr) {
-    if (first) {
-      for (int i = 0; i < kMr; ++i) {
-        for (int j = 0; j < kNr; ++j) c[i * ldc + j] = acc[i][j];
-      }
-    } else {
-      for (int i = 0; i < kMr; ++i) {
-        for (int j = 0; j < kNr; ++j) c[i * ldc + j] += acc[i][j];
-      }
-    }
-    return;
-  }
-  writeback_tail(&acc[0][0], kNr, c, ldc, mr, nr, first);
+  copy_tile(&acc[0][0], kNr, c, ldc, mr, nr);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -89,11 +71,22 @@ __attribute__((target("avx2,fma"))) void kern_avx2(int kc, const float* __restri
                                                    float* __restrict__ c, index_t ldc,
                                                    index_t mr, index_t nr, bool first) {
   constexpr int kNr = NV * 8;
+  const bool full = mr == MR && nr == kNr;
   __m256 acc[MR][NV];
+  alignas(32) float tile[MR][kNr];
+  if (!first && !full) {
+    std::fill_n(&tile[0][0], MR * kNr, 0.0f);
+    copy_tile(c, ldc, &tile[0][0], kNr, mr, nr);
+  }
+  // The chain starts from zero on the first panel and from C after it.
 #pragma GCC unroll 16
   for (int i = 0; i < MR; ++i)
 #pragma GCC unroll 16
-    for (int v = 0; v < NV; ++v) acc[i][v] = _mm256_setzero_ps();
+    for (int v = 0; v < NV; ++v) {
+      acc[i][v] = first  ? _mm256_setzero_ps()
+                  : full ? _mm256_loadu_ps(c + i * ldc + v * 8)
+                         : _mm256_load_ps(&tile[i][v * 8]);
+    }
   for (int p = 0; p < kc; ++p) {
     __m256 b[NV];
 #pragma GCC unroll 16
@@ -105,23 +98,18 @@ __attribute__((target("avx2,fma"))) void kern_avx2(int kc, const float* __restri
       for (int v = 0; v < NV; ++v) acc[i][v] = _mm256_fmadd_ps(a, b[v], acc[i][v]);
     }
   }
-  if (mr == MR && nr == kNr) {
+  if (full) {
 #pragma GCC unroll 16
     for (int i = 0; i < MR; ++i)
 #pragma GCC unroll 16
-      for (int v = 0; v < NV; ++v) {
-        float* out = c + i * ldc + v * 8;
-        _mm256_storeu_ps(out, first ? acc[i][v]
-                                    : _mm256_add_ps(_mm256_loadu_ps(out), acc[i][v]));
-      }
+      for (int v = 0; v < NV; ++v) _mm256_storeu_ps(c + i * ldc + v * 8, acc[i][v]);
     return;
   }
-  alignas(32) float tile[MR][kNr];
 #pragma GCC unroll 16
   for (int i = 0; i < MR; ++i)
 #pragma GCC unroll 16
     for (int v = 0; v < NV; ++v) _mm256_store_ps(&tile[i][v * 8], acc[i][v]);
-  writeback_tail(&tile[0][0], kNr, c, ldc, mr, nr, first);
+  copy_tile(&tile[0][0], kNr, c, ldc, mr, nr);
 }
 
 bool host_has_avx2_fma() {
@@ -135,8 +123,23 @@ bool host_has_avx2_fma() {
 void kern_neon_8x8(int kc, const float* __restrict__ ap, const float* __restrict__ bp,
                    float* __restrict__ c, index_t ldc, index_t mr, index_t nr, bool first) {
   constexpr int kMr = 8, kNr = 8;
+  const bool full = mr == kMr && nr == kNr;
   float32x4_t acc[kMr][2];
-  for (int i = 0; i < kMr; ++i) acc[i][0] = acc[i][1] = vdupq_n_f32(0.0f);
+  alignas(16) float tile[kMr][kNr];
+  if (!first && !full) {
+    std::fill_n(&tile[0][0], kMr * kNr, 0.0f);
+    copy_tile(c, ldc, &tile[0][0], kNr, mr, nr);
+  }
+  // The chain starts from zero on the first panel and from C after it.
+  for (int i = 0; i < kMr; ++i) {
+    if (first) {
+      acc[i][0] = acc[i][1] = vdupq_n_f32(0.0f);
+      continue;
+    }
+    const float* src = full ? c + i * ldc : &tile[i][0];
+    acc[i][0] = vld1q_f32(src);
+    acc[i][1] = vld1q_f32(src + 4);
+  }
   for (int p = 0; p < kc; ++p) {
     const float32x4_t b0 = vld1q_f32(bp + p * kNr);
     const float32x4_t b1 = vld1q_f32(bp + p * kNr + 4);
@@ -146,25 +149,12 @@ void kern_neon_8x8(int kc, const float* __restrict__ ap, const float* __restrict
       acc[i][1] = vfmaq_f32(acc[i][1], a, b1);
     }
   }
-  if (mr == kMr && nr == kNr) {
-    for (int i = 0; i < kMr; ++i) {
-      float* out = c + i * ldc;
-      if (first) {
-        vst1q_f32(out, acc[i][0]);
-        vst1q_f32(out + 4, acc[i][1]);
-      } else {
-        vst1q_f32(out, vaddq_f32(vld1q_f32(out), acc[i][0]));
-        vst1q_f32(out + 4, vaddq_f32(vld1q_f32(out + 4), acc[i][1]));
-      }
-    }
-    return;
-  }
-  alignas(16) float tile[kMr][kNr];
   for (int i = 0; i < kMr; ++i) {
-    vst1q_f32(&tile[i][0], acc[i][0]);
-    vst1q_f32(&tile[i][4], acc[i][1]);
+    float* out = full ? c + i * ldc : &tile[i][0];
+    vst1q_f32(out, acc[i][0]);
+    vst1q_f32(out + 4, acc[i][1]);
   }
-  writeback_tail(&tile[0][0], kNr, c, ldc, mr, nr, first);
+  if (!full) copy_tile(&tile[0][0], kNr, c, ldc, mr, nr);
 }
 
 #endif

@@ -3,34 +3,21 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nodetr/obs/obs.hpp"
-#include "nodetr/tensor/gemm.hpp"
 
 namespace nodetr::tensor::tune {
 
 namespace obs = nodetr::obs;
 
-// Timing-based tuning is meaningless under a sanitizer (instrumentation
-// skews every candidate the same random way and the probe itself runs
-// ~10-20x slow); fall back to the heuristic blocking there.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define NODETR_TUNE_NO_BENCH 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define NODETR_TUNE_NO_BENCH 1
-#endif
-#endif
-
 namespace {
-
-constexpr const char* kCacheMagic = "nodetr-tune v1";
 
 /// Parse a sysfs cache size string ("48K", "2M", "32768").
 std::size_t parse_size(const std::string& s) {
@@ -62,23 +49,8 @@ long sysconf_or_zero(int name) {
 
 index_t round_down(index_t v, index_t step) { return std::max(step, v / step * step); }
 
-/// Deterministic fill for the probe operands (no RNG dependency; values only
-/// need to be nonzero and varied so the probe is not a denormal stress test).
-void fill_probe(std::vector<float>& v) {
-  std::uint32_t x = 0x9e3779b9u;
-  for (auto& f : v) {
-    x = x * 1664525u + 1013904223u;
-    f = static_cast<float>(static_cast<std::int32_t>(x >> 8)) * (1.0f / (1 << 23));
-  }
-}
-
-int source_id(const char* source) {
-  const std::string_view s(source);
-  if (s == "tuned") return 1;
-  if (s == "cache") return 2;
-  if (s == "env") return 3;
-  return 0;
-}
+/// Stable gauge ids for `GemmConfig::source`: 0 "default", 3 "env".
+int source_id(const char* source) { return std::string_view(source) == "env" ? 3 : 0; }
 
 void publish_gauges(const GemmConfig& cfg, const CacheInfo& caches) {
   auto& reg = obs::Registry::instance();
@@ -163,63 +135,6 @@ GemmConfig default_config(const simd::MicroKernel& kernel, const CacheInfo& cach
   return cfg;
 }
 
-std::vector<GemmConfig> candidate_configs(const CacheInfo& caches) {
-  std::vector<GemmConfig> out;
-  for (const auto& kernel : simd::available_kernels()) {
-    const GemmConfig base = default_config(kernel, caches);
-    out.push_back(base);
-    // Half-depth variant: trades packing overhead for a hotter C tile; wins
-    // on hosts where the derived KC overshoots the effective L1 share.
-    CacheInfo half = caches;
-    half.l1d /= 2;
-    GemmConfig shallow = default_config(kernel, half);
-    if (shallow.kc != base.kc) out.push_back(shallow);
-  }
-  return out;
-}
-
-GemmConfig autotune(const CacheInfo& caches) {
-  static auto& runs = obs::Registry::instance().counter("tensor.tune.runs");
-  runs.add();
-#ifdef NODETR_TUNE_NO_BENCH
-  GemmConfig heuristic = default_config(simd::available_kernels().front(), caches);
-  heuristic.source = "tuned";
-  return heuristic;
-#endif
-  // Probe on the headline square shape; big enough to exercise all three
-  // blocking levels, small enough that the whole tune costs ~tens of ms.
-  constexpr index_t kProbe = 256;
-  std::vector<float> a(kProbe * kProbe), b(kProbe * kProbe), c(kProbe * kProbe);
-  fill_probe(a);
-  fill_probe(b);
-
-  GemmConfig best;
-  double best_ns = 0.0;
-  for (GemmConfig cand : candidate_configs(caches)) {
-    double cand_ns = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      gemm_blocked_cfg(kProbe, kProbe, kProbe, GemmView::plain(a.data(), kProbe),
-                       GemmView::plain(b.data(), kProbe), c.data(), kProbe, cand);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ns = static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-      // rep 0 is warm-up (packs touch cold pages, the arena grows); keep the
-      // min of the rest.
-      if (rep > 0) cand_ns = cand_ns == 0.0 ? ns : std::min(cand_ns, ns);
-    }
-    if (best.kernel == nullptr || cand_ns < best_ns) {
-      best = cand;
-      best_ns = cand_ns;
-    }
-  }
-  best.source = "tuned";
-  obs::Registry::instance()
-      .gauge("tensor.tune.best_gflops")
-      .set(best_ns > 0.0 ? 2.0 * kProbe * kProbe * kProbe / best_ns : 0.0);
-  return best;
-}
-
 std::string to_spec(const GemmConfig& cfg) {
   std::ostringstream os;
   os << cfg.kernel->name << ":" << cfg.mc << ":" << cfg.kc << ":" << cfg.nc;
@@ -227,108 +142,56 @@ std::string to_spec(const GemmConfig& cfg) {
 }
 
 std::optional<GemmConfig> parse_spec(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::string cur;
-  std::istringstream is(spec);
-  while (std::getline(is, cur, ':')) parts.push_back(cur);
+  std::vector<std::string_view> parts;
+  for (std::string_view rest(spec);;) {
+    const auto colon = rest.find(':');
+    parts.push_back(rest.substr(0, colon));
+    if (colon == std::string_view::npos) break;
+    rest.remove_prefix(colon + 1);
+  }
   if (parts.size() != 1 && parts.size() != 4) return std::nullopt;
   const simd::MicroKernel* kernel = simd::find_kernel(parts[0]);
   if (kernel == nullptr) return std::nullopt;
-  if (parts.size() == 1) {
-    GemmConfig cfg = default_config(*kernel, host_caches());
-    return cfg;
-  }
+  if (parts.size() == 1) return default_config(*kernel, host_caches());
   GemmConfig cfg;
   cfg.kernel = kernel;
   index_t* fields[3] = {&cfg.mc, &cfg.kc, &cfg.nc};
   for (int i = 0; i < 3; ++i) {
-    char* end = nullptr;
-    const long long v = std::strtoll(parts[i + 1].c_str(), &end, 10);
-    if (end == parts[i + 1].c_str() || *end != '\0') return std::nullopt;
-    if (v < 8 || v > (1 << 20)) return std::nullopt;
+    // Plain decimal digits only: from_chars into an unsigned type takes no
+    // sign and no whitespace, fails on an empty field, and must consume the
+    // whole field.
+    const std::string_view f = parts[static_cast<std::size_t>(i) + 1];
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(f.data(), f.data() + f.size(), v);
+    if (ec != std::errc() || end != f.data() + f.size()) return std::nullopt;
+    if (v < 8 || v > (1u << 20)) return std::nullopt;
     *fields[i] = static_cast<index_t>(v);
   }
   return cfg;
 }
 
-std::optional<GemmConfig> load_cache_file(const std::string& path, const CacheInfo& host) {
-  static auto& rejects = obs::Registry::instance().counter("tensor.tune.cache_rejects");
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string magic, host_line, config_line;
-  std::getline(in, magic);
-  std::getline(in, host_line);
-  std::getline(in, config_line);
-  const auto reject = [&]() -> std::optional<GemmConfig> {
-    rejects.add();
-    return std::nullopt;
-  };
-  if (magic != kCacheMagic) return reject();
-  // The cache is per-host: a file written on a different box (or before a
-  // CPU/ISA change) must not leak its blocking here.
-  unsigned long long l1 = 0, l2 = 0, l3 = 0;
-  char isa[64] = {};
-  if (std::sscanf(host_line.c_str(), "host l1d=%llu l2=%llu l3=%llu isa=%63s", &l1, &l2, &l3,
-                  isa) != 4) {
-    return reject();
-  }
-  if (l1 != host.l1d || l2 != host.l2 || l3 != host.l3 || simd::cpu_features() != isa) {
-    return reject();
-  }
-  char spec[128] = {};
-  if (std::sscanf(config_line.c_str(), "config %127s", spec) != 1) return reject();
-  auto cfg = parse_spec(spec);
-  if (!cfg.has_value()) return reject();
-  cfg->source = "cache";
-  return cfg;
-}
-
-bool save_cache_file(const std::string& path, const GemmConfig& cfg, const CacheInfo& host) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "nodetr: cannot write tuning cache %s\n", path.c_str());
-    return false;
-  }
-  out << kCacheMagic << "\n";
-  out << "host l1d=" << host.l1d << " l2=" << host.l2 << " l3=" << host.l3
-      << " isa=" << simd::cpu_features() << "\n";
-  out << "config " << to_spec(cfg) << "\n";
-  return static_cast<bool>(out.flush());
-}
-
-GemmConfig select_config(const SelectOptions& opts) {
+GemmConfig select_config(const std::string& env_spec) {
   const CacheInfo& caches = host_caches();
-  auto& reg = obs::Registry::instance();
-  GemmConfig cfg;
-  if (!opts.env_spec.empty()) {
-    if (auto forced = parse_spec(opts.env_spec); forced.has_value()) {
-      forced->source = "env";
-      reg.counter("tensor.tune.env_overrides").add();
-      publish_gauges(*forced, caches);
-      return *forced;
-    }
-    std::fprintf(stderr, "nodetr: ignoring invalid NODETR_GEMM_CONFIG=\"%s\"\n",
-                 opts.env_spec.c_str());
-  }
-  if (!opts.cache_path.empty()) {
-    if (auto cached = load_cache_file(opts.cache_path, caches); cached.has_value()) {
-      reg.counter("tensor.tune.cache_hits").add();
-      publish_gauges(*cached, caches);
-      return *cached;
+  std::optional<GemmConfig> cfg;
+  if (!env_spec.empty()) {
+    cfg = parse_spec(env_spec);
+    if (cfg.has_value()) {
+      cfg->source = "env";
+      obs::Registry::instance().counter("tensor.tune.env_overrides").add();
+    } else {
+      std::fprintf(stderr, "nodetr: ignoring invalid NODETR_GEMM_CONFIG=\"%s\"\n",
+                   env_spec.c_str());
     }
   }
-  cfg = autotune(caches);
-  if (!opts.cache_path.empty()) save_cache_file(opts.cache_path, cfg, caches);
-  publish_gauges(cfg, caches);
-  return cfg;
+  if (!cfg.has_value()) cfg = default_config(simd::available_kernels().front(), caches);
+  publish_gauges(*cfg, caches);
+  return *cfg;
 }
 
 const GemmConfig& gemm_config() {
   static const GemmConfig cfg = [] {
     const char* env_spec = std::getenv("NODETR_GEMM_CONFIG");
-    const char* cache_path = std::getenv("NODETR_TUNE_CACHE");
-    return select_config({env_spec != nullptr ? env_spec : "",
-                          cache_path != nullptr ? cache_path : ""});
+    return select_config(env_spec != nullptr ? env_spec : "");
   }();
   return cfg;
 }

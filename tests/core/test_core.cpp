@@ -8,7 +8,6 @@
 #include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/tensor/parallel.hpp"
-#include "nodetr/tensor/tune.hpp"
 
 namespace core = nodetr::core;
 namespace nt = nodetr::tensor;
@@ -179,7 +178,6 @@ TEST(Core, BatchedPredictLogitsIsOnePoolRun) {
   core::LightweightTransformer model(tiny_options());
   nt::Rng rng(54);
   const auto batch = rng.rand(nt::Shape{8, 3, 32, 32});
-  (void)nt::tune::gemm_config();  // the first call autotunes on the pool
   auto& runs = nodetr::obs::Registry::instance().counter("tensor.pool.runs");
   const std::int64_t before = runs.value();
   (void)model.predict_logits(batch);

@@ -87,10 +87,10 @@ std::size_t ledger_stage(const std::string& name, bool& seen_ode2) {
 }  // namespace
 
 // Fixed logits are integer arithmetic on parameters folded and quantized in
-// float; the goldens hold for the portable x86-64 build (-march=native turns
-// on FMA contraction in the BatchNorm fold).
-#if defined(NODETR_NATIVE_BUILD) || !defined(__x86_64__)
-#define NODETR_SKIP_FIXED_GOLDENS() GTEST_SKIP() << "goldens are for the portable x86-64 build"
+// float; the float code is built with -ffp-contract=off, so the goldens hold
+// in the -DNODETR_NATIVE=ON build too.
+#ifndef __x86_64__
+#define NODETR_SKIP_FIXED_GOLDENS() GTEST_SKIP() << "goldens are for x86-64"
 #else
 #define NODETR_SKIP_FIXED_GOLDENS() (void)0
 #endif

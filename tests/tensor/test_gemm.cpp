@@ -102,7 +102,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GemmSizes,
 // one-row GEMM computes, epilogue included: the tile split never changes any
 // element's k order.
 TEST(Gemm, BitwiseEqualOnBothSidesOfTheSerialThreshold) {
-  (void)nt::tune::gemm_config();  // the first call autotunes on the pool
   auto& runs = nodetr::obs::Registry::instance().counter("tensor.pool.runs");
   const bool pooled = nt::ThreadPool::global().size() > 1;
   struct Case {

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <vector>
 
+#include "../common/gemm_chain.hpp"
 #include "nodetr/tensor/arena.hpp"
 #include "nodetr/tensor/gemm.hpp"
 #include "nodetr/tensor/ops.hpp"
@@ -216,9 +217,9 @@ TEST_P(SimdKernels, DefaultBlockingMatchesNaive) {
 }
 
 // The vector kernels run one FMA chain per output element, so each output is
-// exactly a scalar std::fma chain from 0 in ascending k, stored (`first`) or
-// added onto C. Checked bit for bit on every live tile shape, with C's
-// untouched region (rows and columns past mr x nr) left as it was.
+// exactly a scalar std::fma chain in ascending k, started from 0 (`first`) or
+// from C's value, and stored. Checked bit for bit on every live tile shape,
+// with C's untouched region (rows and columns past mr x nr) left as it was.
 TEST(SimdKernelBits, FmaKernelsEqualScalarFmaChain) {
   nt::Rng rng(17);
   int kernels = 0;
@@ -241,11 +242,12 @@ TEST(SimdKernelBits, FmaKernelsEqualScalarFmaChain) {
             kern.fn(kc, a.data(), b.data(), c.data(), ldc, mr, nr, first);
             for (nt::index_t i = 0; i <= kmr; ++i)
               for (nt::index_t j = 0; j < ldc; ++j) {
+                // Not first: the chain continues from C's value.
                 float want = c0.at(i, j);
                 if (i < mr && j < nr) {
-                  float acc = 0.0f;
+                  float acc = first ? 0.0f : want;
                   for (int p = 0; p < kc; ++p) acc = std::fma(a.at(p, i), b.at(p, j), acc);
-                  want = first ? acc : want + acc;
+                  want = acc;
                 }
                 ASSERT_EQ(std::memcmp(&c.at(i, j), &want, sizeof(float)), 0)
                     << kern.name << " kc " << kc << " tile " << mr << "x" << nr << " first "
@@ -258,6 +260,39 @@ TEST(SimdKernelBits, FmaKernelsEqualScalarFmaChain) {
     }
   }
   if (kernels == 0) GTEST_SKIP() << "no vector microkernel on this host";
+}
+
+// Blocking cannot move a bit. The paper's two downsample convolutions run
+// GEMMs whose K (576 and 1152) spans several KC panels; M and N are cut to
+// odd sizes that still fork the pool. At every KC every FMA kernel gives the
+// bits of one std::fma chain per element, and scalar_4x8 those of its own
+// rounded chain; `accumulate` adds that product to C once.
+TEST(SimdKernelBits, PaperShapesBitwiseAcrossKc) {
+  const struct { nt::index_t m, k, n; } shapes[] = {{29, 576, 37}, {19, 1152, 36}};
+  nt::Rng rng(18);
+  for (const auto& s : shapes) {
+    const auto a = rng.randn(nt::Shape{s.m, s.k});
+    const auto b = rng.randn(nt::Shape{s.k, s.n});
+    const auto c0 = rng.randn(nt::Shape{s.m, s.n});
+    for (const auto& kern : simd::available_kernels()) {
+      const nt::Tensor chain = nodetr::testing::chain_matmul(kern, a, b);
+      nt::Tensor accumulated = c0;
+      for (nt::index_t i = 0; i < accumulated.numel(); ++i) accumulated[i] += chain[i];
+      for (const nt::index_t kc : {64, 256, 416, 456, 2048}) {
+        auto cfg = tune::default_config(kern, tune::host_caches());
+        cfg.kc = kc;
+        const nt::Tensor got = run_cfg(a, b, cfg);
+        EXPECT_EQ(std::memcmp(got.data(), chain.data(), sizeof(float) * s.m * s.n), 0)
+            << kern.name << " K " << s.k << " KC " << kc;
+        nt::Tensor acc = c0;
+        nt::gemm_blocked_cfg(s.m, s.k, s.n, nt::GemmView::plain(a.data(), s.k),
+                             nt::GemmView::plain(b.data(), s.n), acc.data(), s.n, cfg,
+                             {.accumulate = true});
+        EXPECT_EQ(std::memcmp(acc.data(), accumulated.data(), sizeof(float) * s.m * s.n), 0)
+            << kern.name << " K " << s.k << " KC " << kc << " accumulate";
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

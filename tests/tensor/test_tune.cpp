@@ -1,57 +1,25 @@
-// Units for the GEMM autotuner: cache probing, heuristic blocking budgets,
-// spec parsing, the per-host tuning-cache file (round-trip plus every
-// rejection path), and the full selection policy (env override -> cache file
-// -> autotune) via the test-injectable SelectOptions front door.
+// Units for GEMM config selection: cache probing, cache-derived blocking
+// budgets, spec parsing (including a seeded mutation loop over specs), and
+// the selection policy (env pin, else the first kernel's default) via the
+// test-injectable select_config front door.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <filesystem>
-#include <fstream>
+#include <cstdint>
+#include <cstring>
+#include <regex>
 #include <string>
+#include <vector>
 
+#include "../common/gemm_chain.hpp"
+#include "nodetr/tensor/gemm.hpp"
+#include "nodetr/tensor/rng.hpp"
 #include "nodetr/tensor/simd.hpp"
 #include "nodetr/tensor/tune.hpp"
 
+namespace nt = nodetr::tensor;
 namespace simd = nodetr::tensor::simd;
 namespace tune = nodetr::tensor::tune;
 using nodetr::tensor::index_t;
-
-namespace {
-
-/// Per-test temp file, removed on teardown; unique per process so parallel
-/// ctest shards never collide.
-class TuneFile : public ::testing::Test {
- protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    path_ = (std::filesystem::temp_directory_path() /
-             ("nodetr_tune_" + std::to_string(::getpid()) + "_" + info->name()))
-                .string();
-    std::filesystem::remove(path_);
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-
-  void write_file(const std::string& contents) {
-    std::ofstream out(path_, std::ios::trunc);
-    out << contents;
-  }
-
-  std::string path_;
-};
-
-std::string valid_cache_contents() {
-  // Build through the real writer so the format stays in one place.
-  const auto& host = tune::host_caches();
-  tune::GemmConfig cfg = tune::default_config(simd::scalar_kernel(), host);
-  cfg.mc = 48;
-  cfg.kc = 96;
-  cfg.nc = 160;
-  return std::string("nodetr-tune v1\n") + "host l1d=" + std::to_string(host.l1d) +
-         " l2=" + std::to_string(host.l2) + " l3=" + std::to_string(host.l3) +
-         " isa=" + simd::cpu_features() + "\nconfig " + tune::to_spec(cfg) + "\n";
-}
-
-}  // namespace
 
 TEST(TuneCaches, HostCachesAlwaysPositive) {
   const auto& c = tune::host_caches();
@@ -92,15 +60,6 @@ TEST(TuneHeuristics, DefaultConfigRespectsCacheBudgets) {
   }
 }
 
-TEST(TuneHeuristics, CandidateConfigsCoverEveryKernel) {
-  const auto cands = tune::candidate_configs(tune::host_caches());
-  for (const auto& kernel : simd::available_kernels()) {
-    const auto hits = std::count_if(cands.begin(), cands.end(),
-                                    [&](const auto& c) { return c.kernel == &kernel; });
-    EXPECT_GE(hits, 1) << kernel.name;
-  }
-}
-
 TEST(TuneSpec, RoundTripsThroughString) {
   tune::GemmConfig cfg;
   cfg.kernel = &simd::scalar_kernel();
@@ -133,79 +92,96 @@ TEST(TuneSpec, RejectsMalformedSpecs) {
   EXPECT_FALSE(tune::parse_spec("scalar_4x8:64:64:64x").has_value());  // trailing junk
   EXPECT_FALSE(tune::parse_spec("scalar_4x8:4:64:64").has_value());    // below range
   EXPECT_FALSE(tune::parse_spec("scalar_4x8:64:64:2097152").has_value());  // above range
+  // Only "kernel" or "kernel:MC:KC:NC" with plain decimal fields.
+  EXPECT_FALSE(tune::parse_spec("scalar_4x8:").has_value());
+  EXPECT_FALSE(tune::parse_spec("scalar_4x8:384:256:1024:").has_value());
+  EXPECT_FALSE(tune::parse_spec("scalar_4x8::256:1024").has_value());
+  EXPECT_FALSE(tune::parse_spec("scalar_4x8: 384:256:1024").has_value());
+  EXPECT_FALSE(tune::parse_spec("scalar_4x8:384:+256:1024").has_value());
+  EXPECT_FALSE(tune::parse_spec("scalar_4x8:384:-256:1024").has_value());
+  EXPECT_FALSE(tune::parse_spec("scalar_4x8:384:256:1024 ").has_value());
+  EXPECT_FALSE(tune::parse_spec(" scalar_4x8").has_value());
+  EXPECT_FALSE(tune::parse_spec("scalar_4x8:384:256:99999999999999999999999").has_value());
+  EXPECT_TRUE(tune::parse_spec("scalar_4x8:0384:256:1024").has_value());
 }
 
-TEST_F(TuneFile, CacheFileRoundTrips) {
-  const auto& host = tune::host_caches();
-  tune::GemmConfig cfg = tune::default_config(simd::available_kernels().front(), host);
-  cfg.mc = 24;
-  cfg.kc = 72;
-  cfg.nc = 96;
-  ASSERT_TRUE(tune::save_cache_file(path_, cfg, host));
-  const auto loaded = tune::load_cache_file(path_, host);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->kernel, cfg.kernel);
-  EXPECT_EQ(loaded->mc, cfg.mc);
-  EXPECT_EQ(loaded->kc, cfg.kc);
-  EXPECT_EQ(loaded->nc, cfg.nc);
-  EXPECT_STREQ(loaded->source, "cache");
+namespace {
+
+/// One random edit: insert, delete or replace a character, repeat the last
+/// field, or truncate.
+void mutate(std::string& spec, nt::Rng& rng) {
+  static const std::string kAlphabet = "0123456789:+- x_avs";
+  auto pick = [&](std::size_t size) {
+    return static_cast<std::size_t>(rng.randint(0, static_cast<index_t>(size) - 1));
+  };
+  const char ch = kAlphabet[pick(kAlphabet.size())];
+  switch (pick(5)) {
+    case 0:
+      spec.insert(pick(spec.size() + 1), 1, ch);
+      break;
+    case 1:
+      if (!spec.empty()) spec.erase(pick(spec.size()), 1);
+      break;
+    case 2:
+      if (!spec.empty()) spec[pick(spec.size())] = ch;
+      break;
+    case 3: {
+      const auto colon = spec.rfind(':');
+      spec += spec.substr(colon == std::string::npos ? 0 : colon);
+      break;
+    }
+    default:
+      spec.resize(pick(spec.size() + 1));
+  }
 }
 
-TEST_F(TuneFile, MissingFileIsRejected) {
-  EXPECT_FALSE(tune::load_cache_file(path_, tune::host_caches()).has_value());
+}  // namespace
+
+// A deterministic mutation loop over NODETR_GEMM_CONFIG specs: each round
+// takes a valid or invalid seed spec and applies 1-4 random edits. Whatever
+// the input, parse_spec either rejects it or accepts a spec of the strict
+// form and returns a config that to_spec round-trips and that computes one
+// small GEMM bitwise equal to the chain reference. Seeded, so a failure
+// replays; the failing spec is printed.
+TEST(TuneSpec, MutatedSpecsParseStrictlyOrNotAtAll) {
+  std::vector<std::string> seeds = {"", ":", ":::", "scalar_4x8:8:8:8", "scalar_4x8:1048576:8:8",
+                                    "scalar_4x8:384:256:1024:", "x:1:2:3"};
+  for (const auto& kern : simd::available_kernels()) {
+    seeds.emplace_back(kern.name);
+    seeds.push_back(std::string(kern.name) + ":48:24:32");
+  }
+  constexpr index_t m = 7, k = 37, n = 11;
+  nt::Rng rng(0x5eed);
+  const nt::Tensor a = rng.rand(nt::Shape{m, k}, -1.0f, 1.0f);
+  const nt::Tensor b = rng.rand(nt::Shape{k, n}, -1.0f, 1.0f);
+  const std::regex kStrict("[a-z0-9_]+(:[0-9]+:[0-9]+:[0-9]+)?");
+  int accepted = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::string spec = seeds[static_cast<std::size_t>(
+        rng.randint(0, static_cast<index_t>(seeds.size()) - 1))];
+    for (index_t e = rng.randint(1, 4); e > 0; --e) mutate(spec, rng);
+    const auto cfg = tune::parse_spec(spec);
+    if (!cfg.has_value()) continue;
+    ++accepted;
+    SCOPED_TRACE("round " + std::to_string(round) + " spec \"" + spec + "\"");
+    EXPECT_TRUE(std::regex_match(spec, kStrict));
+    const auto again = tune::parse_spec(tune::to_spec(*cfg));
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->kernel, cfg->kernel);
+    EXPECT_EQ(again->mc, cfg->mc);
+    EXPECT_EQ(again->kc, cfg->kc);
+    EXPECT_EQ(again->nc, cfg->nc);
+    nt::Tensor c(nt::Shape{m, n});
+    nt::gemm_blocked_cfg(m, k, n, nt::GemmView::plain(a.data(), k),
+                         nt::GemmView::plain(b.data(), n), c.data(), n, *cfg);
+    const nt::Tensor want = nodetr::testing::chain_matmul(*cfg->kernel, a, b);
+    ASSERT_EQ(std::memcmp(c.data(), want.data(), sizeof(float) * m * n), 0);
+  }
+  EXPECT_GT(accepted, 0);
 }
 
-TEST_F(TuneFile, GarbageFileIsRejected) {
-  write_file("not a tuning cache at all\nrandom bytes\n");
-  EXPECT_FALSE(tune::load_cache_file(path_, tune::host_caches()).has_value());
-}
-
-TEST_F(TuneFile, WrongMagicIsRejected) {
-  auto contents = valid_cache_contents();
-  contents.replace(0, contents.find('\n'), "nodetr-tune v0");
-  write_file(contents);
-  EXPECT_FALSE(tune::load_cache_file(path_, tune::host_caches()).has_value());
-}
-
-TEST_F(TuneFile, HostMismatchIsRejected) {
-  // A cache written on this host must not load against a host whose L2
-  // differs (new box, CPU swap) — the blocking would be stale.
-  write_file(valid_cache_contents());
-  tune::CacheInfo other = tune::host_caches();
-  other.l2 *= 2;
-  EXPECT_FALSE(tune::load_cache_file(path_, other).has_value());
-  EXPECT_TRUE(tune::load_cache_file(path_, tune::host_caches()).has_value());
-}
-
-TEST_F(TuneFile, UnknownKernelIsRejected) {
-  auto contents = valid_cache_contents();
-  const auto pos = contents.find("config ");
-  contents.replace(pos, contents.size() - pos, "config martian_9x9:64:64:64\n");
-  write_file(contents);
-  EXPECT_FALSE(tune::load_cache_file(path_, tune::host_caches()).has_value());
-}
-
-TEST_F(TuneFile, TruncatedFileIsRejected) {
-  const auto contents = valid_cache_contents();
-  write_file(contents.substr(0, contents.find("config ")));  // header only
-  EXPECT_FALSE(tune::load_cache_file(path_, tune::host_caches()).has_value());
-}
-
-TEST_F(TuneFile, MalformedBlockingIsRejected) {
-  auto contents = valid_cache_contents();
-  const auto pos = contents.find("config ");
-  contents.replace(pos, contents.size() - pos, "config scalar_4x8:64:banana:64\n");
-  write_file(contents);
-  EXPECT_FALSE(tune::load_cache_file(path_, tune::host_caches()).has_value());
-}
-
-TEST_F(TuneFile, SelectHonorsEnvOverrideFirst) {
-  // Even with a valid cache file present, the env spec wins.
-  const auto& host = tune::host_caches();
-  tune::GemmConfig cached = tune::default_config(simd::available_kernels().front(), host);
-  ASSERT_TRUE(tune::save_cache_file(path_, cached, host));
-  const auto cfg =
-      tune::select_config({.env_spec = "scalar_4x8:40:64:80", .cache_path = path_});
+TEST(TuneFile, SelectHonorsEnvOverrideFirst) {
+  const auto cfg = tune::select_config("scalar_4x8:40:64:80");
   EXPECT_EQ(cfg.kernel, &simd::scalar_kernel());
   EXPECT_EQ(cfg.mc, 40);
   EXPECT_EQ(cfg.kc, 64);
@@ -213,50 +189,30 @@ TEST_F(TuneFile, SelectHonorsEnvOverrideFirst) {
   EXPECT_STREQ(cfg.source, "env");
 }
 
-TEST_F(TuneFile, SelectFallsThroughInvalidEnvToCache) {
-  const auto& host = tune::host_caches();
-  tune::GemmConfig cached = tune::default_config(simd::scalar_kernel(), host);
-  cached.kc = 88;
-  ASSERT_TRUE(tune::save_cache_file(path_, cached, host));
-  const auto cfg = tune::select_config({.env_spec = "bogus!spec", .cache_path = path_});
-  EXPECT_STREQ(cfg.source, "cache");
-  EXPECT_EQ(cfg.kc, 88);
+namespace {
+
+void expect_first_kernel_default(const tune::GemmConfig& cfg) {
+  const auto want = tune::default_config(simd::available_kernels().front(), tune::host_caches());
+  EXPECT_EQ(cfg.kernel, want.kernel);
+  EXPECT_EQ(cfg.mc, want.mc);
+  EXPECT_EQ(cfg.kc, want.kc);
+  EXPECT_EQ(cfg.nc, want.nc);
+  EXPECT_STREQ(cfg.source, "default");
 }
 
-TEST_F(TuneFile, SelectTunesOnceThenHitsCache) {
-  // First select: no file -> autotune runs and persists its winner.
-  const auto tuned = tune::select_config({.env_spec = "", .cache_path = path_});
-  EXPECT_STREQ(tuned.source, "tuned");
-  ASSERT_TRUE(std::filesystem::exists(path_));
-  // Second select: the file round-trips, no re-tune.
-  const auto again = tune::select_config({.env_spec = "", .cache_path = path_});
-  EXPECT_STREQ(again.source, "cache");
-  EXPECT_EQ(again.kernel, tuned.kernel);
-  EXPECT_EQ(again.mc, tuned.mc);
-  EXPECT_EQ(again.kc, tuned.kc);
-  EXPECT_EQ(again.nc, tuned.nc);
+}  // namespace
+
+TEST(TuneSelect, EmptySpecGetsFirstKernelDefault) {
+  ::testing::internal::CaptureStderr();
+  expect_first_kernel_default(tune::select_config(""));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
-TEST_F(TuneFile, SelectRetunesAfterCorruption) {
-  const auto tuned = tune::select_config({.env_spec = "", .cache_path = path_});
-  write_file("corrupted\n");
-  const auto cfg = tune::select_config({.env_spec = "", .cache_path = path_});
-  EXPECT_STREQ(cfg.source, "tuned");
-  // The corrupt file was rewritten with the fresh winner.
-  const auto reloaded = tune::load_cache_file(path_, tune::host_caches());
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->kernel, cfg.kernel);
-  (void)tuned;
-}
-
-TEST(TuneAutotune, ReturnsRunnableConfig) {
-  const auto cfg = tune::autotune(tune::host_caches());
-  ASSERT_NE(cfg.kernel, nullptr);
-  EXPECT_STREQ(cfg.source, "tuned");
-  EXPECT_GT(cfg.mc, 0);
-  EXPECT_GT(cfg.kc, 0);
-  EXPECT_GT(cfg.nc, 0);
-  EXPECT_NE(simd::find_kernel(cfg.kernel->name), nullptr);
+TEST(TuneSelect, InvalidSpecWarnsAndGetsFirstKernelDefault) {
+  ::testing::internal::CaptureStderr();
+  expect_first_kernel_default(tune::select_config("avx2_6x16:384:256:1024:"));
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("ignoring invalid NODETR_GEMM_CONFIG"), std::string::npos) << warning;
 }
 
 TEST(TuneDescribe, MentionsKernelBlockingAndSource) {
