@@ -19,6 +19,15 @@
 
 namespace nodetr::fx {
 
+/// Implementations of the integer kernels. Every form computes the same
+/// integer sums and rounds them the same way, so every form gives the same
+/// bits; they differ only in speed.
+enum class KernelForm { kPortable, kAvx2 };
+
+/// The forms this CPU runs, fastest first; the last is always kPortable.
+/// The kernels use the first.
+[[nodiscard]] const std::vector<KernelForm>& kernel_forms();
+
 /// The right-hand operand of a fixed GEMM packed once as a row-major k x n
 /// panel of codes — int32 when every code fits, int64 otherwise — with its
 /// largest |code| cached for the accumulation bound. Pack a weight once and
@@ -75,12 +84,15 @@ class PackedB {
 /// own format before use (e.g. the 1/sqrt(D_h) attention scaling).
 [[nodiscard]] FixedTensor qscale(const FixedTensor& a, float scale);
 
+/// The LayerNorm epsilon of the MHSA block (Eq. 17).
+inline constexpr float kLayerNormEps = 1e-5f;
+
 /// Row-wise LayerNorm over the last axis of a rank-2 tensor, with learned
 /// gain/bias in the parameter format. Mean/variance accumulate exactly; the
 /// reciprocal square root uses a float approximation of the hardware's
 /// iterative rsqrt, then requantizes (documented substitution).
 [[nodiscard]] FixedTensor qlayernorm_rows(const FixedTensor& x, const FixedTensor& gamma,
-                                          const FixedTensor& beta, float eps = 1e-5f);
+                                          const FixedTensor& beta, float eps = kLayerNormEps);
 
 /// Linear layer y = x * W^T + b with x in feature format, W/b in parameter
 /// format, result in feature format. The bias joins the wide accumulator at

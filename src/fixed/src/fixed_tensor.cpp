@@ -1,5 +1,7 @@
 #include "nodetr/fx/fixed_tensor.hpp"
 
+#include "convert.hpp"
+
 namespace nodetr::fx {
 
 FixedTensor::FixedTensor(Shape shape, FixedFormat format)
@@ -8,13 +10,16 @@ FixedTensor::FixedTensor(Shape shape, FixedFormat format)
 
 FixedTensor FixedTensor::from_float(const Tensor& t, FixedFormat format) {
   FixedTensor out(t.shape(), format);
-  for (index_t i = 0; i < t.numel(); ++i) out[i] = quantize(t[i], format);
+  for (index_t i = 0; i < t.numel(); ++i) out[i] = detail::quantize(t[i], format);
   return out;
 }
 
 Tensor FixedTensor::to_float() const {
   Tensor out(shape_);
-  for (index_t i = 0; i < numel(); ++i) out[i] = dequantize(raw_[static_cast<std::size_t>(i)], format_);
+  const double res = format_.resolution();
+  for (index_t i = 0; i < numel(); ++i) {
+    out[i] = detail::dequantize(raw_[static_cast<std::size_t>(i)], res);
+  }
   return out;
 }
 
