@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/gemm.hpp"
@@ -133,6 +136,111 @@ TEST(QLayerNorm, NormalizesRows) {
     EXPECT_NEAR(nt::mean(row), 0.0f, 1e-2f);
     EXPECT_NEAR(nt::variance(row), 1.0f, 5e-2f);
   }
+}
+
+namespace {
+
+/// qlayernorm_rows' arithmetic one element at a time, as the portable form
+/// does it: exact __int128 row sums, then per element
+/// ((x - mean) * inv_std) * g + b in double, rounded to float, quantized.
+/// `reassociate` computes (x - mean) * (inv_std * g) instead, an order the
+/// kernels must not use.
+std::vector<std::int64_t> layernorm_ref(const fx::FixedTensor& x, const fx::FixedTensor& gamma,
+                                        const fx::FixedTensor& beta, bool reassociate = false) {
+  const nt::index_t rows = x.shape().dim(0), cols = x.shape().dim(1);
+  const double res = x.format().resolution(), gres = gamma.format().resolution();
+  const double n = static_cast<double>(cols);
+  std::vector<std::int64_t> out(static_cast<std::size_t>(rows * cols));
+  for (nt::index_t r = 0; r < rows; ++r) {
+    const std::int64_t* in = x.raw() + r * cols;
+    __int128 s = 0, s2 = 0;
+    for (nt::index_t c = 0; c < cols; ++c) {
+      s += in[c];
+      s2 += static_cast<__int128>(in[c]) * in[c];
+    }
+    const double mean = static_cast<double>(s) / n * res;
+    const double ex2 = static_cast<double>(s2) / n * res * res;
+    const double var = std::max(ex2 - mean * mean, 0.0);
+    const double inv_std = 1.0 / std::sqrt(var + fx::kLayerNormEps);
+    for (nt::index_t c = 0; c < cols; ++c) {
+      const double d = static_cast<double>(in[c]) * res - mean;
+      const double g = static_cast<double>(gamma[c]) * gres;
+      const double b = static_cast<double>(beta[c]) * gres;
+      const double y = reassociate ? d * (inv_std * g) + b : d * inv_std * g + b;
+      out[static_cast<std::size_t>(r * cols + c)] = fx::quantize(static_cast<float>(y), x.format());
+    }
+  }
+  return out;
+}
+
+std::vector<std::int64_t> codes(const fx::FixedTensor& t) {
+  return {t.raw(), t.raw() + t.numel()};
+}
+
+}  // namespace
+
+// The kernels use the host's first form (AVX2 where the CPU has it), so this
+// holds the vector row to the portable arithmetic code for code: random rows
+// of several scales, random gains and biases, every Table VIII feature
+// format, a finer 32(4), a width off the vector lanes, and a 40-bit format
+// that takes the scalar row.
+TEST(QLayerNorm, MatchesPortableArithmeticBitwise) {
+  nt::Rng rng(61);
+  std::vector<fx::QuantizationScheme> schemes = fx::table8_schemes();
+  schemes.push_back({{32, 4}, kP24});
+  schemes.push_back({{40, 20}, kP24});
+  for (const auto& scheme : schemes) {
+    for (const nt::index_t cols : {nt::index_t{64}, nt::index_t{61}}) {
+      SCOPED_TRACE(scheme.to_string() + " cols " + std::to_string(cols));
+      const auto gamma = fx::FixedTensor::from_float(rng.randn(nt::Shape{cols}, 1.0f, 2.0f),
+                                                     scheme.param);
+      const auto beta = fx::FixedTensor::from_float(rng.randn(nt::Shape{cols}, 0.0f, 2.0f),
+                                                    scheme.param);
+      fx::FixedTensor x(nt::Shape{256, cols}, scheme.feature);
+      for (nt::index_t r = 0; r < 256; ++r) {
+        const float scale = std::exp(rng.normal(0.0f, 1.5f));
+        const float shift = rng.normal(0.0f, 1.0f);
+        for (nt::index_t c = 0; c < cols; ++c) {
+          x[r * cols + c] = fx::quantize(rng.normal(shift, scale), scheme.feature);
+        }
+      }
+      EXPECT_EQ(codes(fx::qlayernorm_rows(x, gamma, beta)), layernorm_ref(x, gamma, beta));
+    }
+  }
+}
+
+// Random rows almost never separate two orders of the double product: the
+// float rounding hides a last-bit difference. These gains and biases were
+// searched for one fixed 32(4) row so that the bias cancels most of the
+// product, and at each of their columns the two orders give different codes.
+// Columns 64 and 65 are past the last whole vector, so the scalar row
+// computes them.
+TEST(QLayerNorm, KeepsTheProductOrderOnWitnessRow) {
+  const fx::FixedFormat ff{32, 4};
+  constexpr nt::index_t kCols = 66;
+  fx::FixedTensor x(nt::Shape{1, kCols}, ff);
+  for (nt::index_t c = 0; c < kCols; ++c) x[c] = ((c * 7919) % 1001 - 500) * 262144;
+  fx::FixedTensor gamma(nt::Shape{kCols}, kP24), beta(nt::Shape{kCols}, kP24);
+  for (nt::index_t c = 0; c < kCols; ++c) gamma[c] = 65536;  // 1.0
+  struct Witness {
+    nt::index_t col;
+    std::int64_t g, b;
+  };
+  const Witness witnesses[] = {
+      {1, 4240980, -6023713}, {19, 4034877, 2728253},  {21, 4233620, 5491437},
+      {25, 4350246, -4145409}, {64, 4841011, 3290222}, {65, 5546627, 5491844},
+  };
+  for (const auto& w : witnesses) {
+    gamma[w.col] = w.g;
+    beta[w.col] = w.b;
+  }
+  const auto ref = layernorm_ref(x, gamma, beta);
+  const auto other = layernorm_ref(x, gamma, beta, /*reassociate=*/true);
+  for (const auto& w : witnesses) {
+    ASSERT_NE(ref[static_cast<std::size_t>(w.col)], other[static_cast<std::size_t>(w.col)])
+        << "column " << w.col << " no longer separates the two orders";
+  }
+  EXPECT_EQ(codes(fx::qlayernorm_rows(x, gamma, beta)), ref);
 }
 
 TEST(QLinear, MatchesFloatLinear) {
