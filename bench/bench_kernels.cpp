@@ -1,6 +1,6 @@
 // Kernel microbenchmarks (google-benchmark): the primitive operations the
 // models are built from — each GEMM microkernel alone, GEMM, convolution,
-// depthwise-separable conv, software MHSA, the bit-accurate fixed-point MHSA
+// depthwise-separable conv, max-pool, software MHSA, the bit-accurate fixed-point MHSA
 // datapath, and ODE solver steps.
 //
 // Besides the console table, a machine-readable BENCH_kernels.json is written
@@ -21,6 +21,7 @@
 #include "nodetr/hls/mhsa_ip.hpp"
 #include "nodetr/nn/attention.hpp"
 #include "nodetr/nn/conv_layers.hpp"
+#include "nodetr/nn/pool.hpp"
 #include "nodetr/ode/solver.hpp"
 #include "nodetr/tensor/arena.hpp"
 #include "nodetr/tensor/conv.hpp"
@@ -145,6 +146,18 @@ BENCHMARK(BM_DepthwiseSeparablePaper)
     ->ArgNames({"c", "hw", "batch", "inference"})
     ->ArgsProduct({{64}, {24}, {1, 8}, {0, 1}})
     ->ArgsProduct({{128}, {12}, {1, 8}, {0, 1}});
+
+/// The stem's 3x3 stride-2 pad-1 max-pool at the paper's shape (64x48x48),
+/// batch 1 and 8, on the inference forward (no argmax kept).
+static void BM_MaxPoolPaper(benchmark::State& state) {
+  const nt::index_t batch = state.range(0);
+  nt::Rng rng(8);
+  nn::MaxPool2d pool(3, 2, 1);
+  auto x = rng.randn(nt::Shape{batch, 64, 48, 48});
+  const nn::InferenceScope inference(pool);
+  for (auto _ : state) benchmark::DoNotOptimize(pool.forward(x));
+}
+BENCHMARK(BM_MaxPoolPaper)->ArgName("batch")->Arg(1)->Arg(8);
 
 static void BM_MhsaSoftware(benchmark::State& state) {
   const nt::index_t d = state.range(0);

@@ -3,8 +3,15 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "nodetr/tensor/parallel.hpp"
+#include "nodetr/tensor/tune.hpp"
 
 namespace nodetr::nn {
 
@@ -14,6 +21,79 @@ namespace {
 index_t pooled_extent(index_t in, index_t k, index_t s, index_t p) {
   return (in + 2 * p - k) / s + 1;
 }
+
+/// Planes per parallel chunk: about 2^15 taps each.
+index_t pool_grain(index_t out_plane, index_t kernel) {
+  const index_t taps = std::max<index_t>(out_plane * kernel * kernel, 1);
+  return std::max<index_t>(1, (index_t{1} << 15) / taps);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+/// Lanes 0, 2, ..., 14 of the 16 floats at `p`: two loads, the even lanes of
+/// each 128-bit half gathered by shuffle_ps, then put in order by
+/// permute4x64.
+__attribute__((target("avx2"), always_inline)) inline __m256 even_lanes(const float* p) {
+  const __m256 s = _mm256_shuffle_ps(_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8),
+                                     _MM_SHUFFLE(2, 0, 2, 0));
+  return _mm256_castpd_ps(
+      _mm256_permute4x64_pd(_mm256_castps_pd(s), _MM_SHUFFLE(3, 1, 2, 0)));
+}
+
+/// One 3x3 stride-2 pad-1 max-pool plane (ho x wo, wo >= 8) from its copy
+/// `pad` bordered by -inf (row stride 2 * wo + 2). Each cell takes its nine
+/// taps in row-major order as `max(v, best)` from -inf, which is
+/// `v > best ? v : best`, NaN and +-0 included: the scalar loop's choice,
+/// and a -inf padding tap never replaces it. The tail is recomputed as the
+/// row's last 8 cells.
+__attribute__((target("avx2"))) void maxpool3s2_plane_avx2(const float* pad, index_t ho,
+                                                           index_t wo, float* dst) {
+  const index_t pw = 2 * wo + 2;
+  for (index_t oy = 0; oy < ho; ++oy) {
+    for (index_t j = 0; j < wo; j += 8) {
+      const index_t ox = std::min(j, wo - 8);
+      const float* win = pad + 2 * oy * pw + 2 * ox;
+      __m256 best = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+      for (int ky = 0; ky < 3; ++ky) {
+        for (int kx = 0; kx < 3; ++kx) {
+          best = _mm256_max_ps(even_lanes(win + ky * pw + kx), best);
+        }
+      }
+      _mm256_storeu_ps(dst + oy * wo + ox, best);
+    }
+  }
+}
+
+/// The 3x3 stride-2 pad-1 forward of `x` into `out` through
+/// `maxpool3s2_plane_avx2`. Each task copies its planes into the calling
+/// thread's padded plane, whose -inf border it writes once; the buffer is
+/// kept per thread, as the depthwise plane's is (conv.cpp).
+void maxpool3s2_avx2(const Tensor& x, Tensor& out) {
+  const index_t h = x.dim(2), w = x.dim(3), ho = out.dim(2), wo = out.dim(3);
+  const index_t pw = 2 * wo + 2;  // >= w + 2; the last 8 cells read up to column 2 * wo + 1
+  nt::parallel_for(0, x.dim(0) * x.dim(1), [&](index_t lo, index_t hi) {
+    thread_local std::vector<float> buf;
+    buf.assign(static_cast<std::size_t>((h + 2) * pw), -std::numeric_limits<float>::infinity());
+    float* pad = buf.data();
+    for (index_t bc = lo; bc < hi; ++bc) {
+      const float* src = x.data() + bc * h * w;
+      for (index_t y = 0; y < h; ++y) std::copy_n(src + y * w, w, pad + (y + 1) * pw + 1);
+      maxpool3s2_plane_avx2(pad, ho, wo, out.data() + bc * ho * wo);
+    }
+  }, pool_grain(ho * wo, 3));
+}
+
+/// Whether a non-recording 3x3 stride-2 pad-1 forward with `wo` output
+/// columns runs the AVX2 plane: at least 8 columns, and an AVX2 GEMM
+/// microkernel selected (so the host has AVX2), the rule the depthwise plane
+/// follows. A pinned `scalar_4x8` GEMM config runs the scalar loop.
+bool maxpool3s2_vector(index_t wo) {
+  return wo >= 8 &&
+         std::string_view(nt::tune::gemm_config().kernel->name).starts_with("avx2_");
+}
+
+#endif
+
 }  // namespace
 
 MaxPool2d::MaxPool2d(index_t kernel, index_t stride, index_t pad)
@@ -32,9 +112,14 @@ Tensor MaxPool2d::forward(const Tensor& x) {
     argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
     argmax = argmax_.data();
   }
+#if defined(__x86_64__) || defined(__i386__)
+  if (argmax == nullptr && kernel_ == 3 && stride_ == 2 && pad_ == 1 && maxpool3s2_vector(wo)) {
+    maxpool3s2_avx2(x, out);
+    return out;
+  }
+#endif
   const index_t in_plane = h * w, out_plane = ho * wo;
-  // Each task owns whole (sample, channel) planes; a chunk gets ~2^15 taps.
-  const index_t taps = std::max<index_t>(out_plane * kernel_ * kernel_, 1);
+  // Each task owns whole (sample, channel) planes.
   nt::parallel_for(0, b * c, [&](index_t lo, index_t hi) {
     for (index_t bc = lo; bc < hi; ++bc) {
       const float* src = x.data() + bc * in_plane;
@@ -69,7 +154,7 @@ Tensor MaxPool2d::forward(const Tensor& x) {
         }
       }
     }
-  }, std::max<index_t>(1, (index_t{1} << 15) / taps));
+  }, pool_grain(out_plane, kernel_));
   return out;
 }
 

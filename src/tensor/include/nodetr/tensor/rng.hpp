@@ -30,8 +30,6 @@ class Rng {
 
   /// Kaiming-He normal init for a weight with `fan_in` inputs.
   Tensor kaiming_normal(Shape shape, index_t fan_in);
-  /// Xavier/Glorot uniform init.
-  Tensor xavier_uniform(Shape shape, index_t fan_in, index_t fan_out);
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -1,8 +1,12 @@
 #include "nodetr/tensor/conv.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string_view>
+#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -59,103 +63,178 @@ float dw_dot_n(const float* src, index_t w, const float* ker, index_t kernel) {
   return acc;
 }
 
-/// N adjacent outputs of one 3x3 stride-1 depthwise row whose windows start
-/// at input (y0, x0 .. x0 + N - 1), with every kx tap inside the input and
-/// the ky taps in [ky_lo, ky_hi). The taps run across the N columns, so each
-/// is one vector multiply and add over the row, but every output still sums
-/// the same products in the same order as one scalar cell: an interior cell
-/// (all nine taps) is b + (0 + k0*x0 + ... + k8*x8), an edge row's cell
-/// b + its in-bounds taps. Multiply and add stay separate (no contraction).
+/// Whether a plane may run through the zero-framed copy: the 3x3 stride-1
+/// pad-1 geometry, a +0 bias and nine finite taps. Then every partial sum of
+/// a cell starts at +0 and is never -0 (round to nearest), so a padding
+/// product (a finite tap times 0, +-0) leaves it unchanged, and the bias add
+/// `+0 + acc` is `acc`: each cell is bit for bit the bias plus its in-bounds
+/// taps, or `b + (0 + k0*x0 + ... + k8*x8)` inside. An infinite or NaN tap
+/// would make a padding product NaN, and a -0 bias start would turn +0; such
+/// planes take the generic path.
+bool dw3_padded(const Conv2dGeom& g, const float* ker, float b) {
+  if (g.kernel != 3 || g.stride != 1 || g.pad != 1) return false;
+  if (std::bit_cast<std::uint32_t>(b) != 0) return false;
+  return std::all_of(ker, ker + 9, [](float k) { return std::isfinite(k); });
+}
+
+/// `src` (h x w) copied into the calling thread's (h + 2) x (w + 2) scratch
+/// plane inside a zero frame. The buffer is kept per thread and grows to the
+/// largest plane the thread has run, so a warm call allocates nothing. It is
+/// not taken from the ScratchArena: that made the batch-1 fork the first
+/// user of the pool workers' arenas, which moved glibc's heap placement and
+/// read about +6% peak RSS (DESIGN.md).
+const float* dw3_pad_copy(const float* src, index_t h, index_t w) {
+  thread_local std::vector<float> buf;
+  const index_t pw = w + 2;
+  const auto n = static_cast<std::size_t>((h + 2) * pw);
+  if (buf.size() < n) buf.resize(n);
+  float* pad = buf.data();
+  std::fill_n(pad, pw, 0.0f);
+  for (index_t y = 0; y < h; ++y) {
+    float* row = pad + (y + 1) * pw;
+    row[0] = 0.0f;
+    std::copy_n(src + y * w, w, row + 1);
+    row[w + 1] = 0.0f;
+  }
+  std::fill_n(pad + (h + 1) * pw, pw, 0.0f);
+  return pad;
+}
+
+/// One 3x3 stride-1 plane (h x w outputs) from its zero-framed copy `pad`
+/// (row stride w + 2): every cell is `0 + k0*x0 + ... + k8*x8` over the nine
+/// padded taps in row-major order, multiply and add kept separate.
+using Dw3PlaneFn = void (*)(const float* pad, index_t h, index_t w, const float* ker,
+                            float* dst);
+
+/// N adjacent cells (columns x .. x + N - 1) of output row y.
 template <int N>
-void dw3_cols(const float* src, index_t w, index_t y0, index_t x0, index_t ky_lo,
-              index_t ky_hi, const float* ker, float b, float* dst) {
-  const bool interior = ky_lo == 0 && ky_hi == 3;
-  float acc[N];
-  for (int j = 0; j < N; ++j) acc[j] = interior ? 0.0f : b;
-  for (index_t ky = ky_lo; ky < ky_hi; ++ky) {
-    const float* row = src + (y0 + ky) * w + x0;
+void dw3_plane_cols(const float* pad, index_t w, index_t y, index_t x, const float* ker,
+                    float* dst) {
+  float acc[N] = {};
+  for (int ky = 0; ky < 3; ++ky) {
+    const float* row = pad + (y + ky) * (w + 2) + x;
     for (int kx = 0; kx < 3; ++kx) {
       const float kv = ker[ky * 3 + kx];
       for (int j = 0; j < N; ++j) acc[j] += kv * row[kx + j];
     }
   }
-  for (int j = 0; j < N; ++j) dst[j] = interior ? b + acc[j] : acc[j];
+  std::copy_n(acc, N, dst + y * w + x);
 }
 
-/// One 3x3 stride-1 row: the `n` adjacent outputs whose windows start at
-/// input (y0, x0 .. x0 + n - 1), with the same contract as `dw3_cols`.
-using Dw3RowFn = void (*)(const float* src, index_t w, index_t y0, index_t x0, index_t n,
-                          index_t ky_lo, index_t ky_hi, const float* ker, float b, float* dst);
-
-/// Portable row: 16 and 8 columns at a time, then a tail.
-void dw3_row(const float* src, index_t w, index_t y0, index_t x0, index_t n, index_t ky_lo,
-             index_t ky_hi, const float* ker, float b, float* dst) {
-  index_t j = 0;
-  for (; j + 16 <= n; j += 16) dw3_cols<16>(src, w, y0, x0 + j, ky_lo, ky_hi, ker, b, dst + j);
-  for (; j + 8 <= n; j += 8) dw3_cols<8>(src, w, y0, x0 + j, ky_lo, ky_hi, ker, b, dst + j);
-  if (j < n && n >= 8) {
-    // The tail as the row's last 8 cells: recomputing a cell writes the
-    // same bits.
-    dw3_cols<8>(src, w, y0, x0 + n - 8, ky_lo, ky_hi, ker, b, dst + n - 8);
-    j = n;
+/// Portable plane, one output row per pass: 16 and 8 columns at a time, the
+/// tail as the last 8 cells (recomputing a cell writes the same bits),
+/// single cells below 8 columns. Compiled for SSE, a pass over two rows
+/// spills its sums and ran slower than one row at a time.
+void dw3_plane(const float* pad, index_t h, index_t w, const float* ker, float* dst) {
+  for (index_t y = 0; y < h; ++y) {
+    index_t j = 0;
+    for (; j + 16 <= w; j += 16) dw3_plane_cols<16>(pad, w, y, j, ker, dst);
+    for (; j + 8 <= w; j += 8) dw3_plane_cols<8>(pad, w, y, j, ker, dst);
+    if (j < w && w >= 8) {
+      dw3_plane_cols<8>(pad, w, y, w - 8, ker, dst);
+      j = w;
+    }
+    for (; j < w; ++j) dw3_plane_cols<1>(pad, w, y, j, ker, dst);
   }
-  for (; j < n; ++j) dw3_cols<1>(src, w, y0, x0 + j, ky_lo, ky_hi, ker, b, dst + j);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
 
-/// `dw3_row` with each 8 columns one __m256: the same products summed in the
-/// same order, so the same bits. No multiply and add may be contracted into
-/// an FMA: the row is compiled for AVX2 without FMA, and this file with
-/// -ffp-contract=off for builds whose base target has FMA.
-__attribute__((target("avx2"))) void dw3_row_avx2(const float* src, index_t w, index_t y0,
-                                                  index_t x0, index_t n, index_t ky_lo,
-                                                  index_t ky_hi, const float* ker, float b,
-                                                  float* dst) {
-  if (n < 8) {
-    dw3_row(src, w, y0, x0, n, ky_lo, ky_hi, ker, b, dst);
+/// `acc + k0*v0 + k1*v1 + k2*v2`: one padded row's taps, in kx order.
+__attribute__((target("avx2"), always_inline)) inline __m256 dw3_taps(__m256 acc, __m256 k0,
+                                                                      __m256 k1, __m256 k2,
+                                                                      __m256 v0, __m256 v1,
+                                                                      __m256 v2) {
+  acc = _mm256_add_ps(acc, _mm256_mul_ps(k0, v0));
+  acc = _mm256_add_ps(acc, _mm256_mul_ps(k1, v1));
+  return _mm256_add_ps(acc, _mm256_mul_ps(k2, v2));
+}
+
+/// `dw3_plane` with each 8 columns one __m256: the same products summed in
+/// the same order, so the same bits. Two output rows go per pass, then an
+/// odd last row alone: each padded row is loaded once and feeds both rows'
+/// sums. No multiply and add may be contracted into an FMA: the plane is
+/// compiled for AVX2 without FMA, and this file with -ffp-contract=off for
+/// builds whose base target has FMA.
+__attribute__((target("avx2"))) void dw3_plane_avx2(const float* pad, index_t h, index_t w,
+                                                    const float* ker, float* dst) {
+  if (w < 8) {
+    dw3_plane(pad, h, w, ker, dst);
     return;
   }
-  const bool interior = ky_lo == 0 && ky_hi == 3;
-  const __m256 bias = _mm256_set1_ps(b);
-  __m256 kv[9];
-  for (int t = 0; t < 9; ++t) kv[t] = _mm256_set1_ps(ker[t]);
-  for (index_t j = 0; j < n; j += 8) {
-    const index_t at = std::min(j, n - 8);  // the tail as the last 8 cells
-    __m256 acc = interior ? _mm256_setzero_ps() : bias;
-    // Constant tap indices keep the nine broadcast taps in registers.
-    for (int ky = 0; ky < 3; ++ky) {
-      if (ky < ky_lo || ky >= ky_hi) continue;
-      const float* row = src + (y0 + ky) * w + x0 + at;
-      for (int kx = 0; kx < 3; ++kx) {
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(kv[ky * 3 + kx], _mm256_loadu_ps(row + kx)));
-      }
+  const index_t pw = w + 2;
+  // Named taps, not an array: they stay in registers.
+  const __m256 k0 = _mm256_set1_ps(ker[0]), k1 = _mm256_set1_ps(ker[1]),
+               k2 = _mm256_set1_ps(ker[2]), k3 = _mm256_set1_ps(ker[3]),
+               k4 = _mm256_set1_ps(ker[4]), k5 = _mm256_set1_ps(ker[5]),
+               k6 = _mm256_set1_ps(ker[6]), k7 = _mm256_set1_ps(ker[7]),
+               k8 = _mm256_set1_ps(ker[8]);
+  index_t y = 0;
+  for (; y + 2 <= h; y += 2) {
+    for (index_t j = 0; j < w; j += 8) {
+      const index_t x = std::min(j, w - 8);  // the tail as the last 8 cells
+      const float* r = pad + y * pw + x;
+      __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+      a0 = dw3_taps(a0, k0, k1, k2, _mm256_loadu_ps(r), _mm256_loadu_ps(r + 1),
+                    _mm256_loadu_ps(r + 2));
+      r += pw;
+      __m256 v0 = _mm256_loadu_ps(r), v1 = _mm256_loadu_ps(r + 1), v2 = _mm256_loadu_ps(r + 2);
+      a0 = dw3_taps(a0, k3, k4, k5, v0, v1, v2);
+      a1 = dw3_taps(a1, k0, k1, k2, v0, v1, v2);
+      r += pw;
+      v0 = _mm256_loadu_ps(r), v1 = _mm256_loadu_ps(r + 1), v2 = _mm256_loadu_ps(r + 2);
+      a0 = dw3_taps(a0, k6, k7, k8, v0, v1, v2);
+      a1 = dw3_taps(a1, k3, k4, k5, v0, v1, v2);
+      r += pw;
+      a1 = dw3_taps(a1, k6, k7, k8, _mm256_loadu_ps(r), _mm256_loadu_ps(r + 1),
+                    _mm256_loadu_ps(r + 2));
+      _mm256_storeu_ps(dst + y * w + x, a0);
+      _mm256_storeu_ps(dst + (y + 1) * w + x, a1);
     }
-    _mm256_storeu_ps(dst + at, interior ? _mm256_add_ps(bias, acc) : acc);
+  }
+  if (y < h) {
+    for (index_t j = 0; j < w; j += 8) {
+      const index_t x = std::min(j, w - 8);
+      const float* r = pad + y * pw + x;
+      __m256 a = _mm256_setzero_ps();
+      a = dw3_taps(a, k0, k1, k2, _mm256_loadu_ps(r), _mm256_loadu_ps(r + 1),
+                   _mm256_loadu_ps(r + 2));
+      r += pw;
+      a = dw3_taps(a, k3, k4, k5, _mm256_loadu_ps(r), _mm256_loadu_ps(r + 1),
+                   _mm256_loadu_ps(r + 2));
+      r += pw;
+      a = dw3_taps(a, k6, k7, k8, _mm256_loadu_ps(r), _mm256_loadu_ps(r + 1),
+                   _mm256_loadu_ps(r + 2));
+      _mm256_storeu_ps(dst + y * w + x, a);
+    }
   }
 }
 
 #endif
 
-/// The 3x3 stride-1 row for this process: the AVX2 one when the GEMM runs an
-/// AVX2 microkernel (so the host has AVX2), the portable one otherwise. A
-/// pinned `scalar_4x8` GEMM config therefore runs the portable row.
-Dw3RowFn dw3_row_for_host() {
+/// The 3x3 stride-1 plane for this process: the AVX2 one when the GEMM runs
+/// an AVX2 microkernel (so the host has AVX2), the portable one otherwise. A
+/// pinned `scalar_4x8` GEMM config therefore runs the portable plane.
+Dw3PlaneFn dw3_plane_for_host() {
 #if defined(__x86_64__) || defined(__i386__)
   if (std::string_view(tune::gemm_config().kernel->name).starts_with("avx2_")) {
-    return dw3_row_avx2;
+    return dw3_plane_avx2;
   }
 #endif
-  return dw3_row;
+  return dw3_plane;
 }
 
 /// One depthwise output plane (ho x wo) of `src` (h x w) with the K x K
-/// kernel `ker` and bias `b`. A cell whose window leaves the input adds its
-/// in-bounds taps, in row-major order, onto the bias; an interior cell adds
-/// the bias to the full-window dot. `row3` runs the columns of a 3x3
-/// stride-1 row whose kx taps are all in bounds.
+/// kernel `ker` and bias `b`. A plane that `dw3_padded` admits runs through
+/// its zero-framed copy in `plane3`. Otherwise a cell whose window leaves the
+/// input adds its in-bounds taps, in row-major order, onto the bias, and an
+/// interior cell adds the bias to the full-window dot.
 void depthwise_plane(const float* src, index_t h, index_t w, const float* ker, float b,
-                     const Conv2dGeom& g, Dw3RowFn row3, float* dst) {
+                     const Conv2dGeom& g, Dw3PlaneFn plane3, float* dst) {
+  if (dw3_padded(g, ker, b)) {
+    plane3(dw3_pad_copy(src, h, w), h, w, ker, dst);
+    return;
+  }
   const index_t k = g.kernel;
   const index_t ho = g.out_extent(h), wo = g.out_extent(w);
   const ValidRange ix_r = interior_range(w, wo, g.stride, g.pad, k);
@@ -176,10 +255,7 @@ void depthwise_plane(const float* src, index_t h, index_t w, const float* ker, f
       drow[ox] = acc;
     };
     for (index_t ox = 0; ox < ix_r.lo; ++ox) edge_cell(ox);
-    if (k == 3 && g.stride == 1) {
-      row3(src, w, y0, ix_r.lo - g.pad, ix_r.hi - ix_r.lo, ky_lo, ky_hi, ker, b,
-           drow + ix_r.lo);
-    } else if (ky_lo == 0 && ky_hi == k) {
+    if (ky_lo == 0 && ky_hi == k) {
       // Interior row: the whole window is in bounds, no checks.
       for (index_t ox = ix_r.lo; ox < ix_r.hi; ++ox) {
         drow[ox] = b + dw_dot_n(src + y0 * w + ox * g.stride - g.pad, w, ker, k);
@@ -338,12 +414,12 @@ Tensor depthwise_conv2d(const Tensor& x, const Tensor& weight, const Tensor& bia
   const index_t n = x.dim(0), c_ = x.dim(1), h = x.dim(2), w = x.dim(3);
   const index_t ho = g.out_extent(h), wo = g.out_extent(w);
   Tensor out(Shape{n, c_, ho, wo});
-  const Dw3RowFn row3 = dw3_row_for_host();
+  const Dw3PlaneFn plane3 = dw3_plane_for_host();
   parallel_for(0, n * c_, [&](index_t lo, index_t hi) {
     for (index_t sc = lo; sc < hi; ++sc) {
       const index_t c = sc % c_;
       depthwise_plane(x.data() + sc * h * w, h, w, weight.data() + c * g.kernel * g.kernel,
-                      bias.empty() ? 0.0f : bias[c], g, row3, out.data() + sc * ho * wo);
+                      bias.empty() ? 0.0f : bias[c], g, plane3, out.data() + sc * ho * wo);
     }
   }, /*grain=*/1);
   return out;
@@ -357,13 +433,14 @@ Tensor depthwise_separable_conv2d(const Tensor& x, const Tensor& dw_weight,
   const index_t plane = ho * wo, cout = pw_weight.dim(0);
   Tensor out(Shape{n, cout, ho, wo});
   if (mid != nullptr) *mid = Tensor(Shape{n, c_, ho, wo});
-  const Dw3RowFn row3 = dw3_row_for_host();
+  const Dw3PlaneFn plane3 = dw3_plane_for_host();
   // Depthwise planes [lo, hi) of sample s into `m`, the sample's (C, Ho*Wo)
   // buffer; the pointwise conv is then the GEMM (Cout x C) * m, read in place.
   auto depthwise = [&](index_t s, index_t lo, index_t hi, float* m) {
     for (index_t c = lo; c < hi; ++c) {
       depthwise_plane(x.data() + (s * c_ + c) * h * w, h, w,
-                      dw_weight.data() + c * g.kernel * g.kernel, 0.0f, g, row3, m + c * plane);
+                      dw_weight.data() + c * g.kernel * g.kernel, 0.0f, g, plane3,
+                      m + c * plane);
     }
   };
   auto pointwise = [&](index_t s, const float* m) {

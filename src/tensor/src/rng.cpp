@@ -43,9 +43,4 @@ Tensor Rng::kaiming_normal(Shape shape, index_t fan_in) {
   return randn(std::move(shape), 0.0f, stddev);
 }
 
-Tensor Rng::xavier_uniform(Shape shape, index_t fan_in, index_t fan_out) {
-  const float limit = std::sqrt(6.0f / static_cast<float>(std::max<index_t>(fan_in + fan_out, 1)));
-  return rand(std::move(shape), -limit, limit);
-}
-
 }  // namespace nodetr::tensor

@@ -40,7 +40,6 @@ struct EpochStats {
 struct History {
   std::vector<EpochStats> epochs;
   [[nodiscard]] float best_accuracy() const;
-  [[nodiscard]] float final_accuracy() const;
   /// "epoch,lr,train_loss,test_accuracy" rows for plotting Figs. 6-8.
   [[nodiscard]] std::string to_csv() const;
 };

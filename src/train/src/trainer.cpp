@@ -15,10 +15,6 @@ float History::best_accuracy() const {
   return best;
 }
 
-float History::final_accuracy() const {
-  return epochs.empty() ? 0.0f : epochs.back().test_accuracy;
-}
-
 std::string History::to_csv() const {
   std::ostringstream os;
   os << "epoch,lr,train_loss,test_accuracy\n";

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -455,24 +456,34 @@ TEST(MhsaIpDifferential, FusedDatapathMatchesOpChainEverywhere) {
   }
 }
 
-// A geometry off the vector width (head_dim 6, 15 tokens: padded panels and
-// a masked store), with and without R_h and LayerNorm.
+// Geometries off the vector width, with and without R_h and LayerNorm:
+// head_dim 6 and 15 tokens (padded panels and a masked store); head_dim 12
+// (three-vector A V_h tiles) with 20, 24 and 28 tokens, so a score row ends
+// in a one-, two- or three-vector tile after its four-vector ones.
 TEST(MhsaIpDifferential, RaggedGeometryWithAndWithoutRelAndLayerNorm) {
-  hls::MhsaDesignPoint point = hls::MhsaDesignPoint::proposed_64(hls::DataType::kFixed);
-  point.dim = 24;
-  point.height = 3;
-  point.width = 5;
-  for (const bool full : {true, false}) {
-    nt::Rng rng(full ? 11 : 12);
-    auto cfg = config_of(point);
-    cfg.pos = full ? nn::PosEncodingKind::kRelative2d : nn::PosEncodingKind::kNone;
-    cfg.layer_norm_out = full;
-    nn::MultiHeadSelfAttention mhsa(cfg, rng);
-    for (const nt::index_t batch : {1, 3}) {
-      expect_matches_chain(point, weights_of(mhsa, rng),
-                           rng.randn(nt::Shape{batch, 24, 3, 5}) * 2.0f,
-                           std::string(full ? "rel+ln" : "plain") + " batch " +
-                               std::to_string(batch));
+  struct Geometry {
+    nt::index_t dim, height, width;
+  };
+  std::uint64_t seed = 11;
+  for (const Geometry& g : {Geometry{24, 3, 5}, Geometry{48, 4, 5}, Geometry{48, 4, 6},
+                            Geometry{48, 4, 7}}) {
+    hls::MhsaDesignPoint point = hls::MhsaDesignPoint::proposed_64(hls::DataType::kFixed);
+    point.dim = g.dim;
+    point.height = g.height;
+    point.width = g.width;
+    for (const bool full : {true, false}) {
+      nt::Rng rng(seed++);
+      auto cfg = config_of(point);
+      cfg.pos = full ? nn::PosEncodingKind::kRelative2d : nn::PosEncodingKind::kNone;
+      cfg.layer_norm_out = full;
+      nn::MultiHeadSelfAttention mhsa(cfg, rng);
+      for (const nt::index_t batch : {1, 3}) {
+        expect_matches_chain(point, weights_of(mhsa, rng),
+                             rng.randn(nt::Shape{batch, g.dim, g.height, g.width}) * 2.0f,
+                             std::to_string(g.dim) + " " + std::to_string(g.height) + "x" +
+                                 std::to_string(g.width) + (full ? " rel+ln" : " plain") +
+                                 " batch " + std::to_string(batch));
+      }
     }
   }
 }

@@ -365,3 +365,65 @@ TEST(MaxPoolInference, MatchesReferenceAcrossPaddingAndStride) {
     EXPECT_TRUE(bitwise_equal(gx, gx_want)) << label;
   }
 }
+
+namespace {
+
+/// Integer-valued input (many tied maxima) with +-0, NaN and +-inf
+/// sprinkled in.
+nt::Tensor maxpool_input(nt::Rng& rng, nt::Shape shape) {
+  auto x = rng.randn(std::move(shape), 0.0f, 2.0f);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f, -0.0f, std::numeric_limits<float>::quiet_NaN(), inf, -inf};
+  for (nt::index_t i = 0; i < x.numel(); ++i) {
+    x[i] = i % 11 == 3 ? specials[(i / 11) % 5] : std::floor(x[i]);
+  }
+  return x;
+}
+
+/// The scoped forward, the recording forward and its argmax (observed
+/// through backward) of a 3x3 stride-2 pad-1 pool, against direct pooling.
+void expect_maxpool3s2_matches_reference(const nt::Tensor& x, const std::string& label) {
+  const auto [want, arg] = reference_maxpool(x, 3, 2, 1);
+  nn::MaxPool2d pool(3, 2, 1);
+  nt::Tensor scoped;
+  {
+    const nn::InferenceScope inference(pool);
+    scoped = pool.forward(x);
+  }
+  EXPECT_TRUE(bitwise_equal(scoped, want)) << label;
+  EXPECT_TRUE(bitwise_equal(pool.forward(x), want)) << label;
+  auto gy = nt::Tensor::arange(want.numel()).reshape(want.shape());
+  const auto gx = pool.backward(gy);
+  nt::Tensor gx_want(x.shape());
+  for (std::size_t o = 0; o < arg.size(); ++o) {
+    if (arg[o] >= 0) gx_want[arg[o]] += gy[static_cast<nt::index_t>(o)];
+  }
+  EXPECT_TRUE(bitwise_equal(gx, gx_want)) << label;
+}
+
+}  // namespace
+
+// The stem's 3x3 stride-2 pad-1 pool at output widths 8..17 (one vector and
+// every overlapped tail), each from an odd and an even input width and
+// height, so the -inf border is read on the right and bottom or not at all.
+TEST(MaxPoolInference, StrideTwoPlaneMatchesReferenceAtEveryTail) {
+  nt::Rng rng(18);
+  for (nt::index_t wo = 8; wo <= 17; ++wo) {
+    for (nt::index_t w : {2 * wo - 1, 2 * wo}) {
+      for (nt::index_t h : {1, 6, 7}) {
+        expect_maxpool3s2_matches_reference(
+            maxpool_input(rng, nt::Shape{2, 3, h, w}),
+            std::to_string(h) + "x" + std::to_string(w));
+      }
+    }
+  }
+}
+
+// The paper's stem pool shape, 64x48x48, at batch 1 and 8.
+TEST(MaxPoolInference, StrideTwoPlaneMatchesReferenceAtPaperShape) {
+  nt::Rng rng(19);
+  for (nt::index_t batch : {1, 8}) {
+    expect_maxpool3s2_matches_reference(maxpool_input(rng, nt::Shape{batch, 64, 48, 48}),
+                                        "batch " + std::to_string(batch));
+  }
+}

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -212,6 +214,73 @@ TEST(DepthwiseKernel, BitwiseEqualToScalarReferenceAtPaperShapes) {
     EXPECT_TRUE(bitwise_equal(nt::depthwise_conv2d(x, wt, {}, g),
                               ref::depthwise_conv2d(x, wt, {}, g)))
         << c << "x" << hw;
+  }
+}
+
+// The 3x3 stride-1 pad-1 planes through their zero-framed copy: heights
+// that end the row pairs on an odd row, every width whose tail overlaps the
+// previous 8 columns, with and without bias (a non-zero bias takes the
+// generic path), standalone and as the DSC's `mid` at batch 1 (planes across
+// the pool) and batch 3 (samples across the pool).
+TEST(DepthwiseKernel, PaddedPlaneBitwiseAcrossRowPairsAndTails) {
+  nt::Rng rng(1705);
+  const nt::Conv2dGeom g{.in_channels = 3, .out_channels = 3, .kernel = 3, .stride = 1,
+                         .pad = 1};
+  for (index_t h : {1, 2, 3, 5, 8}) {
+    for (index_t w = 8; w <= 19; ++w) {
+      const Tensor wt = rng.randn(nt::Shape{3, 3, 3});
+      const Tensor pw_w = rng.randn(nt::Shape{2, 3, 1, 1});
+      for (index_t batch : {1, 3}) {
+        const std::string label = std::to_string(h) + "x" + std::to_string(w) + " batch " +
+                                  std::to_string(batch);
+        const Tensor x = test_input(rng, nt::Shape{batch, 3, h, w});
+        const Tensor want = ref::depthwise_conv2d(x, wt, {}, g);
+        EXPECT_TRUE(bitwise_equal(nt::depthwise_conv2d(x, wt, {}, g), want)) << label;
+        const Tensor b = rng.randn(nt::Shape{3});
+        EXPECT_TRUE(bitwise_equal(nt::depthwise_conv2d(x, wt, b, g),
+                                  ref::depthwise_conv2d(x, wt, b, g)))
+            << label << " bias";
+        Tensor mid;
+        (void)nt::depthwise_separable_conv2d(x, wt, pw_w, g, &mid);
+        EXPECT_TRUE(bitwise_equal(mid, want)) << label << " mid";
+      }
+    }
+  }
+}
+
+// Planes the zero-framed copy would get wrong take the generic path: a
+// +inf or NaN tap (its padding products are NaN, where the edge cells skip
+// them) and a -0 bias (an edge cell of -0 products stays -0 from a -0
+// start). The -0-bias plane's input is all -0 under positive taps, so its
+// edge cells are -0 and its interior cells +0.
+TEST(DepthwiseKernel, NonFiniteTapsAndNegativeZeroBiasBitwise) {
+  nt::Rng rng(1706);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const nt::Conv2dGeom g{.in_channels = 3, .out_channels = 3, .kernel = 3, .stride = 1,
+                         .pad = 1};
+  for (index_t h : {1, 2, 5}) {
+    for (index_t w : {3, 8, 13}) {
+      for (int tap : {0, 4, 8}) {
+        Tensor x = test_input(rng, nt::Shape{2, 3, h, w});
+        Tensor wt = rng.randn(nt::Shape{3, 3, 3});
+        wt[tap] = inf;
+        wt[9 + tap] = nan;
+        for (index_t k = 18; k < 27; ++k) wt[k] = std::abs(wt[k]) + 0.5f;
+        for (index_t s = 0; s < 2; ++s) std::fill_n(x.data() + (s * 3 + 2) * h * w, h * w, -0.0f);
+        Tensor b(nt::Shape{3});
+        b[2] = -0.0f;
+        const std::string label =
+            std::to_string(h) + "x" + std::to_string(w) + " tap " + std::to_string(tap);
+        EXPECT_TRUE(bitwise_equal(nt::depthwise_conv2d(x, wt, b, g),
+                                  ref::depthwise_conv2d(x, wt, b, g)))
+            << label;
+        // The DSC's depthwise has a +0 bias: the +inf and NaN planes.
+        Tensor mid;
+        (void)nt::depthwise_separable_conv2d(x, wt, Tensor(nt::Shape{1, 3, 1, 1}), g, &mid);
+        EXPECT_TRUE(bitwise_equal(mid, ref::depthwise_conv2d(x, wt, {}, g))) << label << " mid";
+      }
+    }
   }
 }
 
