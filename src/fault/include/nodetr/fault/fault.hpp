@@ -180,7 +180,6 @@ class Injector {
   /// independent but individually reproducible. Affects sites armed after
   /// the call.
   void seed(std::uint64_t seed);
-  [[nodiscard]] std::uint64_t seed() const;
 
   /// Arm `site` with `schedule` (replacing any previous schedule and
   /// resetting the site's operation/fire counters).

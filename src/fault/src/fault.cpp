@@ -39,11 +39,6 @@ void Injector::seed(std::uint64_t seed) {
   seed_ = seed;
 }
 
-std::uint64_t Injector::seed() const {
-  std::lock_guard lk(mu_);
-  return seed_;
-}
-
 void Injector::arm(const std::string& site, Schedule schedule) {
   std::lock_guard lk(mu_);
   auto [it, inserted] = sites_.try_emplace(site);

@@ -113,8 +113,6 @@ enum class LayerPrecision : std::uint8_t {
   kInt4 = 2,
 };
 
-[[nodiscard]] const char* to_string(LayerPrecision p);
-
 /// Table-8-style per-layer precision selection: the first rule whose
 /// substring appears in the parameter's name wins; otherwise `fallback`.
 /// The empty-rules default reproduces uniform quantization.

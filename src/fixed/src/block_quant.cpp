@@ -69,15 +69,6 @@ const char* to_string(BlockType type) {
   return "?";
 }
 
-const char* to_string(LayerPrecision p) {
-  switch (p) {
-    case LayerPrecision::kFloat32: return "float32";
-    case LayerPrecision::kInt8: return "int8";
-    case LayerPrecision::kInt4: return "int4";
-  }
-  return "?";
-}
-
 BlockQuantTensor BlockQuantTensor::quantize(const Tensor& t, BlockType type,
                                             index_t block_size) {
   if (block_size < 1) {

@@ -11,8 +11,8 @@
 // per-channel scale and shift first). A Residual op is followed by its body
 // span, then its skip span; an OdeBlock op by its dynamics span, run `steps`
 // times as z <- z + h f(z). Layers without a fixed-point implementation
-// (non-Euler OdeBlocks, softmax attention, sequence layers) throw
-// std::invalid_argument while lowering.
+// (non-Euler OdeBlocks, softmax attention, a LayerNorm outside the MHSA IP,
+// sequence layers) throw std::invalid_argument while lowering.
 #pragma once
 
 #include <memory>
@@ -36,7 +36,6 @@ enum class OpKind {
   kMaxPool,
   kGlobalAvgPool,
   kLinear,
-  kLayerNorm,      ///< over the last axis
   kMhsa,           ///< ReLU-attention MHSA on the IP core's fixed datapath
   kResidual,       ///< body span + skip span (identity when empty), then ReLU
   kOde,            ///< Euler steps over the dynamics span
@@ -53,10 +52,9 @@ struct PlanOp {
   Conv2dGeom geom;     ///< kConv; kDsc's depthwise stage; kMaxPool's window
   Conv2dGeom pw_geom;  ///< kDsc's pointwise stage
   /// Conv/linear weight and bias (the bias may be empty), kDsc's depthwise
-  /// weight, a folded BN's scale and shift, a LayerNorm's gain and bias.
+  /// weight, a folded BN's scale and shift.
   fx::FixedTensor weight, bias;
   fx::FixedTensor pw_weight;  ///< kDsc
-  float eps = 0.0f;           ///< kLayerNorm
   std::shared_ptr<const MhsaIpCore> mhsa;  ///< kMhsa
   /// Ops after this one that belong to it: kResidual's body then skip
   /// spans, kOde's dynamics span (as `body`).

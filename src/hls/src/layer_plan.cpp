@@ -12,9 +12,8 @@ namespace nn = nodetr::nn;
 namespace ode = nodetr::ode;
 
 const char* to_string(OpKind kind) {
-  static constexpr const char* kNames[] = {"conv", "dsc",  "bn",   "relu",      "maxpool",
-                                           "gap",  "fc",   "layernorm", "mhsa", "residual",
-                                           "euler"};
+  static constexpr const char* kNames[] = {"conv", "dsc",  "bn",       "relu", "maxpool", "gap",
+                                           "fc",   "mhsa", "residual", "euler"};
   return kNames[static_cast<int>(kind)];
 }
 
@@ -90,14 +89,6 @@ Shape lower_module(LayerPlan& plan, nn::Module& m, const std::string& path, cons
     op.weight = q(lin->weight().value);
     if (lin->has_bias()) op.bias = q(lin->bias().value);
     return op.out;
-  }
-  if (auto* ln = dynamic_cast<nn::LayerNorm*>(&m)) {
-    const auto params = ln->local_parameters();  // gamma, beta
-    PlanOp& op = emit(OpKind::kLayerNorm, in);
-    op.weight = q(params[0]->value);
-    op.bias = q(params[1]->value);
-    op.eps = ln->eps();
-    return in;
   }
   if (auto* mhsa = dynamic_cast<nn::MultiHeadSelfAttention*>(&m)) {
     if (mhsa->config().attention != nn::AttentionKind::kRelu) {

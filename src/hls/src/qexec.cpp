@@ -31,17 +31,6 @@ fx::FixedTensor run_mhsa(const MhsaIpCore& ip, const fx::FixedTensor& x) {
   return out;
 }
 
-/// LayerNorm over the last axis, through qlayernorm_rows' rank-2 view.
-fx::FixedTensor run_layer_norm(const PlanOp& op, const fx::FixedTensor& x) {
-  const index_t dim = op.weight.numel();
-  fx::FixedTensor view(Shape{x.numel() / dim, dim}, x.format());
-  for (index_t i = 0; i < x.numel(); ++i) view[i] = x[i];
-  const fx::FixedTensor normed = fx::qlayernorm_rows(view, op.weight, op.bias, op.eps);
-  fx::FixedTensor out(x.shape(), x.format());
-  for (index_t i = 0; i < x.numel(); ++i) out[i] = normed[i];
-  return out;
-}
-
 /// Runs ops [first, last) of `plan` on `x`.
 fx::FixedTensor run_span(const LayerPlan& plan, std::size_t first, std::size_t last,
                          fx::FixedTensor x) {
@@ -59,7 +48,6 @@ fx::FixedTensor run_span(const LayerPlan& plan, std::size_t first, std::size_t l
       case OpKind::kMaxPool: x = fx::qmax_pool(x, op.geom.kernel, op.geom.stride, op.geom.pad); break;
       case OpKind::kGlobalAvgPool: x = fx::qglobal_avg_pool(x); break;
       case OpKind::kLinear: x = fx::qlinear(x, op.weight, op.bias, ff); break;
-      case OpKind::kLayerNorm: x = run_layer_norm(op, x); break;
       case OpKind::kMhsa: x = run_mhsa(*op.mhsa, x); break;
       case OpKind::kResidual: {
         const std::size_t skip = i + 1 + op.body;

@@ -23,7 +23,6 @@ namespace nodetr::models {
 
 using namespace nodetr::nn;  // NOLINT: model builders compose many nn types
 using nodetr::ode::OdeBlock;
-using nodetr::ode::SolverKind;
 
 enum class FinalStage {
   kConvOde,  ///< plain ODENet (Fig. 2 left)
@@ -36,14 +35,13 @@ struct OdeNetConfig {
   index_t stem_channels = 64;
   std::array<index_t, 3> stage_channels{64, 128, 256};
   index_t steps = 6;  ///< C: Euler iterations per ODEBlock
-  SolverKind solver = SolverKind::kEuler;
   FinalStage final_stage = FinalStage::kConvOde;
   // Proposed-model MHSA settings (used when final_stage == kMhsaOde).
   index_t mhsa_bottleneck = 64;  ///< Dm of the 1x1-reduced attention
   index_t mhsa_heads = 4;
   AttentionKind attention = AttentionKind::kRelu;       ///< Eq. 16
   PosEncodingKind pos = PosEncodingKind::kRelative2d;   ///< Eq. 15
-  bool mhsa_layer_norm = true;                          ///< Eq. 17
+  // The MHSA always ends in Eq. 17's LayerNorm (MhsaBlockConfig's default).
 };
 
 /// Holds the assembled network plus handles to the OdeBlocks so experiments

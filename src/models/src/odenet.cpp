@@ -65,15 +65,14 @@ OdeNet::OdeNet(OdeNetConfig config, Rng& rng) : config_(config) {
                          .height = spatial,
                          .width = spatial,
                          .attention = config_.attention,
-                         .pos = config_.pos,
-                         .layer_norm_out = config_.mhsa_layer_norm};
+                         .pos = config_.pos};
       auto block = std::make_unique<MhsaBlock>(mc, rng);
       mhsa_block_ = block.get();
       dynamics = std::move(block);
     } else {
       dynamics = conv_dynamics(channels, rng);
     }
-    auto ob = std::make_unique<OdeBlock>(std::move(dynamics), config_.steps, config_.solver);
+    auto ob = std::make_unique<OdeBlock>(std::move(dynamics), config_.steps);
     ode_blocks_.push_back(ob.get());
     net->push_back(std::move(ob));
   }

@@ -39,7 +39,6 @@ class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
   [[nodiscard]] double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -103,9 +102,6 @@ class Registry {
   /// set it is written there at process exit, alongside the JSON dump.
   [[nodiscard]] std::string to_openmetrics() const;
   void write_openmetrics(const std::string& path) const;
-
-  /// Zero every instrument (the instruments themselves survive).
-  void reset();
 
  private:
   Registry();

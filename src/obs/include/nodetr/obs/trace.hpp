@@ -84,7 +84,6 @@ class Tracer {
   void record_flow(std::uint64_t id, char phase);
 
   [[nodiscard]] std::size_t span_count() const;
-  [[nodiscard]] std::size_t flow_count() const;
   [[nodiscard]] std::size_t dropped_count() const;
   [[nodiscard]] std::vector<SpanRecord> snapshot() const;
   [[nodiscard]] std::vector<FlowRecord> flow_snapshot() const;

@@ -256,11 +256,4 @@ void Registry::write_openmetrics(const std::string& path) const {
   out << to_openmetrics();
 }
 
-void Registry::reset() {
-  std::lock_guard lk(mu_);
-  for (auto& kv : counters_) kv.second->reset();
-  for (auto& kv : gauges_) kv.second->reset();
-  for (auto& kv : histograms_) kv.second->reset();
-}
-
 }  // namespace nodetr::obs

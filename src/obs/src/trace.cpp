@@ -121,11 +121,6 @@ std::size_t Tracer::span_count() const {
   return spans_.size();
 }
 
-std::size_t Tracer::flow_count() const {
-  std::lock_guard lk(mu_);
-  return flows_.size();
-}
-
 std::size_t Tracer::dropped_count() const { return dropped_.load(std::memory_order_relaxed); }
 
 std::vector<SpanRecord> Tracer::snapshot() const {

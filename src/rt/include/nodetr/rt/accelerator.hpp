@@ -92,16 +92,14 @@ struct DeviceCounters {
   }
 };
 
-/// Per-board physical parameters: the PL clock the cycle counts are paid at,
-/// the DMA port geometry, and the fault scope (board name) whose scoped
-/// sites — "rt.dma.error.<scope>", "rt.ddr.bitflip.<scope>",
-/// "rt.axi.nack.<scope>", "hls.ip.stall.<scope>" — this board's interconnect
-/// checks in addition to the process-wide ones. Defaults reproduce the
-/// paper's single ZCU104 board exactly.
+/// Per-board physical parameters: the PL clock the cycle counts are paid at
+/// and the fault scope (board name) whose scoped sites —
+/// "rt.dma.error.<scope>", "rt.ddr.bitflip.<scope>", "rt.axi.nack.<scope>",
+/// "hls.ip.stall.<scope>" — this board's interconnect checks in addition to
+/// the process-wide ones. Defaults reproduce the paper's single ZCU104 board
+/// exactly.
 struct BoardProfile {
   double clock_mhz = 200.0;
-  index_t dma_beat_bytes = AxiStreamDma::kBeatBytes;
-  std::int64_t dma_setup_cycles = AxiStreamDma::kSetupCycles;
   std::string fault_scope;  ///< empty = unscoped (single-board behavior)
 };
 

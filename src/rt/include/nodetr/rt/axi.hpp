@@ -68,33 +68,22 @@ class DdrMemory {
   std::string fault_scope_;
 };
 
-/// DMA transfer cost model for a high-performance AXI port: a fixed
-/// descriptor-setup latency plus one beat per PL cycle. Defaults model the
-/// paper's 32-bit HP0 port; a BoardProfile can widen the beat or change the
-/// setup cost to give each simulated board its own DMA bandwidth.
+/// DMA transfer cost model for the paper's 32-bit HP0 AXI port: a fixed
+/// descriptor-setup latency plus one 4-byte beat per PL cycle. Every
+/// simulated board runs this port; boards differ in clock and fault scope.
 class AxiStreamDma {
  public:
   static constexpr std::int64_t kSetupCycles = 120;  ///< descriptor + trigger
   static constexpr index_t kBeatBytes = 4;           ///< 32-bit data width
 
-  AxiStreamDma() = default;
-  AxiStreamDma(index_t beat_bytes, std::int64_t setup_cycles, std::string fault_scope = {})
-      : beat_bytes_(beat_bytes), setup_cycles_(setup_cycles),
-        fault_scope_(std::move(fault_scope)) {
-    if (beat_bytes_ < 1 || setup_cycles_ < 0) {
-      throw std::invalid_argument("AxiStreamDma: beat_bytes must be >= 1, setup_cycles >= 0");
-    }
-  }
+  /// `fault_scope` is the board name whose scoped error site
+  /// ("rt.dma.error.<scope>") this port also checks.
+  explicit AxiStreamDma(std::string fault_scope = {}) : fault_scope_(std::move(fault_scope)) {}
 
-  /// Cycles to move `bytes` in one direction over the default HP0 port.
+  /// Cycles to move `bytes` in one direction.
   [[nodiscard]] static std::int64_t transfer_cycles(std::int64_t bytes) {
     return kSetupCycles + (bytes + kBeatBytes - 1) / kBeatBytes;
   }
-  /// Cycles to move `bytes` over *this* port's beat width.
-  [[nodiscard]] std::int64_t cycles_for(std::int64_t bytes) const {
-    return setup_cycles_ + (bytes + beat_bytes_ - 1) / beat_bytes_;
-  }
-  [[nodiscard]] index_t beat_bytes() const { return beat_bytes_; }
 
   /// Accumulated cycles of all transfers issued through this engine. Throws
   /// fault::DmaTransferError when the "rt.dma.error" site (or its scoped
@@ -102,18 +91,16 @@ class AxiStreamDma {
   /// was issued before it failed).
   void transfer(std::int64_t bytes) {
     if (fault::fire("rt.dma.error", fault_scope_)) {
-      total_cycles_ += setup_cycles_;
+      total_cycles_ += kSetupCycles;
       throw fault::DmaTransferError(fault_scope_.empty() ? "rt.dma.error"
                                                          : "rt.dma.error." + fault_scope_);
     }
-    total_cycles_ += cycles_for(bytes);
+    total_cycles_ += transfer_cycles(bytes);
   }
   [[nodiscard]] std::int64_t total_cycles() const { return total_cycles_; }
   void reset() { total_cycles_ = 0; }
 
  private:
-  index_t beat_bytes_ = kBeatBytes;
-  std::int64_t setup_cycles_ = kSetupCycles;
   std::string fault_scope_;
   std::int64_t total_cycles_ = 0;
 };

@@ -20,7 +20,7 @@ MhsaAccelerator::MhsaAccelerator(std::unique_ptr<hls::MhsaIpCore> ip, DdrMemory&
     : ip_(std::move(ip)),
       ddr_(ddr),
       profile_(std::move(profile)),
-      dma_(profile_.dma_beat_bytes, profile_.dma_setup_cycles, profile_.fault_scope) {
+      dma_(profile_.fault_scope) {
   if (!ip_) throw std::invalid_argument("MhsaAccelerator: null IP core");
   if (profile_.clock_mhz <= 0.0) {
     throw std::invalid_argument("MhsaAccelerator: clock_mhz must be > 0");

@@ -35,8 +35,6 @@ namespace nodetr::serve {
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-[[nodiscard]] const char* to_string(BreakerState state);
-
 struct BreakerConfig {
   /// Consecutive transient device faults that open the breaker (demote the
   /// session to CPU). 0 disables the breaker: faults only ever retry.

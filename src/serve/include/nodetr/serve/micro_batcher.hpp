@@ -10,10 +10,11 @@
 //
 // Overload protection hooks:
 //   - deadline re-check: a request whose deadline has already passed when it
-//     leaves the queue is never placed in a batch — it is parked on the
-//     expired list (see take_expired()) for the engine to fail with
-//     RequestExpired, so stale work never touches the IP. The fault site
-//     "serve.overload.expire" forces this path on a deterministic schedule.
+//     leaves the queue is never placed in a batch — it goes to the expired
+//     handler the batcher was built with, which the engine uses to fail it
+//     with RequestExpired, so stale work never touches the IP. The fault
+//     site "serve.overload.expire" forces this path on a deterministic
+//     schedule.
 //   - adaptive linger: with `adaptive` set, the linger window scales with
 //     queue depth — `min_wait_us` when the queue is idle (an isolated
 //     request is not held hostage for rows that are not coming) up to
@@ -21,6 +22,7 @@
 //     saturation).
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "nodetr/serve/request_queue.hpp"
@@ -51,7 +53,14 @@ struct MicroBatch {
 
 class MicroBatcher {
  public:
-  MicroBatcher(RequestQueue& queue, BatcherConfig config);
+  /// Receives, on the worker thread and at the moment of shedding, each
+  /// request whose deadline had already passed when it left the queue.
+  /// Invoking eagerly matters: next() may block on an empty queue right after
+  /// shedding, so a drain-after-return scheme would leave the victim's future
+  /// unresolved until more traffic arrives. Must be callable.
+  using ExpiredHandler = std::function<void(RequestPtr)>;
+
+  MicroBatcher(RequestQueue& queue, BatcherConfig config, ExpiredHandler on_expired);
 
   /// Coalesce the next micro-batch, blocking until at least one row is
   /// available. Returns false once the queue is closed and drained and no
@@ -68,20 +77,6 @@ class MicroBatcher {
   /// or fail each one (see InferenceEngine's salvage path). Fetching clears
   /// the list. Ordered as popped (FIFO).
   [[nodiscard]] std::vector<RequestPtr> take_orphans();
-
-  /// Handler invoked (on the worker thread, at the moment of shedding) with
-  /// each request whose deadline had already passed when it left the queue.
-  /// The engine fails these with RequestExpired. Invoking eagerly matters:
-  /// next() may block on an empty queue right after shedding, so a
-  /// drain-after-return scheme would leave the victim's future unresolved
-  /// until more traffic arrives. Set once before the worker starts.
-  void set_expired_handler(std::function<void(RequestPtr)> handler) {
-    expired_handler_ = std::move(handler);
-  }
-
-  /// Without an expired handler, shed requests are parked here instead so
-  /// they are never silently lost. Fetching clears the list.
-  [[nodiscard]] std::vector<RequestPtr> take_expired();
 
   /// Steal the worker-local carry (nullptr if none) so a supervisor can
   /// salvage it when the worker dies between batches.
@@ -107,17 +102,15 @@ class MicroBatcher {
 
  private:
   /// True if the request may enter a batch; expired requests (or those hit
-  /// by the "serve.overload.expire" site) go to the expired handler (or the
-  /// expired_ list when no handler is set) instead.
+  /// by the "serve.overload.expire" site) go to the expired handler instead.
   [[nodiscard]] bool admissible(RequestPtr& r);
 
   RequestQueue& queue_;
   BatcherConfig config_;
-  std::function<void(RequestPtr)> expired_handler_;
+  ExpiredHandler on_expired_;
   RequestPtr carry_;       ///< partially consumed request (worker-local)
   index_t carry_row_ = 0;  ///< next unconsumed row of carry_
   std::vector<RequestPtr> orphans_;  ///< popped by a failed next(); see take_orphans()
-  std::vector<RequestPtr> expired_;  ///< shed at batch formation; see take_expired()
 };
 
 }  // namespace nodetr::serve

@@ -107,8 +107,6 @@ class ModelRegistry {
   [[nodiscard]] VersionState state(std::uint64_t id) const;
   /// The currently active version id (the registry always has one).
   [[nodiscard]] std::uint64_t active() const;
-  /// The newest version id ever minted.
-  [[nodiscard]] std::uint64_t latest() const;
   /// All retained versions, ascending by id.
   [[nodiscard]] std::vector<VersionInfo> list() const;
   [[nodiscard]] std::size_t size() const;

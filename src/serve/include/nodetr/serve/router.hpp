@@ -5,7 +5,7 @@
 //               ClusterRouter::pick(rows)
 //                    │  argmin over devices of
 //                    │    cost_us(d) = us_per_row(d) · (pending_rows(d) + rows)
-//                    │               + queue_penalty_us · pending_requests(d)
+//                    │               + kQueuePenaltyUs · pending_requests(d)
 //                    ▼
 //               per-device RequestQueue ──► MicroBatcher ──► worker/board
 //
@@ -41,31 +41,23 @@ namespace nodetr::serve {
 
 using nodetr::tensor::index_t;
 
-/// Cluster routing knobs (EngineConfig::router).
-struct RouterConfig {
-  /// Capacity of each per-device queue; 0 = inherit the engine's
-  /// queue_capacity. The router blocks when a device queue is full, so the
-  /// cost model (not the queues) does the load balancing.
-  std::size_t device_queue_capacity = 0;
-  /// EWMA smoothing for the observed µs-per-row estimate in (0, 1]; higher
-  /// adapts faster (1.0 = trust only the last batch).
-  double ewma_alpha = 0.3;
-  /// Cost penalty per already-queued request — biases ties toward shallow
-  /// queues so one slow request cannot convoy a whole device.
-  double queue_penalty_us = 25.0;
-};
-
 class ClusterRouter {
  public:
   using Clock = std::chrono::steady_clock;
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  /// EWMA smoothing for the observed µs-per-row estimate; higher adapts
+  /// faster (1.0 would trust only the last batch).
+  static constexpr double kEwmaAlpha = 0.3;
+  /// Cost penalty per already-queued request — biases ties toward shallow
+  /// queues so one slow request cannot convoy a whole device.
+  static constexpr double kQueuePenaltyUs = 25.0;
 
   struct DeviceSeed {
     std::string name;
     double est_us_per_row = 1.0;  ///< initial cost estimate (µs per row)
   };
 
-  ClusterRouter(std::vector<DeviceSeed> devices, RouterConfig config);
+  explicit ClusterRouter(std::vector<DeviceSeed> devices);
 
   [[nodiscard]] std::size_t size() const { return devices_.size(); }
   [[nodiscard]] const std::string& name(std::size_t d) const { return devices_[d]->name; }
@@ -133,7 +125,6 @@ class ClusterRouter {
   }
 
   std::vector<std::unique_ptr<Device>> devices_;  ///< unique_ptr: atomics don't move
-  RouterConfig config_;
 };
 
 }  // namespace nodetr::serve

@@ -5,15 +5,6 @@
 
 namespace nodetr::serve {
 
-const char* to_string(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half_open";
-  }
-  return "?";
-}
-
 CircuitBreaker::CircuitBreaker(BreakerConfig config) : config_(config) {
   if (config_.open_after < 0) {
     throw std::invalid_argument("CircuitBreaker: open_after must be >= 0");

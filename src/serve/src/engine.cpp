@@ -68,8 +68,9 @@ struct InferenceEngine::WorkerSession {
   std::unique_ptr<hls::MhsaIpCore> canary_ip;  ///< candidate replica (canary batches)
   std::unique_ptr<hls::MhsaIpCore> shadow_ip;  ///< active-version baseline (shadow scoring)
 
-  WorkerSession(RequestQueue& queue, const BatcherConfig& cfg, const BreakerConfig& breaker_cfg)
-      : source(&queue), batcher(queue, cfg), breaker(breaker_cfg) {}
+  WorkerSession(RequestQueue& queue, const BatcherConfig& cfg,
+                MicroBatcher::ExpiredHandler on_expired, const BreakerConfig& breaker_cfg)
+      : source(&queue), batcher(queue, cfg, std::move(on_expired)), breaker(breaker_cfg) {}
 };
 
 std::vector<DeviceConfig> InferenceEngine::validated(EngineConfig& config) {
@@ -81,10 +82,9 @@ std::vector<DeviceConfig> InferenceEngine::validated(EngineConfig& config) {
     throw std::invalid_argument("InferenceEngine: queue_capacity must be >= 1");
   }
   if (config.fault.max_retries < 0 || config.fault.backoff_us < 0 ||
-      config.fault.max_backoff_us < 0 || config.fault.backoff_multiplier < 1.0) {
+      config.fault.max_backoff_us < 0) {
     throw std::invalid_argument(
-        "InferenceEngine: invalid FaultPolicy (retries/backoffs must be >= 0, "
-        "multiplier >= 1)");
+        "InferenceEngine: invalid FaultPolicy (retries/backoffs must be >= 0)");
   }
   // Admission, breaker, batcher and hot-swap configs are validated by their
   // own constructors; trigger the breaker's here so a bad config fails the
@@ -111,23 +111,21 @@ std::vector<DeviceConfig> InferenceEngine::validated(EngineConfig& config) {
       throw std::invalid_argument("InferenceEngine: device \"" + d.name +
                                   "\": clock_mhz must be > 0");
     }
-    if (d.dma_beat_bytes < 1) {
-      throw std::invalid_argument("InferenceEngine: device \"" + d.name +
-                                  "\": dma_beat_bytes must be >= 1");
-    }
   }
   return boards;
 }
 
 std::unique_ptr<InferenceEngine::WorkerSession> InferenceEngine::make_session(
     std::size_t worker) {
+  // Building a session can fail (memory pressure while building the IP); the
+  // "serve.respawn" site makes that failure injectable. Bring-up runs through
+  // here too, so the site armed before construction fails the constructor.
+  if (fault::fire("serve.respawn")) throw fault::AllocationFault("serve.respawn");
   const DeviceConfig& board = boards_[worker];
   RequestQueue& source = device_queues_.empty() ? queue_ : *device_queues_[worker];
-  auto session = std::make_unique<WorkerSession>(source, config_.batcher, config_.breaker);
-  // Expired requests are failed the moment the batcher sheds them — next()
-  // may block on an empty queue right afterwards, so deferring would leave
-  // the victim's future hanging until more traffic arrives.
-  session->batcher.set_expired_handler([this](RequestPtr r) { fail_expired(*r); });
+  // Expired requests are failed the moment the batcher sheds them.
+  auto session = std::make_unique<WorkerSession>(
+      source, config_.batcher, [this](RequestPtr r) { fail_expired(*r); }, config_.breaker);
   session->index = worker;
   session->home_backend = board.backend;
   session->backend = board.backend;
@@ -138,14 +136,11 @@ std::unique_ptr<InferenceEngine::WorkerSession> InferenceEngine::make_session(
   if (is_cpu(board.backend)) {
     session->cpu_ip = std::move(ip);
   } else {
-    session->ddr = std::make_unique<rt::DdrMemory>(board.ddr_bytes);
+    session->ddr = std::make_unique<rt::DdrMemory>();
     session->ddr->set_fault_scope(board.name);
-    rt::BoardProfile profile;
-    profile.clock_mhz = board.clock_mhz;
-    profile.dma_beat_bytes = board.dma_beat_bytes;
-    profile.fault_scope = board.name;
-    session->accel = std::make_unique<rt::MhsaAccelerator>(std::move(ip), *session->ddr,
-                                                           std::move(profile));
+    session->accel = std::make_unique<rt::MhsaAccelerator>(
+        std::move(ip), *session->ddr,
+        rt::BoardProfile{.clock_mhz = board.clock_mhz, .fault_scope = board.name});
     session->accel->set_deadline(config_.fault.deadline);
   }
   session->staged_counters = VersionCounters(ver->id);
@@ -209,13 +204,12 @@ InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& we
     // central-pop stamp), so CoDel keys on the full standing delay — wiring
     // the central queue too would flood it with the router's near-zero
     // drain latency and mask real overload.
-    const std::size_t device_cap = config_.router.device_queue_capacity > 0
-                                       ? config_.router.device_queue_capacity
-                                       : config_.queue_capacity;
     std::vector<ClusterRouter::DeviceSeed> seeds;
     const hls::CycleModel cycle_model;
     for (const DeviceConfig& d : boards_) {
-      auto q = std::make_unique<RequestQueue>(device_cap, BackpressurePolicy::kBlock);
+      // The router blocks when a device queue is full, so the cost model
+      // (not the queues) does the load balancing.
+      auto q = std::make_unique<RequestQueue>(config_.queue_capacity, BackpressurePolicy::kBlock);
       q->set_wait_observer(wait_observer);
       device_queues_.push_back(std::move(q));
       // Seed the router's cost model with the analytic cycle estimate paid at
@@ -226,7 +220,7 @@ InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& we
           d.clock_mhz;
       seeds.push_back(ClusterRouter::DeviceSeed{d.name, est_us_per_row});
     }
-    router_ = std::make_unique<ClusterRouter>(std::move(seeds), config_.router);
+    router_ = std::make_unique<ClusterRouter>(std::move(seeds));
   }
   device_stats_.resize(boards_.size());
   device_metrics_.reserve(boards_.size());
@@ -730,10 +724,9 @@ Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBat
           .add();
       slice_events(obs::FlightKind::kRetry, attempt, backend_ix);
       if (backoff_us > 0) std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-      backoff_us = std::min<std::int64_t>(
-          static_cast<std::int64_t>(static_cast<double>(backoff_us) *
-                                    config_.fault.backoff_multiplier),
-          config_.fault.max_backoff_us);
+      // Doubles up to the cap; the comparison keeps the product in range.
+      backoff_us = backoff_us > config_.fault.max_backoff_us / 2 ? config_.fault.max_backoff_us
+                                                                 : backoff_us * 2;
     }
     // Non-fault exceptions (geometry validation, genuine bad_alloc inside a
     // kernel, ...) are permanent by definition and propagate to the caller.
@@ -1153,20 +1146,6 @@ EngineStats InferenceEngine::stats() const {
   s.fallbacks = s.breaker_opens + s.breaker_reopens;
   s.slo = slo_.snapshot();
   s.swap = swap_stats();
-  {
-    const auto& kcfg = tensor::tune::gemm_config();
-    const auto& caches = tensor::tune::host_caches();
-    s.kernel.microkernel = kcfg.kernel->name;
-    s.kernel.mr = kcfg.kernel->mr;
-    s.kernel.nr = kcfg.kernel->nr;
-    s.kernel.mc = kcfg.mc;
-    s.kernel.kc = kcfg.kc;
-    s.kernel.nc = kcfg.nc;
-    s.kernel.l1d_bytes = caches.l1d;
-    s.kernel.l2_bytes = caches.l2;
-    s.kernel.l3_bytes = caches.l3;
-    s.kernel.source = kcfg.source;
-  }
   return s;
 }
 

@@ -8,8 +8,8 @@
 
 namespace nodetr::serve {
 
-MicroBatcher::MicroBatcher(RequestQueue& queue, BatcherConfig config)
-    : queue_(queue), config_(config) {
+MicroBatcher::MicroBatcher(RequestQueue& queue, BatcherConfig config, ExpiredHandler on_expired)
+    : queue_(queue), config_(config), on_expired_(std::move(on_expired)) {
   if (config_.max_batch < 1) throw std::invalid_argument("MicroBatcher: max_batch must be >= 1");
   if (config_.max_wait_us < 0) throw std::invalid_argument("MicroBatcher: max_wait_us must be >= 0");
   if (config_.min_wait_us < 0) throw std::invalid_argument("MicroBatcher: min_wait_us must be >= 0");
@@ -26,11 +26,7 @@ bool MicroBatcher::admissible(RequestPtr& r) {
     // the engine's expiry path (and its error message) stays uniform.
     r->deadline = r->enqueued_at;
   }
-  if (expired_handler_) {
-    expired_handler_(std::move(r));
-  } else {
-    expired_.push_back(std::move(r));
-  }
+  on_expired_(std::move(r));
   return false;
 }
 
@@ -54,7 +50,7 @@ bool MicroBatcher::next(MicroBatch& out) {
   while (!current) {
     current = queue_.pop();
     if (!current) return false;  // closed and drained
-    if (!admissible(current)) continue;  // expired in queue; parked for the engine
+    if (!admissible(current)) continue;  // expired in queue; handed to the engine
     current_row = 0;
   }
   const std::int64_t wait_us = effective_wait_us();
@@ -126,12 +122,6 @@ bool MicroBatcher::next(MicroBatch& out) {
 std::vector<RequestPtr> MicroBatcher::take_orphans() {
   std::vector<RequestPtr> out = std::move(orphans_);
   orphans_.clear();
-  return out;
-}
-
-std::vector<RequestPtr> MicroBatcher::take_expired() {
-  std::vector<RequestPtr> out = std::move(expired_);
-  expired_.clear();
   return out;
 }
 

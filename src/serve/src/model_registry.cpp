@@ -149,11 +149,6 @@ std::uint64_t ModelRegistry::active() const {
   return active_id_;
 }
 
-std::uint64_t ModelRegistry::latest() const {
-  std::lock_guard lk(mu_);
-  return next_id_ - 1;
-}
-
 std::vector<VersionInfo> ModelRegistry::list() const {
   std::lock_guard lk(mu_);
   std::vector<VersionInfo> out;

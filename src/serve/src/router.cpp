@@ -4,16 +4,9 @@
 
 namespace nodetr::serve {
 
-ClusterRouter::ClusterRouter(std::vector<DeviceSeed> devices, RouterConfig config)
-    : config_(config) {
+ClusterRouter::ClusterRouter(std::vector<DeviceSeed> devices) {
   if (devices.empty()) {
     throw std::invalid_argument("ClusterRouter: need at least one device");
-  }
-  if (config_.ewma_alpha <= 0.0 || config_.ewma_alpha > 1.0) {
-    throw std::invalid_argument("ClusterRouter: ewma_alpha must be in (0, 1]");
-  }
-  if (config_.queue_penalty_us < 0.0) {
-    throw std::invalid_argument("ClusterRouter: queue_penalty_us must be >= 0");
   }
   devices_.reserve(devices.size());
   for (DeviceSeed& seed : devices) {
@@ -30,7 +23,7 @@ double ClusterRouter::cost_us(std::size_t d, index_t rows) const {
   const auto load_rows =
       static_cast<double>(dev.pending_rows.load(std::memory_order_relaxed) + rows);
   return dev.us_per_row.load(std::memory_order_relaxed) * load_rows +
-         config_.queue_penalty_us *
+         kQueuePenaltyUs *
              static_cast<double>(dev.pending_requests.load(std::memory_order_relaxed));
 }
 
@@ -84,7 +77,7 @@ void ClusterRouter::observe(std::size_t d, double us_per_row) {
   Device& dev = *devices_[d];
   // Plain load/store (no CAS loop): the owning worker is the only writer.
   const double old = dev.us_per_row.load(std::memory_order_relaxed);
-  dev.us_per_row.store(old + config_.ewma_alpha * (us_per_row - old),
+  dev.us_per_row.store(old + kEwmaAlpha * (us_per_row - old),
                        std::memory_order_relaxed);
 }
 

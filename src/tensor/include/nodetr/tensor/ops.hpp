@@ -16,8 +16,6 @@ namespace nodetr::tensor {
                          const std::function<float(float, float)>& fn);
 
 [[nodiscard]] Tensor relu(const Tensor& a);
-[[nodiscard]] Tensor exp(const Tensor& a);
-[[nodiscard]] Tensor sqrt(const Tensor& a);
 [[nodiscard]] Tensor abs(const Tensor& a);
 
 // ---- reductions --------------------------------------------------------------

@@ -25,18 +25,6 @@ Tensor relu(const Tensor& a) {
   return out;
 }
 
-Tensor exp(const Tensor& a) {
-  Tensor out(a.shape());
-  for (index_t i = 0; i < a.numel(); ++i) out[i] = std::exp(a[i]);
-  return out;
-}
-
-Tensor sqrt(const Tensor& a) {
-  Tensor out(a.shape());
-  for (index_t i = 0; i < a.numel(); ++i) out[i] = std::sqrt(a[i]);
-  return out;
-}
-
 Tensor abs(const Tensor& a) {
   Tensor out(a.shape());
   for (index_t i = 0; i < a.numel(); ++i) out[i] = std::fabs(a[i]);

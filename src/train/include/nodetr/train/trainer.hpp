@@ -25,7 +25,6 @@ struct TrainConfig {
   CosineWarmRestartsConfig schedule{};
   bool augment = true;          ///< flip + jitter + erase, as in the paper
   std::uint64_t seed = 0x7247;
-  index_t eval_batch_size = 64;
   /// Called after every epoch with (epoch, train_loss, test_accuracy).
   std::function<void(index_t, float, float)> on_epoch = nullptr;
 };

@@ -101,7 +101,7 @@ History fit(Module& model, const std::vector<Sample>& train_set,
     stats.epoch = epoch;
     stats.lr = opt.lr();
     stats.train_loss = static_cast<float>(loss_sum / std::max<index_t>(batches, 1));
-    stats.test_accuracy = evaluate(model, test_set, config.eval_batch_size);
+    stats.test_accuracy = evaluate(model, test_set);
     loss_gauge.set(stats.train_loss);
     acc_gauge.set(stats.test_accuracy);
     epoch_span.attr("train_loss", static_cast<double>(stats.train_loss));

@@ -220,6 +220,81 @@ TEST_F(ServeFaultTest, WorkerCrashStrandsNoFuture) {
   EXPECT_EQ(engine.stats().failed, 0u);
 }
 
+// A worker whose respawn fails gives up its slot: in a flat engine the
+// survivor drains the shared queue, including the requests the dead worker
+// held, so every future still carries its value.
+TEST_F(ServeFaultTest, FailedRespawnLeavesTheSurvivingWorkerServingEveryRequest) {
+  serve::InferenceEngine engine(config(serve::Backend::kCpuFloat, /*workers=*/2), weights());
+  auto& lost = obs::Registry::instance().counter("serve.worker_lost");
+  const std::int64_t lost_before = lost.value();
+  // Armed after construction: bring-up builds its sessions through the same
+  // site. The first batch either worker forms crashes it.
+  auto& inj = fault::Injector::instance();
+  inj.arm("serve.respawn", fault::Schedule::always());
+  inj.arm("serve.worker_crash", fault::Schedule::once(0));
+  std::vector<std::future<nt::Tensor>> futures;
+  std::vector<nt::Tensor> inputs;
+  for (int i = 0; i < 8; ++i) {
+    inputs.push_back(rng_.rand(nt::Shape{1, point_.dim, point_.height, point_.width}));
+    futures.push_back(engine.submit(inputs.back()));
+  }
+  ASSERT_TRUE(all_ready_within(futures, std::chrono::seconds(30)));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(nt::max_abs_diff(futures[i].get(), reference(inputs[i])), 0.0f) << "request " << i;
+  }
+  EXPECT_EQ(inj.fires("serve.respawn"), 1u);
+  EXPECT_EQ(lost.value() - lost_before, 1);
+  const serve::EngineStats s = engine.stats();
+  EXPECT_EQ(s.respawns, 0u);
+  EXPECT_EQ(s.completed, 8u);
+  EXPECT_EQ(s.failed, 0u);
+}
+
+// In a cluster nobody else drains the lost board's queue: the requests queued
+// there fail with EngineStoppedError, the board is marked lost, and the
+// router sends everything after it to the surviving board.
+TEST_F(ServeFaultTest, FailedRespawnMarksTheClusterBoardLostForGood) {
+  serve::EngineConfig c = config(serve::Backend::kCpuFloat);
+  c.devices = {{.name = "lost_a", .backend = serve::Backend::kCpuFloat},
+               {.name = "lost_b", .backend = serve::Backend::kCpuFloat}};
+  serve::InferenceEngine engine(c, weights());
+  auto& routed_a = obs::Registry::instance().counter("serve.device.lost_a.routed");
+  auto& inj = fault::Injector::instance();
+  inj.arm("serve.respawn", fault::Schedule::always());
+  inj.arm("serve.worker_crash", fault::Schedule::once(0));
+  // Equal boards tie-break to the lowest index, so the one request goes to
+  // lost_a, whose worker crashes at that batch and requeues it on its own
+  // device queue before the respawn fails.
+  auto first = engine.submit(rng_.rand(nt::Shape{1, point_.dim, point_.height, point_.width}));
+  ASSERT_EQ(first.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  EXPECT_THROW((void)first.get(), serve::EngineStoppedError);
+  {
+    const serve::EngineStats s = engine.stats();
+    EXPECT_TRUE(s.device_stats.at("lost_a").lost);
+    EXPECT_FALSE(s.device_stats.at("lost_b").lost);
+    EXPECT_EQ(s.device_stats.at("lost_a").pending_rows, 0);
+    EXPECT_EQ(s.failed, 1u);
+  }
+  const std::int64_t routed_a_after_loss = routed_a.value();
+  std::vector<std::future<nt::Tensor>> futures;
+  std::vector<nt::Tensor> inputs;
+  for (int i = 0; i < 6; ++i) {
+    inputs.push_back(rng_.rand(nt::Shape{2, point_.dim, point_.height, point_.width}));
+    futures.push_back(engine.submit(inputs.back()));
+  }
+  ASSERT_TRUE(all_ready_within(futures, std::chrono::seconds(30)));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(nt::max_abs_diff(futures[i].get(), reference(inputs[i])), 0.0f) << "request " << i;
+  }
+  EXPECT_EQ(routed_a.value(), routed_a_after_loss);
+  const serve::EngineStats s = engine.stats();
+  EXPECT_EQ(s.device_stats.at("lost_a").rows, 0u);
+  EXPECT_EQ(s.device_stats.at("lost_b").rows, 12u);
+  EXPECT_EQ(s.completed, 6u);
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.respawns, 0u);
+}
+
 TEST_F(ServeFaultTest, BatchAllocationFailureRequeuesEveryRequest) {
   fault::Injector::instance().arm("serve.alloc", fault::Schedule::once(0));
   serve::InferenceEngine engine(config(serve::Backend::kCpuFloat), weights());

@@ -97,6 +97,23 @@ TEST(QExec, RejectsUnsupportedModules) {
   auto exec = default_exec();
   EXPECT_THROW((void)exec.run(unsupported, nt::Tensor(nt::Shape{1, 3, 8})),
                std::invalid_argument);
+  // The lowering itself refuses these two, before any op runs.
+  const auto expect_lowering_throws = [&](nn::Module& mod, const nt::Tensor& x) {
+    try {
+      (void)exec.run(mod, x);
+      ADD_FAILURE() << mod.name() << " ran on the fixed datapath";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("LayerPlan"), std::string::npos) << e.what();
+    }
+  };
+  // The IP implements ReLU attention only (Eq. 16).
+  nn::MhsaConfig softmax{.dim = 8, .heads = 2, .height = 2, .width = 2,
+                         .attention = nn::AttentionKind::kSoftmax};
+  nn::MultiHeadSelfAttention softmax_mhsa(softmax, rng);
+  expect_lowering_throws(softmax_mhsa, nt::Tensor(nt::Shape{1, 8, 2, 2}));
+  // A LayerNorm runs only inside the MHSA IP (Eq. 17), never as a plan op.
+  nn::LayerNorm layer_norm(8);
+  expect_lowering_throws(layer_norm, nt::Tensor(nt::Shape{1, 3, 8}));
 }
 
 // The fixed path only reads the model: a failed run leaves its mode alone.

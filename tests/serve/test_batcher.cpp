@@ -28,6 +28,9 @@ serve::RequestPtr make_request(std::uint64_t id, index_t rows, index_t d, index_
   return r;
 }
 
+// No request in these tests carries a deadline, so nothing may be shed.
+void no_expiry(serve::RequestPtr r) { ADD_FAILURE() << "request " << r->id << " shed"; }
+
 }  // namespace
 
 TEST(MicroBatcherPlan, RandomSchedulesPreserveOrderAndNeverExceedMaxBatch) {
@@ -90,7 +93,7 @@ TEST(MicroBatcher, DrainsClosedQueueCoveringAllRowsInOrder) {
   }
   queue.close();
 
-  serve::MicroBatcher batcher(queue, {/*max_batch=*/4, /*max_wait_us=*/0});
+  serve::MicroBatcher batcher(queue, {/*max_batch=*/4, /*max_wait_us=*/0}, no_expiry);
   serve::MicroBatch batch;
   std::size_t cur_req = 0;
   index_t cur_row = 0;
@@ -133,7 +136,7 @@ TEST(MicroBatcher, ZeroWaitDoesNotLingerButTakesAlreadyQueuedRows) {
   ASSERT_EQ(queue.push(make_request(1, 1, d, h, w)), serve::PushResult::kOk);
   ASSERT_EQ(queue.push(make_request(2, 1, d, h, w)), serve::PushResult::kOk);
 
-  serve::MicroBatcher batcher(queue, {/*max_batch=*/4, /*max_wait_us=*/0});
+  serve::MicroBatcher batcher(queue, {/*max_batch=*/4, /*max_wait_us=*/0}, no_expiry);
   serve::MicroBatch batch;
   ASSERT_TRUE(batcher.next(batch));
   // All three queued rows coalesce; with max_wait_us=0 the batcher must not
@@ -144,6 +147,6 @@ TEST(MicroBatcher, ZeroWaitDoesNotLingerButTakesAlreadyQueuedRows) {
 
 TEST(MicroBatcher, RejectsBadConfig) {
   serve::RequestQueue queue(4, serve::BackpressurePolicy::kBlock);
-  EXPECT_THROW(serve::MicroBatcher(queue, {0, 0}), std::invalid_argument);
-  EXPECT_THROW(serve::MicroBatcher(queue, {4, -1}), std::invalid_argument);
+  EXPECT_THROW(serve::MicroBatcher(queue, {0, 0}, no_expiry), std::invalid_argument);
+  EXPECT_THROW(serve::MicroBatcher(queue, {4, -1}, no_expiry), std::invalid_argument);
 }

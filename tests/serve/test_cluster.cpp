@@ -274,7 +274,7 @@ TEST(ClusterProperty, RoutePlusPlanNeverDropsOrReordersRows) {
       seeds.push_back({"dev" + std::to_string(i),
                        1.0 + static_cast<double>(rng() % 500) / 100.0});
     }
-    serve::ClusterRouter router(std::move(seeds), serve::RouterConfig{});
+    serve::ClusterRouter router(std::move(seeds));
     const std::size_t n_requests = 1 + rng() % 40;
     const auto now = serve::ClusterRouter::Clock::now();
     std::vector<std::vector<index_t>> per_device_rows(n_devices);

@@ -223,7 +223,7 @@ TEST(AdaptiveBatcher, LingerScalesWithQueueDepth) {
   cfg.max_wait_us = 1'000;
   cfg.adaptive = true;
   cfg.min_wait_us = 0;
-  serve::MicroBatcher batcher(q, cfg);
+  serve::MicroBatcher batcher(q, cfg, [](serve::RequestPtr) {});
   EXPECT_EQ(batcher.effective_wait_us(), 0);  // idle: don't hold rows hostage
   for (std::uint64_t i = 0; i < 4; ++i) ASSERT_EQ(q.push(dummy_request(i)), serve::PushResult::kOk);
   const auto half = batcher.effective_wait_us();
@@ -241,9 +241,9 @@ TEST(AdaptiveBatcher, ValidatesMinWait) {
   cfg.adaptive = true;
   cfg.max_wait_us = 100;
   cfg.min_wait_us = 200;
-  EXPECT_THROW(serve::MicroBatcher(q, cfg), std::invalid_argument);
+  EXPECT_THROW(serve::MicroBatcher(q, cfg, [](serve::RequestPtr) {}), std::invalid_argument);
   cfg.min_wait_us = -1;
-  EXPECT_THROW(serve::MicroBatcher(q, cfg), std::invalid_argument);
+  EXPECT_THROW(serve::MicroBatcher(q, cfg, [](serve::RequestPtr) {}), std::invalid_argument);
 }
 
 // ------------------------------------------------- deadlines and TTLs ----

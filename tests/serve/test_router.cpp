@@ -10,32 +10,24 @@
 
 namespace serve = nodetr::serve;
 using serve::ClusterRouter;
-using serve::RouterConfig;
 using Seed = ClusterRouter::DeviceSeed;
 using Clock = ClusterRouter::Clock;
 
 namespace {
 
-ClusterRouter make_router(std::size_t n, RouterConfig cfg = {}) {
+ClusterRouter make_router(std::size_t n) {
   std::vector<Seed> seeds;
   for (std::size_t i = 0; i < n; ++i) {
     seeds.push_back(Seed{"dev" + std::to_string(i), 1.0});
   }
-  return ClusterRouter(std::move(seeds), cfg);
+  return ClusterRouter(std::move(seeds));
 }
 
 }  // namespace
 
 TEST(Router, ConstructorValidatesConfig) {
-  EXPECT_THROW(ClusterRouter({}, RouterConfig{}), std::invalid_argument);
-  RouterConfig bad_alpha;
-  bad_alpha.ewma_alpha = 0.0;
-  EXPECT_THROW(ClusterRouter({Seed{"d", 1.0}}, bad_alpha), std::invalid_argument);
-  bad_alpha.ewma_alpha = 1.5;
-  EXPECT_THROW(ClusterRouter({Seed{"d", 1.0}}, bad_alpha), std::invalid_argument);
-  RouterConfig bad_penalty;
-  bad_penalty.queue_penalty_us = -1.0;
-  EXPECT_THROW(ClusterRouter({Seed{"d", 1.0}}, bad_penalty), std::invalid_argument);
+  // An empty fleet is the one invalid input.
+  EXPECT_THROW(ClusterRouter(std::vector<Seed>{}), std::invalid_argument);
 }
 
 TEST(Router, TieBreaksToLowestIndexDeterministically) {
@@ -47,9 +39,8 @@ TEST(Router, TieBreaksToLowestIndexDeterministically) {
 }
 
 TEST(Router, CostModelMatchesDocumentedFormula) {
-  RouterConfig cfg;
-  cfg.queue_penalty_us = 25.0;
-  ClusterRouter router({Seed{"a", 3.0}, Seed{"b", 5.0}}, cfg);
+  ASSERT_EQ(ClusterRouter::kQueuePenaltyUs, 25.0);
+  ClusterRouter router({Seed{"a", 3.0}, Seed{"b", 5.0}});
   router.on_dispatch(0, 4);  // a: 4 pending rows, 1 pending request
   // cost(a, 2) = 3.0 * (4 + 2) + 25.0 * 1 = 43; cost(b, 2) = 5.0 * 2 = 10.
   EXPECT_DOUBLE_EQ(router.cost_us(0, 2), 43.0);
@@ -110,7 +101,7 @@ TEST(Router, OpenDeviceBecomesRoutableAfterCooldownForProbe) {
 }
 
 TEST(Router, AllOpenMidCooldownStillRoutesToCheapest) {
-  ClusterRouter router({Seed{"a", 9.0}, Seed{"b", 2.0}}, RouterConfig{});
+  ClusterRouter router({Seed{"a", 9.0}, Seed{"b", 2.0}});
   const auto now = Clock::now();
   router.on_breaker_open(0, 1'000'000, now);
   router.on_breaker_open(1, 1'000'000, now);
@@ -132,15 +123,14 @@ TEST(Router, LostDeviceIsNeverRoutedAgain) {
 }
 
 TEST(Router, ObserveFoldsEwma) {
-  RouterConfig cfg;
-  cfg.ewma_alpha = 0.5;
-  ClusterRouter router({Seed{"a", 1.0}}, cfg);
+  ASSERT_EQ(ClusterRouter::kEwmaAlpha, 0.3);
+  ClusterRouter router({Seed{"a", 1.0}});
   router.observe(0, 3.0);
-  EXPECT_DOUBLE_EQ(router.us_per_row(0), 2.0);  // 1 + 0.5 * (3 - 1)
-  router.observe(0, 2.0);
-  EXPECT_DOUBLE_EQ(router.us_per_row(0), 2.0);
+  EXPECT_DOUBLE_EQ(router.us_per_row(0), 1.6);  // 1 + 0.3 * (3 - 1)
+  router.observe(0, 1.6);
+  EXPECT_DOUBLE_EQ(router.us_per_row(0), 1.6);
   router.observe(0, 0.0);  // non-positive samples are ignored
-  EXPECT_DOUBLE_EQ(router.us_per_row(0), 2.0);
+  EXPECT_DOUBLE_EQ(router.us_per_row(0), 1.6);
 }
 
 TEST(Router, RebalancesWithinFewBatchesAfterTenfoldSlowdown) {
@@ -170,14 +160,12 @@ TEST(RouterProperty, RandomizedStateSweepHoldsInvariants) {
   for (std::uint64_t seed = 0; seed < 1000; ++seed) {
     std::mt19937_64 rng(seed);
     const std::size_t n = 1 + rng() % 8;
-    RouterConfig cfg;
-    cfg.queue_penalty_us = static_cast<double>(rng() % 100);
     std::vector<Seed> seeds;
     for (std::size_t i = 0; i < n; ++i) {
       seeds.push_back(Seed{"dev" + std::to_string(i),
                            1.0 + static_cast<double>(rng() % 1000) / 100.0});
     }
-    ClusterRouter router(std::move(seeds), cfg);
+    ClusterRouter router(std::move(seeds));
     const auto now = Clock::now();
     std::vector<bool> lost(n, false), open_waiting(n, false), eligible(n, true);
     for (std::size_t i = 0; i < n; ++i) {

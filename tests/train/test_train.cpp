@@ -168,7 +168,9 @@ TEST(Trainer, EvaluateRestoresTrainingMode) {
   nt::Rng rng(23);
   auto net = tiny_net(rng);
   net->train(true);
-  tr::evaluate(*net, ds.test(), 8);
+  const float accuracy = tr::evaluate(*net, ds.test(), 8);
+  EXPECT_GE(accuracy, 0.0f);
+  EXPECT_LE(accuracy, 1.0f);
   EXPECT_TRUE(net->training());
 }
 
