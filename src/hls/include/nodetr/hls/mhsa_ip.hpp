@@ -3,16 +3,22 @@
 // The core executes the paper's *modified* MHSA — learnable 2-D relative
 // positional encoding fused as Q R^T (Eq. 15), ReLU activation instead of
 // softmax (Eq. 16), and an optional output LayerNorm (Eq. 17) — over one
-// feature map. Two datapaths:
-//   - float32: reference dataflow, bit-identical to the software module;
-//   - fixed:   bit-accurate emulation of the ap_fixed datapath, with feature
-//              maps in the scheme's feature format and parameters quantized
-//              once into the parameter format (as the DMA'd weights would
-//              be). This is what makes Table VIII and Figs. 9-10 exact.
+// feature map. Each core builds exactly one datapath, picked by the design
+// point's dtype:
+//   - float32: the software module itself, an nn::MultiHeadSelfAttention
+//              replica on the IP's weights run as inference, so its outputs
+//              are bitwise the module's inference forward;
+//   - fixed:   bit-accurate emulation of the ap_fixed datapath (fx::QMhsa),
+//              with feature maps in the scheme's feature format and
+//              parameters quantized once into the parameter format (as the
+//              DMA'd weights would be). This is what makes Table VIII and
+//              Figs. 9-10 exact.
 //
 // Latency comes from the analytic CycleModel; run() reports the cycles of
 // the last invocation so callers (the rt::ZynqBoard) can account time.
 #pragma once
+
+#include <memory>
 
 #include "nodetr/fx/qmhsa.hpp"
 #include "nodetr/hls/cycle_model.hpp"
@@ -23,18 +29,19 @@ namespace nodetr::hls {
 using nodetr::tensor::Tensor;
 
 /// The learned tensors an MHSA IP needs, in float (pre-quantization).
-struct MhsaWeights {
-  Tensor wq, wk, wv;        ///< (D, D)
-  Tensor rel_h, rel_w;      ///< (heads, H, Dh), (heads, W, Dh); empty if unused
-  Tensor ln_gamma, ln_beta; ///< (D); empty if the core skips LayerNorm
+using MhsaWeights = nodetr::nn::MhsaWeights;
 
-  /// Extract from a trained software module (weights are copied).
-  static MhsaWeights from_module(nodetr::nn::MultiHeadSelfAttention& mhsa);
-};
+/// The nn layer an IP with `point`'s geometry computes on weights shaped like
+/// `weights`: ReLU attention, the relative encoding iff `weights` carries the
+/// relative tables, the output LayerNorm iff it carries the LayerNorm's gain.
+/// MhsaDesignPoint::from_config maps the other way.
+[[nodiscard]] nodetr::nn::MhsaConfig module_config(const MhsaDesignPoint& point,
+                                                   const MhsaWeights& weights);
 
 class MhsaIpCore {
  public:
-  /// Geometry of `point` must match the weight shapes.
+  /// Geometry of `point` must match the weight shapes. Builds only the
+  /// datapath of `point.dtype`.
   MhsaIpCore(MhsaDesignPoint point, MhsaWeights weights);
 
   /// Execute on (B, D, H, W) or (D, H, W); returns the same shape in float.
@@ -70,17 +77,17 @@ class MhsaIpCore {
   /// feature format — the exact arithmetic a full-model fixed pipeline
   /// composes with (used by QuantizedExecutor). Several images' tokens may be
   /// stacked, (images * N, D); each image attends only to its own tokens.
-  /// Runs on the calling thread.
+  /// Runs on the calling thread. Throws std::logic_error on a float32 core.
   [[nodiscard]] fx::FixedTensor run_fixed_tokens(const fx::FixedTensor& tokens) const;
 
  private:
-  [[nodiscard]] Tensor run_tokens_float(const Tensor& tokens) const;
-
   MhsaDesignPoint point_;
-  MhsaWeights weights_;
-  // The fixed datapath, its parameters quantized and packed once at
-  // construction: the [Wq|Wk|Wv] panel, each head's relative-position matrix
-  // R_h, and the LayerNorm gain/bias.
+  nodetr::nn::MhsaConfig config_;  ///< module_config() of the IP's weights
+  // Exactly one datapath. Float32: the software module on the weights after
+  // the WeightWire round-trip. Fixed: the parameters quantized and packed
+  // once at construction: the [Wq|Wk|Wv] panel, each head's relative-position
+  // matrix R_h, and the LayerNorm gain/bias.
+  std::unique_ptr<nodetr::nn::MultiHeadSelfAttention> float_;
   fx::QMhsa fixed_;
   CycleBreakdown last_cycles_;
   CycleModel cycle_model_;

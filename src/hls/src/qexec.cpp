@@ -7,25 +7,21 @@ namespace nodetr::hls {
 
 namespace {
 
-/// (B, D, H, W) -> per-image token matrices through the IP datapath.
+/// (B, D, H, W) maps -> (B*N, D) token rows, one IP call for the whole batch
+/// (each image attends only to its own tokens), and the inverse transpose.
 fx::FixedTensor run_mhsa(const MhsaIpCore& ip, const fx::FixedTensor& x) {
-  const auto& p = ip.point();
-  const index_t b = x.shape().dim(0), d = p.dim, n = p.tokens();
-  fx::FixedTensor out(x.shape(), x.format());
+  const index_t b = x.shape().dim(0), d = ip.point().dim, n = ip.point().tokens();
+  fx::FixedTensor tokens(Shape{b * n, d}, x.format());
   for (index_t s = 0; s < b; ++s) {
-    fx::FixedTensor tokens(Shape{n, d}, x.format());
-    for (index_t t = 0; t < n; ++t) {
-      const index_t y = t / p.width, xx = t % p.width;
-      for (index_t c = 0; c < d; ++c) {
-        tokens[t * d + c] = x[((s * d + c) * p.height + y) * p.width + xx];
-      }
+    for (index_t c = 0; c < d; ++c) {
+      for (index_t t = 0; t < n; ++t) tokens[(s * n + t) * d + c] = x[(s * d + c) * n + t];
     }
-    fx::FixedTensor o = ip.run_fixed_tokens(tokens);
-    for (index_t t = 0; t < n; ++t) {
-      const index_t y = t / p.width, xx = t % p.width;
-      for (index_t c = 0; c < d; ++c) {
-        out[((s * d + c) * p.height + y) * p.width + xx] = o[t * d + c];
-      }
+  }
+  const fx::FixedTensor o = ip.run_fixed_tokens(tokens);
+  fx::FixedTensor out(x.shape(), o.format());
+  for (index_t s = 0; s < b; ++s) {
+    for (index_t c = 0; c < d; ++c) {
+      for (index_t t = 0; t < n; ++t) out[(s * d + c) * n + t] = o[(s * n + t) * d + c];
     }
   }
   return out;

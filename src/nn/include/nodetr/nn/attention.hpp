@@ -40,6 +40,27 @@ struct MhsaConfig {
   [[nodiscard]] index_t tokens() const { return height * width; }
 };
 
+class MultiHeadSelfAttention;
+
+/// The learned tensors of an MHSA layer, in float.
+struct MhsaWeights {
+  Tensor wq, wk, wv;        ///< (D, D)
+  Tensor rel_h, rel_w;      ///< (heads, H, Dh), (heads, W, Dh); empty if unused
+  Tensor ln_gamma, ln_beta; ///< (D); empty without the output LayerNorm
+
+  /// Extract from a module (weights are copied).
+  static MhsaWeights from_module(MultiHeadSelfAttention& mhsa);
+
+  /// Throws std::invalid_argument, naming the tensor, when a shape does not
+  /// fit `config`; the tensors `config` has no use for must be empty.
+  void check(const MhsaConfig& config) const;
+};
+
+/// The (H*W, Dh) relative-position matrix of `head` from the tables rel_h
+/// (heads, H, Dh) and rel_w (heads, W, Dh):
+/// R[(y,x), :] = rel_h[head, y, :] + rel_w[head, x, :].
+[[nodiscard]] Tensor relative_matrix(const Tensor& rel_h, const Tensor& rel_w, index_t head);
+
 class MultiHeadSelfAttention final : public Module {
  public:
   /// Inference-time offload hook: when set, forward() delegates to this
@@ -48,7 +69,11 @@ class MultiHeadSelfAttention final : public Module {
   /// access). backward() is unsupported while an override is active.
   using ForwardOverride = std::function<Tensor(const Tensor&, MultiHeadSelfAttention&)>;
 
+  /// Projections and relative tables drawn from `rng`; the LayerNorm starts
+  /// at gain 1 and bias 0.
   MultiHeadSelfAttention(MhsaConfig config, Rng& rng);
+  /// Takes `weights` as they are; they must pass weights.check(config).
+  MultiHeadSelfAttention(MhsaConfig config, MhsaWeights weights);
 
   /// x: (B, D, H, W) -> (B, D, H, W).
   Tensor forward(const Tensor& x) override;
@@ -62,6 +87,7 @@ class MultiHeadSelfAttention final : public Module {
 
   /// The full (N, head_dim) relative-position matrix for head `h`:
   /// R[(y,x), :] = R_h[y, :] + R_w[x, :] (i.e. R = R_h 1^T + 1 R_w^T).
+  /// nn::relative_matrix over this module's tables.
   [[nodiscard]] Tensor relative_matrix(index_t head) const;
 
   /// Mean fraction of exactly-zero attention weights over the last forward —

@@ -61,6 +61,8 @@ class LayerNorm final : public Module {
   [[nodiscard]] std::vector<Param*> local_parameters() override { return {&gamma_, &beta_}; }
   [[nodiscard]] float eps() const { return eps_; }
   [[nodiscard]] index_t dim() const { return dim_; }
+  [[nodiscard]] Param& gamma() { return gamma_; }
+  [[nodiscard]] Param& beta() { return beta_; }
 
  private:
   void release_backward_state() override {

@@ -50,31 +50,111 @@ Tensor to_feature_map(const Tensor& t, index_t b, index_t h, index_t w) {
   return x;
 }
 
-}  // namespace
-
-MultiHeadSelfAttention::MultiHeadSelfAttention(MhsaConfig config, Rng& rng)
-    : config_(config),
-      wq_("wq", {}), wk_("wk", {}), wv_("wv", {}),
-      rel_h_("rel_h", {}), rel_w_("rel_w", {}) {
-  if (config_.dim % config_.heads != 0) {
+const MhsaConfig& checked(const MhsaConfig& config) {
+  if (config.heads < 1 || config.dim % config.heads != 0) {
     throw std::invalid_argument("MHSA: dim must be divisible by heads");
   }
-  const index_t d = config_.dim;
+  return config;
+}
+
+/// `config`, once `weights` passed weights.check(config).
+const MhsaConfig& checked(const MhsaConfig& config, const MhsaWeights& weights) {
+  weights.check(config);
+  return config;
+}
+
+/// `used`: `t` must have shape `want`; otherwise it must be empty.
+void check_weight(const char* name, const Tensor& t, const Shape& want, bool used) {
+  if (used ? t.shape() != want : !t.empty()) {
+    throw std::invalid_argument(std::string("MHSA: tensor '") + name + "' has shape " +
+                                t.shape().to_string() + ", expected " +
+                                (used ? want.to_string() : std::string("none")));
+  }
+}
+
+/// `config`'s tensors, the projections and relative tables drawn from `rng`
+/// in the order wq, wk, wv, rel_h, rel_w.
+MhsaWeights draw_weights(const MhsaConfig& config, Rng& rng) {
+  const index_t d = checked(config).dim;
   const float proj_std = 1.0f / std::sqrt(static_cast<float>(d));
-  wq_ = Param("wq", rng.randn(Shape{d, d}, 0.0f, proj_std));
-  wk_ = Param("wk", rng.randn(Shape{d, d}, 0.0f, proj_std));
-  wv_ = Param("wv", rng.randn(Shape{d, d}, 0.0f, proj_std));
-  if (config_.pos == PosEncodingKind::kRelative2d) {
+  MhsaWeights w;
+  w.wq = rng.randn(Shape{d, d}, 0.0f, proj_std);
+  w.wk = rng.randn(Shape{d, d}, 0.0f, proj_std);
+  w.wv = rng.randn(Shape{d, d}, 0.0f, proj_std);
+  if (config.pos == PosEncodingKind::kRelative2d) {
     // "Initial values of these vectors are drawn from a normal distribution."
-    const index_t dh = config_.head_dim();
+    const index_t dh = config.head_dim();
     const float pos_std = 1.0f / std::sqrt(static_cast<float>(dh));
-    rel_h_ = Param("rel_h", rng.randn(Shape{config_.heads, config_.height, dh}, 0.0f, pos_std));
-    rel_w_ = Param("rel_w", rng.randn(Shape{config_.heads, config_.width, dh}, 0.0f, pos_std));
+    w.rel_h = rng.randn(Shape{config.heads, config.height, dh}, 0.0f, pos_std);
+    w.rel_w = rng.randn(Shape{config.heads, config.width, dh}, 0.0f, pos_std);
   }
-  if (config_.layer_norm_out) ln_ = std::make_unique<LayerNorm>(d);
+  if (config.layer_norm_out) {
+    w.ln_gamma = Tensor(Shape{d}, 1.0f);
+    w.ln_beta = Tensor(Shape{d});
+  }
+  return w;
+}
+
+}  // namespace
+
+Tensor relative_matrix(const Tensor& rel_h, const Tensor& rel_w, index_t head) {
+  const index_t h = rel_h.dim(1), w = rel_w.dim(1), dh = rel_h.dim(2);
+  Tensor r(Shape{h * w, dh});
+  for (index_t y = 0; y < h; ++y) {
+    const float* rh = rel_h.data() + (head * h + y) * dh;
+    for (index_t x = 0; x < w; ++x) {
+      const float* rw = rel_w.data() + (head * w + x) * dh;
+      float* dst = r.data() + (y * w + x) * dh;
+      for (index_t c = 0; c < dh; ++c) dst[c] = rh[c] + rw[c];
+    }
+  }
+  return r;
+}
+
+MultiHeadSelfAttention::MultiHeadSelfAttention(MhsaConfig config, Rng& rng)
+    : MultiHeadSelfAttention(config, draw_weights(config, rng)) {}
+
+MultiHeadSelfAttention::MultiHeadSelfAttention(MhsaConfig config, MhsaWeights weights)
+    : config_(checked(config, weights)),
+      wq_("wq", std::move(weights.wq)), wk_("wk", std::move(weights.wk)),
+      wv_("wv", std::move(weights.wv)),
+      rel_h_("rel_h", std::move(weights.rel_h)), rel_w_("rel_w", std::move(weights.rel_w)) {
+  if (config_.layer_norm_out) {
+    ln_ = std::make_unique<LayerNorm>(config_.dim);
+    ln_->gamma().value = std::move(weights.ln_gamma);
+    ln_->beta().value = std::move(weights.ln_beta);
+  }
   if (config_.pos == PosEncodingKind::kAbsoluteSinusoidal) {
-    abs_pos_ = sinusoidal_encoding(config_.tokens(), d);
+    abs_pos_ = sinusoidal_encoding(config_.tokens(), config_.dim);
   }
+}
+
+void MhsaWeights::check(const MhsaConfig& config) const {
+  const index_t d = checked(config).dim, dh = config.head_dim(), heads = config.heads;
+  const bool rel = config.pos == PosEncodingKind::kRelative2d, ln = config.layer_norm_out;
+  check_weight("wq", wq, Shape{d, d}, true);
+  check_weight("wk", wk, Shape{d, d}, true);
+  check_weight("wv", wv, Shape{d, d}, true);
+  check_weight("rel_h", rel_h, Shape{heads, config.height, dh}, rel);
+  check_weight("rel_w", rel_w, Shape{heads, config.width, dh}, rel);
+  check_weight("ln_gamma", ln_gamma, Shape{d}, ln);
+  check_weight("ln_beta", ln_beta, Shape{d}, ln);
+}
+
+MhsaWeights MhsaWeights::from_module(MultiHeadSelfAttention& mhsa) {
+  MhsaWeights w;
+  w.wq = mhsa.wq().value;
+  w.wk = mhsa.wk().value;
+  w.wv = mhsa.wv().value;
+  if (mhsa.config().pos == PosEncodingKind::kRelative2d) {
+    w.rel_h = mhsa.rel_h().value;
+    w.rel_w = mhsa.rel_w().value;
+  }
+  if (LayerNorm* ln = mhsa.layer_norm()) {
+    w.ln_gamma = ln->gamma().value;
+    w.ln_beta = ln->beta().value;
+  }
+  return w;
 }
 
 const Tensor& MultiHeadSelfAttention::attention_weights(index_t sample, index_t head) const {
@@ -85,17 +165,7 @@ const Tensor& MultiHeadSelfAttention::attention_weights(index_t sample, index_t 
 }
 
 Tensor MultiHeadSelfAttention::relative_matrix(index_t head) const {
-  const index_t h_ = config_.height, w_ = config_.width, dh = config_.head_dim();
-  Tensor r(Shape{h_ * w_, dh});
-  for (index_t y = 0; y < h_; ++y) {
-    const float* rh = rel_h_.value.data() + (head * h_ + y) * dh;
-    for (index_t x = 0; x < w_; ++x) {
-      const float* rw = rel_w_.value.data() + (head * w_ + x) * dh;
-      float* dst = r.data() + (y * w_ + x) * dh;
-      for (index_t c = 0; c < dh; ++c) dst[c] = rh[c] + rw[c];
-    }
-  }
-  return r;
+  return nn::relative_matrix(rel_h_.value, rel_w_.value, head);
 }
 
 std::vector<Tensor> MultiHeadSelfAttention::relative_matrices() const {

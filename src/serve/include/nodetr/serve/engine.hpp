@@ -11,7 +11,8 @@
 //                    ▼
 //      worker 0..N-1 ── one board per worker (DeviceConfig "dev<i>", or
 //          │              the EngineConfig::devices entry in cluster mode)
-//          ├─ kCpuFloat:  float32 datapath run in-process
+//          ├─ kCpuFloat:  float32 IP in-process: the software nn MHSA
+//          │              module, bitwise the host's inference forward
 //          ├─ kCpuQuant:  fixed datapath on block-quantized (int8-wire)
 //          │              weights run in-process
 //          └─ kFpga*:     the session's own DdrMemory + MhsaAccelerator,
@@ -38,7 +39,10 @@
 //     exponential backoff; a batch that keeps failing is re-run slice by
 //     slice so co-batched innocent requests are not failed collectively; a
 //     crashed worker is respawned after failing its in-flight rows and
-//     requeuing every untouched request it held;
+//     requeuing every untouched request it held. When a respawn fails the
+//     slot is given up; once nothing is left to drain a queue (a cluster
+//     board, or a flat engine's last worker) its requests fail with
+//     EngineStoppedError, and a flat engine's later submits throw it;
 //   - **overload protection**: a request carries an optional deadline (TTL)
 //     enforced at admission, re-checked at batch formation (expired rows are
 //     shed with RequestExpired before touching the IP), and propagated into
@@ -390,8 +394,9 @@ class InferenceEngine {
   /// request to a device queue. Closes the device queues on exit so the
   /// workers drain and stop.
   void router_loop();
-  /// Cluster mode: the worker slot is gone for good — fail everything still
-  /// queued on its device so no future hangs.
+  /// The worker slot is gone for good. Cluster mode: fail everything still
+  /// queued on its device. Flat mode, once no worker is left: close the
+  /// shared queue and fail everything on it. Either way no future hangs.
   void abandon_device(std::size_t worker);
   /// One batch boundary: runs the batch's live slices, then drains the
   /// board's counters and ticks the swap controller on every path.
@@ -474,6 +479,7 @@ class InferenceEngine {
   std::atomic<std::uint64_t> submitted_{0}, rejected_{0}, completed_{0}, failed_{0};
   std::atomic<std::uint64_t> shed_{0}, expired_{0};
   std::atomic<std::uint64_t> batches_{0}, rows_{0}, respawns_{0};
+  std::atomic<std::size_t> lost_workers_{0};  ///< flat mode: slots given up
   std::atomic<std::uint64_t> open_breakers_{0};
   std::atomic<std::int64_t> sim_cycles_{0};
   std::atomic<std::uint64_t> canary_pick_counter_{0};

@@ -133,9 +133,9 @@ class ModelRegistry {
   void validate(const hls::MhsaWeights& weights) const;
   void evict_old_locked();
 
-  hls::MhsaDesignPoint point_;
-  bool has_rel_ = false;
-  bool has_ln_ = false;
+  /// The seed's layer on the design point's geometry: every version must
+  /// carry the same optional tensors.
+  nn::MhsaConfig config_;
   std::size_t keep_retired_;
   mutable std::mutex mu_;
   std::map<std::uint64_t, Entry> entries_;

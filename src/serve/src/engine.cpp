@@ -394,15 +394,23 @@ void InferenceEngine::router_loop() {
 }
 
 void InferenceEngine::abandon_device(std::size_t worker) {
-  // The worker slot could not be respawned: mark the device permanently
-  // unroutable, then fail everything still queued on it — no other worker
-  // will ever drain this queue, and accepted futures must not hang.
-  router_->on_device_lost(worker);
-  RequestQueue& q = *device_queues_[worker];
-  q.close();
-  const auto error = std::make_exception_ptr(EngineStoppedError(
-      "device " + router_->name(worker) + " lost: worker respawn failed"));
-  while (RequestPtr r = q.try_pop()) {
+  // The worker slot could not be respawned. A cluster board's queue has no
+  // other consumer, and neither has a flat engine's shared queue once its
+  // last worker is gone: mark the board permanently unroutable or count the
+  // loss, then close the queue and fail everything still on it, so accepted
+  // futures do not hang and a flat engine's later submits throw.
+  RequestQueue* q = &queue_;
+  std::string why = "engine lost its last worker";
+  if (router_) {
+    router_->on_device_lost(worker);
+    q = device_queues_[worker].get();
+    why = "device " + router_->name(worker) + " lost";
+  } else if (lost_workers_.fetch_add(1) + 1 < sessions_.size()) {
+    return;  // the surviving workers keep draining the shared queue
+  }
+  q->close();
+  const auto error = std::make_exception_ptr(EngineStoppedError(why + ": worker respawn failed"));
+  while (RequestPtr r = q->try_pop()) {
     fail_request(*r, error);
   }
 }
@@ -458,12 +466,10 @@ void InferenceEngine::worker_loop(std::size_t worker) {
         sessions_[worker] = make_session(worker);
       } catch (...) {
         // Respawn itself failed (e.g. out of memory building the IP). Give
-        // up this worker slot; the remaining workers keep draining, and the
-        // salvage above already resolved everything this worker held. In
-        // cluster mode nobody else drains this device's queue, so the device
-        // is marked lost and its queued requests are failed explicitly.
+        // up this worker slot; the salvage above already resolved or
+        // requeued everything this worker held.
         obs::Registry::instance().counter("serve.worker_lost").add();
-        if (router_) abandon_device(worker);
+        abandon_device(worker);
         return;
       }
       respawns_.fetch_add(1, std::memory_order_relaxed);

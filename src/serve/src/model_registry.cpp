@@ -9,39 +9,6 @@
 
 namespace nodetr::serve {
 
-namespace {
-
-using nodetr::tensor::Shape;
-using nodetr::tensor::Tensor;
-
-void check_tensor(const char* name, const Tensor& t, const Shape& expected, bool required) {
-  if (t.numel() == 0) {
-    if (required) {
-      throw std::invalid_argument(std::string("ModelRegistry::publish: missing tensor '") +
-                                  name + "' (expected " + expected.to_string() + ")");
-    }
-    return;
-  }
-  if (!required) {
-    throw std::invalid_argument(std::string("ModelRegistry::publish: unexpected tensor '") +
-                                name + "' (the seed version has none)");
-  }
-  if (!(t.shape() == expected)) {
-    throw std::invalid_argument(std::string("ModelRegistry::publish: shape mismatch for '") +
-                                name + "': expected " + expected.to_string() + ", got " +
-                                t.shape().to_string());
-  }
-  const float* data = t.data();
-  for (nodetr::tensor::index_t i = 0; i < t.numel(); ++i) {
-    if (!std::isfinite(data[i])) {
-      throw std::invalid_argument(std::string("ModelRegistry::publish: non-finite value in '") +
-                                  name + "' at flat index " + std::to_string(i));
-    }
-  }
-}
-
-}  // namespace
-
 const char* to_string(VersionState state) {
   switch (state) {
     case VersionState::kCandidate: return "candidate";
@@ -54,9 +21,7 @@ const char* to_string(VersionState state) {
 
 ModelRegistry::ModelRegistry(hls::MhsaDesignPoint point, hls::MhsaWeights seed,
                              std::size_t keep_retired)
-    : point_(point),
-      has_rel_(seed.rel_h.numel() > 0),
-      has_ln_(seed.ln_gamma.numel() > 0),
+    : config_(hls::module_config(point, seed)),
       keep_retired_(keep_retired) {
   validate(seed);
   auto v = std::make_shared<ModelVersion>();
@@ -70,15 +35,19 @@ ModelRegistry::ModelRegistry(hls::MhsaDesignPoint point, hls::MhsaWeights seed,
 }
 
 void ModelRegistry::validate(const hls::MhsaWeights& w) const {
-  const auto d = point_.dim;
-  const auto dh = point_.dim / point_.heads;
-  check_tensor("wq", w.wq, Shape{d, d}, true);
-  check_tensor("wk", w.wk, Shape{d, d}, true);
-  check_tensor("wv", w.wv, Shape{d, d}, true);
-  check_tensor("rel_h", w.rel_h, Shape{point_.heads, point_.height, dh}, has_rel_);
-  check_tensor("rel_w", w.rel_w, Shape{point_.heads, point_.width, dh}, has_rel_);
-  check_tensor("ln_gamma", w.ln_gamma, Shape{d}, has_ln_);
-  check_tensor("ln_beta", w.ln_beta, Shape{d}, has_ln_);
+  w.check(config_);
+  const std::pair<const char*, const tensor::Tensor*> tensors[] = {
+      {"wq", &w.wq},       {"wk", &w.wk},       {"wv", &w.wv},
+      {"rel_h", &w.rel_h}, {"rel_w", &w.rel_w}, {"ln_gamma", &w.ln_gamma},
+      {"ln_beta", &w.ln_beta}};
+  for (const auto& [name, t] : tensors) {
+    for (tensor::index_t i = 0; i < t->numel(); ++i) {
+      if (!std::isfinite(t->data()[i])) {
+        throw std::invalid_argument(std::string("ModelRegistry::publish: non-finite value in '") +
+                                    name + "' at flat index " + std::to_string(i));
+      }
+    }
+  }
 }
 
 std::uint64_t ModelRegistry::publish(hls::MhsaWeights weights, std::string note) {
@@ -107,15 +76,8 @@ std::uint64_t ModelRegistry::publish_checkpoint(const std::string& path, std::st
   // and route the file through the checkpoint loader's stage-validate-commit
   // path: a corrupt or mismatched container throws train::CheckpointError
   // (naming the offending param) and nothing is published.
-  nn::MhsaConfig cfg;
-  cfg.dim = point_.dim;
-  cfg.heads = point_.heads;
-  cfg.height = point_.height;
-  cfg.width = point_.width;
-  cfg.pos = has_rel_ ? nn::PosEncodingKind::kRelative2d : nn::PosEncodingKind::kNone;
-  cfg.layer_norm_out = has_ln_;
   nodetr::tensor::Rng rng(1);
-  nn::MultiHeadSelfAttention scratch(cfg, rng);
+  nn::MultiHeadSelfAttention scratch(config_, rng);
   train::load_checkpoint(path, scratch);
   if (note.empty()) note = "checkpoint:" + path;
   return publish(hls::MhsaWeights::from_module(scratch), std::move(note));

@@ -88,7 +88,7 @@ TEST(Core, OffloadAgreesWithSoftware) {
   auto session = model.offload(hls::DataType::kFloat32);
   model.model().train(false);
   auto hw = session->forward(batch);
-  EXPECT_TRUE(nt::allclose(hw, sw, 1e-3f, 1e-4f));
+  EXPECT_TRUE(nt::allclose(hw, sw, 0.0f, 0.0f));
 }
 
 TEST(Core, ResourceAndPowerEstimates) {

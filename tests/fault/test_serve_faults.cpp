@@ -250,6 +250,28 @@ TEST_F(ServeFaultTest, FailedRespawnLeavesTheSurvivingWorkerServingEveryRequest)
   EXPECT_EQ(s.failed, 0u);
 }
 
+// When the respawn of a flat engine's last worker fails, nothing is left to
+// drain the shared queue: the queued request fails with EngineStoppedError
+// and later submits throw it.
+TEST_F(ServeFaultTest, FailedRespawnOfTheLastFlatWorkerStopsTheEngine) {
+  serve::InferenceEngine engine(config(serve::Backend::kCpuFloat), weights());
+  auto& inj = fault::Injector::instance();
+  inj.arm("serve.respawn", fault::Schedule::always());
+  inj.arm("serve.worker_crash", fault::Schedule::once(0));
+  // The one worker crashes at this request's batch, requeues it, and then
+  // fails to respawn.
+  auto queued = engine.submit(rng_.rand(nt::Shape{1, point_.dim, point_.height, point_.width}));
+  ASSERT_EQ(queued.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  EXPECT_THROW((void)queued.get(), serve::EngineStoppedError);
+  EXPECT_EQ(inj.fires("serve.respawn"), 1u);
+  EXPECT_THROW(
+      (void)engine.submit(rng_.rand(nt::Shape{1, point_.dim, point_.height, point_.width})),
+      serve::EngineStoppedError);
+  const serve::EngineStats s = engine.stats();
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.completed, 0u);
+}
+
 // In a cluster nobody else drains the lost board's queue: the requests queued
 // there fail with EngineStoppedError, the board is marked lost, and the
 // router sends everything after it to the surviving board.

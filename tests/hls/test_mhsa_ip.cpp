@@ -36,18 +36,55 @@ hls::MhsaDesignPoint matching_point(hls::DataType dtype) {
   return p;
 }
 
+/// The module's inference forward: what the float IP must reproduce bitwise.
+nt::Tensor inference_forward(nn::MultiHeadSelfAttention& mhsa, const nt::Tensor& x) {
+  const nn::InferenceScope inference(mhsa);
+  return mhsa.forward(x);
+}
+
 }  // namespace
 
+// The float32 IP runs the software module on its weights, so its output is
+// bitwise the module's inference forward, at batch 1 and batch 8 and on the
+// paper's (64, 6x6) point as on a small one.
 TEST(MhsaIp, FloatPathMatchesSoftwareModule) {
   nt::Rng rng(1);
   nn::MultiHeadSelfAttention mhsa(module_cfg(), rng);
-  mhsa.train(false);
   auto x = rng.randn(nt::Shape{2, 16, 3, 3});
-  auto sw = mhsa.forward(x);
   hls::MhsaIpCore ip(matching_point(hls::DataType::kFloat32),
                      hls::MhsaWeights::from_module(mhsa));
-  auto hw = ip.run(x);
-  EXPECT_TRUE(nt::allclose(hw, sw, 1e-4f, 1e-5f));
+  EXPECT_TRUE(nt::allclose(ip.run(x), inference_forward(mhsa, x), 0.0f, 0.0f));
+
+  nn::MultiHeadSelfAttention paper({.dim = 64, .heads = 4, .height = 6, .width = 6}, rng);
+  hls::MhsaIpCore paper_ip(hls::MhsaDesignPoint::proposed_64(hls::DataType::kFloat32),
+                           hls::MhsaWeights::from_module(paper));
+  for (const nt::index_t b : {1, 8}) {
+    const auto xb = rng.randn(nt::Shape{b, 64, 6, 6});
+    EXPECT_TRUE(nt::allclose(paper_ip.run(xb), inference_forward(paper, xb), 0.0f, 0.0f))
+        << "batch " << b;
+  }
+}
+
+// Each core builds only its own datapath: a float core has no fixed one, and
+// only a float core runs the nn module.
+TEST(MhsaIp, EachCoreRunsOnlyItsOwnDatapath) {
+  nt::Rng rng(10);
+  nn::MultiHeadSelfAttention mhsa(module_cfg(), rng);
+  const auto x = rng.randn(nt::Shape{1, 16, 3, 3});
+  auto& forwards = nodetr::obs::Registry::instance().counter("nn.mhsa.forwards");
+  hls::MhsaIpCore flt(matching_point(hls::DataType::kFloat32),
+                      hls::MhsaWeights::from_module(mhsa));
+  EXPECT_THROW((void)flt.run_fixed_tokens(fx::FixedTensor(
+                   nt::Shape{9, 16}, fx::scheme_32_24().feature)),
+               std::logic_error);
+  std::int64_t before = forwards.value();
+  (void)flt.run(x);
+  EXPECT_EQ(forwards.value() - before, 1);
+  hls::MhsaIpCore fixed(matching_point(hls::DataType::kFixed),
+                        hls::MhsaWeights::from_module(mhsa));
+  before = forwards.value();
+  (void)fixed.run(x);
+  EXPECT_EQ(forwards.value(), before);
 }
 
 TEST(MhsaIp, FixedPathTracksFloatWithinQuantError) {
@@ -142,7 +179,7 @@ TEST(MhsaIp, OverrideHookRoutesModuleThroughIp) {
   mhsa.set_forward_override(
       [ip](const nt::Tensor& in, nn::MultiHeadSelfAttention&) { return ip->run(in); });
   auto hw = mhsa.forward(x);
-  EXPECT_TRUE(nt::allclose(hw, sw, 1e-4f, 1e-5f));
+  EXPECT_TRUE(nt::allclose(hw, sw, 0.0f, 0.0f));
   EXPECT_THROW(mhsa.backward(nt::Tensor(sw.shape())), std::logic_error);
   mhsa.clear_forward_override();
   EXPECT_FALSE(mhsa.has_forward_override());

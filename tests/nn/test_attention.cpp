@@ -38,6 +38,38 @@ TEST(Mhsa, DimMustDivideHeads) {
   EXPECT_THROW(nn::MultiHeadSelfAttention(bad, rng), std::invalid_argument);
 }
 
+// A module built from another's weights is that module: same parameters,
+// bitwise the same forward, under every positional encoding.
+TEST(Mhsa, WeightsConstructorRebuildsTheModule) {
+  nt::Rng rng(30);
+  for (const auto pos : {nn::PosEncodingKind::kNone, nn::PosEncodingKind::kAbsoluteSinusoidal,
+                         nn::PosEncodingKind::kRelative2d}) {
+    const auto cfg = small_cfg(nn::AttentionKind::kRelu, pos);
+    nn::MultiHeadSelfAttention drawn(cfg, rng);
+    drawn.layer_norm()->gamma().value = rng.randn(nt::Shape{8});
+    nn::MultiHeadSelfAttention rebuilt(cfg, nn::MhsaWeights::from_module(drawn));
+    EXPECT_EQ(rebuilt.num_parameters(), drawn.num_parameters());
+    const auto x = rng.randn(nt::Shape{2, 8, 3, 3});
+    EXPECT_TRUE(nt::allclose(rebuilt.forward(x), drawn.forward(x), 0.0f, 0.0f));
+  }
+}
+
+TEST(Mhsa, WeightsConstructorRejectsMismatchedTensors) {
+  nt::Rng rng(31);
+  const auto cfg = small_cfg(nn::AttentionKind::kRelu, nn::PosEncodingKind::kRelative2d);
+  nn::MultiHeadSelfAttention drawn(cfg, rng);
+  const nn::MhsaWeights good = nn::MhsaWeights::from_module(drawn);
+  auto bad = good;
+  bad.wk = nt::Tensor(nt::Shape{8, 4});
+  EXPECT_THROW(nn::MultiHeadSelfAttention(cfg, bad), std::invalid_argument);
+  bad = good;
+  bad.ln_beta = nt::Tensor();
+  EXPECT_THROW(nn::MultiHeadSelfAttention(cfg, bad), std::invalid_argument);
+  auto no_rel = cfg;
+  no_rel.pos = nn::PosEncodingKind::kNone;  // the relative tables must then be absent
+  EXPECT_THROW(nn::MultiHeadSelfAttention(no_rel, good), std::invalid_argument);
+}
+
 TEST(Mhsa, ParameterCountReluRelative) {
   nt::Rng rng(4);
   auto cfg = small_cfg(nn::AttentionKind::kRelu, nn::PosEncodingKind::kRelative2d);

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "nodetr/core/lightweight_transformer.hpp"
 #include "nodetr/models/zoo.hpp"
 #include "nodetr/nn/attention.hpp"
 #include "nodetr/rt/board.hpp"
 #include "nodetr/tensor/ops.hpp"
 
+namespace core = nodetr::core;
 namespace rt = nodetr::rt;
 namespace hls = nodetr::hls;
 namespace m = nodetr::models;
@@ -276,6 +280,9 @@ TEST(Accelerator, Int4WireCompressesHarderThanInt8) {
   EXPECT_EQ(ip8.weight_float_bytes(), ip4.weight_float_bytes());
 }
 
+// The float32 IP runs the software MHSA, so offloaded logits are bitwise the
+// host's: the tiny model's eval forward, and on the paper model, at batch 1
+// and batch 8, each image's batch-1 predict_logits row.
 TEST(Offload, FloatOffloadPreservesLogits) {
   nt::Rng rng(3);
   auto model = tiny_proposed(rng);
@@ -284,9 +291,23 @@ TEST(Offload, FloatOffloadPreservesLogits) {
   auto sw = model->forward(x);
   rt::OffloadedModel offload(*model, hls::DataType::kFloat32);
   auto hw = offload.forward(x);
-  EXPECT_TRUE(nt::allclose(hw, sw, 1e-3f, 1e-4f));
+  EXPECT_TRUE(nt::allclose(hw, sw, 0.0f, 0.0f));
   EXPECT_GT(offload.last_timing().pl_ms, 0.0);
   EXPECT_GT(offload.last_timing().ps_ms, 0.0);
+
+  core::LightweightTransformer paper;
+  const auto batch = rng.rand(nt::Shape{8, 3, 96, 96});
+  std::vector<nt::Tensor> rows;
+  for (nt::index_t i = 0; i < 8; ++i) rows.push_back(paper.predict_logits(batch.slice0(i, i + 1)));
+  const auto session = paper.offload(hls::DataType::kFloat32);
+  const auto logits8 = session->forward(batch);
+  for (nt::index_t i = 0; i < 8; ++i) {
+    const auto& want = rows[static_cast<std::size_t>(i)];
+    EXPECT_TRUE(nt::allclose(session->forward(batch.slice0(i, i + 1)), want, 0.0f, 0.0f))
+        << "batch 1, image " << i;
+    EXPECT_TRUE(nt::allclose(logits8.slice0(i, i + 1), want, 0.0f, 0.0f))
+        << "batch 8, row " << i;
+  }
 }
 
 TEST(Offload, FixedOffloadCloseToFloat) {

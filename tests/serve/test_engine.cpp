@@ -3,7 +3,9 @@
 // exactly-once future fulfilment.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <thread>
+#include <vector>
 
 #include "nodetr/nn/attention.hpp"
 #include "nodetr/serve/serve.hpp"
@@ -112,6 +114,28 @@ TEST(RequestQueue, CloseUnblocksBlockedProducer) {
 }
 
 // --------------------------------------------------------------- engine ----
+
+// Both float backends run the software module on the engine's weights, so
+// every output is bitwise the module's inference forward, whatever batches
+// the requests landed in.
+TEST(Engine, FloatBackendsMatchModuleInferenceForwardBitwise) {
+  EngineFixture fx_;
+  std::vector<nt::Tensor> inputs, want;
+  for (index_t i = 0; i < 6; ++i) {
+    inputs.push_back(fx_.rng.rand(nt::Shape{1 + i % 3, 16, 4, 4}));
+    const nn::InferenceScope inference(*fx_.mhsa);
+    want.push_back(fx_.mhsa->forward(inputs.back()));
+  }
+  for (const serve::Backend backend : {serve::Backend::kCpuFloat, serve::Backend::kFpgaFloat}) {
+    serve::InferenceEngine engine(fx_.config(backend, 2, 16), fx_.weights());
+    std::vector<std::future<nt::Tensor>> futures;
+    for (const nt::Tensor& x : inputs) futures.push_back(engine.submit(x));
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      EXPECT_TRUE(nt::allclose(futures[i].get(), want[i], 0.0f, 0.0f))
+          << serve::to_string(backend) << " request " << i;
+    }
+  }
+}
 
 TEST(Engine, ConcurrentProducersEveryFutureFulfilledExactlyOnce) {
   EngineFixture fx_;
