@@ -1,6 +1,6 @@
 // Kernel microbenchmarks (google-benchmark): the primitive operations the
-// models are built from — each GEMM microkernel alone, GEMM, convolution,
-// depthwise-separable conv, max-pool, software MHSA, the bit-accurate fixed-point MHSA
+// models are built from — each GEMM microkernel alone, GEMM, convolution
+// (the paper's strided convs among them), depthwise-separable conv, max-pool, software MHSA, the bit-accurate fixed-point MHSA
 // datapath, and ODE solver steps.
 //
 // Besides the console table, a machine-readable BENCH_kernels.json is written
@@ -80,22 +80,24 @@ static void BM_GemmAttention(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmAttention)->Args({36, 16});
 
-/// One microkernel alone: an MR x NR tile at kc = 256 from L1-resident
-/// panels, on one thread, with no packing and no pool. It reads the
-/// kernel's own throughput, so a change that spills its accumulators to the
-/// stack shows up here. Registered in main() once per available kernel.
+/// One microkernel alone: an MR x NR tile at kc = 256, A read in place from
+/// an L1-resident row-major MR x kc block (a plain view's strides, kc and 1)
+/// and B from an L1-resident packed panel, on one thread, with no packing
+/// and no pool. It reads the kernel's own throughput, so a change that spills
+/// its accumulators to the stack shows up here. Registered in main() once per
+/// available kernel.
 void BM_Microkernel(benchmark::State& state, const nt::simd::MicroKernel& kern) {
   constexpr int kKc = 256;
   auto& arena = nt::ScratchArena::local();
   nt::ScratchArena::Scope scope(arena);
-  float* ap = arena.alloc<float>(static_cast<std::size_t>(kKc * kern.mr));
+  float* a = arena.alloc<float>(static_cast<std::size_t>(kKc * kern.mr));
   float* bp = arena.alloc<float>(static_cast<std::size_t>(kKc * kern.nr));
   float* c = arena.alloc<float>(static_cast<std::size_t>(kern.mr * kern.nr));
   nt::Rng rng(9);
-  for (nt::index_t i = 0; i < kKc * kern.mr; ++i) ap[i] = rng.normal();
+  for (nt::index_t i = 0; i < kKc * kern.mr; ++i) a[i] = rng.normal();
   for (nt::index_t i = 0; i < kKc * kern.nr; ++i) bp[i] = rng.normal();
   for (auto _ : state) {
-    kern.fn(kKc, ap, bp, c, kern.nr, kern.mr, kern.nr, /*first=*/true);
+    kern.fn(kKc, a, kKc, 1, bp, c, kern.nr, kern.mr, kern.nr, /*first=*/true);
     benchmark::DoNotOptimize(c);
     benchmark::ClobberMemory();
   }
@@ -115,6 +117,30 @@ static void BM_Conv2d(benchmark::State& state) {
             2.0 * 12 * 12 * static_cast<double>(c) * c * 3 * 3);
 }
 BENCHMARK(BM_Conv2d)->Arg(16)->Arg(64);
+
+/// The paper model's 3x3 stride-2 pad-1 convs, as the inference forward runs
+/// them (an implicit GEMM whose B panels are gathered from the planes): the
+/// stem 3->64 at 96x96 and the downsample bodies ds1 64->128 at 24x24 and
+/// ds2 128->256 at 12x12, batch 1 and 8.
+static void BM_ConvPaper(benchmark::State& state) {
+  const nt::index_t cin = state.range(0), cout = state.range(1), hw = state.range(2),
+                    batch = state.range(3);
+  nt::Rng rng(10);
+  nn::Conv2d conv(cin, cout, 3, 2, 1, /*bias=*/false, rng);
+  auto x = rng.randn(nt::Shape{batch, cin, hw, hw});
+  const nn::InferenceScope inference(conv);
+  for (auto _ : state) benchmark::DoNotOptimize(conv.forward(x));
+  const double out = static_cast<double>(hw / 2) * static_cast<double>(hw / 2);
+  set_flops(state,
+            "BM_ConvPaper/cin:" + std::to_string(cin) + "/cout:" + std::to_string(cout) +
+                "/hw:" + std::to_string(hw) + "/batch:" + std::to_string(batch),
+            2.0 * static_cast<double>(batch * cout * cin * 9) * out);
+}
+BENCHMARK(BM_ConvPaper)
+    ->ArgNames({"cin", "cout", "hw", "batch"})
+    ->ArgsProduct({{3}, {64}, {96}, {1, 8}})
+    ->ArgsProduct({{64}, {128}, {24}, {1, 8}})
+    ->ArgsProduct({{128}, {256}, {12}, {1, 8}});
 
 static void BM_DepthwiseSeparable(benchmark::State& state) {
   const nt::index_t c = state.range(0);

@@ -1,6 +1,6 @@
 // ScratchArena: thread-local, grow-only workspace for kernel scratch buffers.
 //
-// The compute kernels (GEMM packing panels, im2col/col2im columns) need large
+// The compute kernels (GEMM B panels, the backward convs' columns) need large
 // temporary buffers on every call. Allocating them from the heap per call puts
 // malloc/free on the hot path of every training step and serve request; the
 // arena instead bump-allocates from chunks that are kept for the lifetime of
@@ -59,8 +59,8 @@ class ScratchArena {
   /// The 64-byte alignment is a contract, not an accident: every allocation
   /// size is rounded up to a cache line and every chunk base is allocated
   /// with std::align_val_t{64}, so consecutive allocations all start on a
-  /// cache line. The SIMD GEMM microkernels and the im2col packing rely on
-  /// this for legal aligned/split-free vector loads from any call site.
+  /// cache line. The SIMD GEMM microkernels' packed B panels rely on this
+  /// for split-free vector loads from any call site.
   template <typename T>
   [[nodiscard]] T* alloc(std::size_t count) {
     return static_cast<T*>(allocate(count * sizeof(T)));

@@ -1,7 +1,8 @@
-// Convolution kernels on NCHW tensors: im2col-based dense conv2d, a direct
-// depthwise conv, each with the backward kernels needed for training, and
-// the depthwise-separable forward that feeds the depthwise planes straight
-// into the pointwise GEMM.
+// Convolution kernels on NCHW tensors: the dense conv2d as an implicit GEMM
+// (its B panels gathered straight from the input planes), a direct depthwise
+// conv, each with the backward kernels needed for training, and the
+// depthwise-separable forward that feeds the depthwise planes straight into
+// the pointwise GEMM.
 #pragma once
 
 #include "nodetr/tensor/tensor.hpp"
@@ -25,12 +26,21 @@ struct Conv2dGeom {
 void im2col(const float* img, index_t channels, index_t h, index_t w, const Conv2dGeom& g,
             float* col);
 
+/// A block of im2col's columns: rows [row0, row0 + rows) and columns [col0,
+/// col0 + cols) of the (C*K*K, Ho*Wo) matrix of the (C, h, w) planes at
+/// `img`, row r at dst + (r - row0) * ld. Padding cells are +0, as im2col
+/// writes them; the GEMM's conv-form B pack gathers its panels with it.
+void im2col_block(const float* img, index_t h, index_t w, const Conv2dGeom& g, index_t row0,
+                  index_t rows, index_t col0, index_t cols, float* dst, index_t ld);
+
 /// Fold columns (C*K*K, Ho*Wo) back into an image (C,H,W), accumulating overlaps.
 void col2im(const float* col, index_t channels, index_t h, index_t w, const Conv2dGeom& g,
             float* img);
 
 /// Forward: x (N,Cin,H,W), weight (Cout,Cin,K,K), bias (Cout) or empty.
-/// A 1x1 stride-1 unpadded conv reads each input plane as the GEMM operand.
+/// A 1x1 stride-1 unpadded conv reads each input plane as the GEMM operand;
+/// any other geometry is a conv-view GEMM, with no column buffer. The bits
+/// are those of im2col followed by the GEMM.
 [[nodiscard]] Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias,
                             const Conv2dGeom& g);
 

@@ -1,15 +1,18 @@
 // Dense matrix multiplication kernels.
 //
 // Everything routes through one cache-blocked, register-tiled kernel
-// (`gemm_blocked`): A and B panels are packed into contiguous buffers sized
-// to the cache hierarchy, and an MR x NR microkernel — selected at runtime
-// from the SIMD dispatch table (simd.hpp), with the blocking derived from
-// the caches (tune.hpp) — does the arithmetic. Operands are described by views
-// (pointer + leading dimension + transpose flag), so the transposed product
-// variants and the per-head strided sub-matrices in attention run through
-// the same kernel without materializing copies. The jr/ir tile loops of each
-// macro-kernel block are partitioned across the thread pool BLIS-style, so
-// skinny shapes (few rows, many columns) parallelize as well as square ones.
+// (`gemm_blocked`): B panels are packed into a contiguous buffer sized to the
+// cache hierarchy, and an MR x NR microkernel — selected at runtime from the
+// SIMD dispatch table (simd.hpp), with the blocking derived from the caches
+// (tune.hpp) — does the arithmetic, reading A (the weights, in every layer)
+// in place by strides. Operands are described by views (pointer + leading
+// dimension + transpose flag), so the transposed product variants and the
+// per-head strided sub-matrices in attention run through the same kernel
+// without materializing copies. A conv view stands for im2col's column matrix
+// of some input planes, and the B pack gathers it straight from them. The
+// jr/ir tile loops of each macro-kernel block are partitioned across the
+// thread pool BLIS-style, so skinny shapes (few rows, many columns)
+// parallelize as well as square ones.
 //
 // Every output element is one ascending-k chain regardless of blocking,
 // operand views, or how tiles are split across threads: each k panel after
@@ -20,6 +23,7 @@
 // against two per multiply-add).
 #pragma once
 
+#include "nodetr/tensor/conv.hpp"
 #include "nodetr/tensor/tensor.hpp"
 #include "nodetr/tensor/tune.hpp"
 
@@ -30,11 +34,23 @@ struct GemmView {
   const float* data = nullptr;
   index_t ld = 0;      ///< stride between stored rows
   bool trans = false;  ///< stored matrix is the transpose of the operand
+  bool conv = false;   ///< conv form (B only): see `conv_planes`
+  Conv2dGeom geom{};   ///< conv form: the convolution
+  index_t h = 0, w = 0;  ///< conv form: the input plane extents
 
   /// Operand stored as-is: element (i, j) at data[i * ld + j].
-  static GemmView plain(const float* data, index_t ld) { return {data, ld, false}; }
+  static GemmView plain(const float* data, index_t ld) { return {.data = data, .ld = ld}; }
   /// Operand is the transpose of storage: element (i, j) at data[j * ld + i].
-  static GemmView transposed(const float* data, index_t ld) { return {data, ld, true}; }
+  static GemmView transposed(const float* data, index_t ld) {
+    return {.data = data, .ld = ld, .trans = true};
+  }
+  /// B operand that is the (C*K*K) x (Ho*Wo) column matrix im2col builds
+  /// from the (C, h, w) planes at `planes` under `g`. The B pack gathers its
+  /// panels straight from the planes (im2col_block), so the matrix is never
+  /// stored and its values are im2col's.
+  static GemmView conv_planes(const float* planes, index_t h, index_t w, const Conv2dGeom& g) {
+    return {.data = planes, .conv = true, .geom = g, .h = h, .w = w};
+  }
 };
 
 /// Work fused into the kernel's output pass while the C panel is cache-hot:
@@ -54,7 +70,9 @@ struct GemmEpilogue {
 /// C(m x n) = op(A)(m x k) * op(B)(k x n) with an optional fused epilogue.
 /// C is row-major with row stride `ldc`; views may alias neither C nor the
 /// residual. Zero-extent problems are handled (k == 0 stores zeros, then the
-/// epilogue). Runs the process-wide config (tune::gemm_config()).
+/// epilogue). Only B may be a conv view, and its matrix must be k x n;
+/// anything else throws std::invalid_argument. Runs the process-wide config
+/// (tune::gemm_config()).
 void gemm_blocked(index_t m, index_t k, index_t n, GemmView a, GemmView b, float* c, index_t ldc,
                   const GemmEpilogue& epilogue = {});
 

@@ -9,8 +9,10 @@
 //      plain decimal; a spec that does not parse is ignored with a warning.
 //   2. Otherwise `default_config` of the first available kernel: probe
 //      L1d/L2/L3 (sysfs, then sysconf, then safe defaults) and size the
-//      blocks from them (A+B micro-panel pair in L1, packed A block in L2,
-//      packed B block in L3), as BLIS's analytical model does.
+//      blocks from them (A+B micro-panel pair in L1, the MC x KC block of A
+//      in L2, packed B block in L3), as BLIS's analytical model does. A is
+//      read in place, so MC sizes the row block the tile loop streams, not
+//      a copy.
 //
 // The config is exported through obs gauges (tensor.gemm.*,
 // tensor.cpu.*_bytes — visible in the JSON dump and OpenMetrics) and via

@@ -68,7 +68,7 @@ void* ScratchArena::allocate(std::size_t bytes) {
   offset_ += bytes;
   high_water_ = std::max(high_water_, live_bytes());
   // Documented contract (arena.hpp): every pointer handed out is cache-line
-  // aligned — the SIMD GEMM packing and im2col buffers depend on it.
+  // aligned — the SIMD GEMM's packed B panels depend on it.
   NODETR_ARENA_ASSERT_ALIGNED(p);
   return p;
 }

@@ -19,36 +19,18 @@ namespace {
 constexpr index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
 constexpr index_t round_up(index_t a, index_t b) { return ceil_div(a, b) * b; }
 
-/// Pack one A micro-panel: rows [row0, row0 + mr) of op(A), depth [pc,
-/// pc + kc), k-major (element (i, p) at dst[p * mr_max + i]), zero-padded to
-/// the kernel's full mr_max rows. Panel content depends only on (row0, pc,
-/// mr, kc), never on which thread packs it.
-void pack_a_panel(const GemmView& a, index_t row0, index_t pc, index_t mr, index_t kc,
-                  index_t mr_max, float* dst) {
-  if (!a.trans) {
-    for (index_t i = 0; i < mr; ++i) {
-      const float* src = a.data + (row0 + i) * a.ld + pc;
-      for (index_t p = 0; p < kc; ++p) dst[p * mr_max + i] = src[p];
-    }
-    for (index_t i = mr; i < mr_max; ++i) {
-      for (index_t p = 0; p < kc; ++p) dst[p * mr_max + i] = 0.0f;
-    }
-  } else {
-    for (index_t p = 0; p < kc; ++p) {
-      const float* src = a.data + (pc + p) * a.ld + row0;
-      float* d = dst + p * mr_max;
-      for (index_t i = 0; i < mr; ++i) d[i] = src[i];
-      for (index_t i = mr; i < mr_max; ++i) d[i] = 0.0f;
-    }
-  }
-}
-
 /// Pack one B micro-panel: columns [col0, col0 + nr) of op(B), depth [pc,
 /// pc + kc), k-major (element (p, j) at dst[p * nr_max + j]), zero-padded to
-/// nr_max columns.
+/// nr_max columns. Panel content depends only on (pc, col0, kc, nr), never
+/// on which thread packs it. A conv view's panel is gathered from its planes.
 void pack_b_panel(const GemmView& b, index_t pc, index_t col0, index_t kc, index_t nr,
                   index_t nr_max, float* dst) {
-  if (!b.trans) {
+  if (b.conv) {
+    im2col_block(b.data, b.h, b.w, b.geom, pc, kc, col0, nr, dst, nr_max);
+    for (index_t p = 0; p < kc && nr < nr_max; ++p) {
+      std::fill(dst + p * nr_max + nr, dst + (p + 1) * nr_max, 0.0f);
+    }
+  } else if (!b.trans) {
     for (index_t p = 0; p < kc; ++p) {
       const float* src = b.data + (pc + p) * b.ld + col0;
       float* d = dst + p * nr_max;
@@ -122,18 +104,19 @@ void blocked_product(index_t m, index_t k, index_t n, GemmView a, GemmView b, fl
   const simd::MicroKernel& ker = *cfg.kernel;
   const index_t kMr = ker.mr, kNr = ker.nr;
   const index_t kKc = cfg.kc, kMc = cfg.mc, kNc = cfg.nc;
+  // The microkernel reads A where it lies: element (i, p) of op(A) at
+  // a.data[i * rs_a + p * cs_a].
+  const index_t rs_a = a.trans ? 1 : a.ld, cs_a = a.trans ? a.ld : 1;
 
-  // Both packs live in the caller's arena and are shared by all workers:
+  // The B pack lives in the caller's arena and is shared by all workers:
   // panels are written by exactly one pack task and read only after the
   // packing parallel_for joins, so the pool's fork/join provides the
   // happens-before edge. ScratchArena returns 64-byte-aligned storage, which
-  // makes the first row of every pack cacheline-aligned for the SIMD loads.
+  // makes the first row of every panel cacheline-aligned for the SIMD loads.
   auto& arena = ScratchArena::local();
   ScratchArena::Scope scope(arena);
   float* bpack = arena.alloc<float>(
       static_cast<std::size_t>(std::min(k, kKc) * round_up(std::min(n, kNc), kNr)));
-  float* apack = arena.alloc<float>(
-      static_cast<std::size_t>(std::min(k, kKc) * round_up(std::min(m, kMc), kMr)));
 
   for (index_t jc = 0; jc < n; jc += kNc) {
     const index_t nc = std::min(kNc, n - jc);
@@ -147,15 +130,10 @@ void blocked_product(index_t m, index_t k, index_t n, GemmView a, GemmView b, fl
                        bpack + jp * kNr * kc);
         }
       });
+      // MC rows of A at a time: the MC x KC block the tiles stream from L2.
       for (index_t ic = 0; ic < m; ic += kMc) {
         const index_t mc = std::min(kMc, m - ic);
         const index_t ipanels = ceil_div(mc, kMr);
-        run_range(serial, ipanels, /*grain=*/8, [&](index_t lo, index_t hi) {
-          for (index_t ip = lo; ip < hi; ++ip) {
-            pack_a_panel(a, ic + ip * kMr, pc, std::min(kMr, mc - ip * kMr), kc, kMr,
-                         apack + ip * kMr * kc);
-          }
-        });
         // BLIS-style macro kernel: the jr and ir loops around the microkernel
         // are flattened into one tile index and partitioned across the pool,
         // jr-major so consecutive tiles in a chunk reuse the same L1-resident
@@ -166,8 +144,9 @@ void blocked_product(index_t m, index_t k, index_t n, GemmView a, GemmView b, fl
             const index_t jp = t / ipanels, ip = t % ipanels;
             const index_t nr = std::min(kNr, nc - jp * kNr);
             const index_t mr = std::min(kMr, mc - ip * kMr);
-            ker.fn(static_cast<int>(kc), apack + ip * kMr * kc, bpack + jp * kNr * kc,
-                   c + (ic + ip * kMr) * ldc + jc + jp * kNr, ldc, mr, nr, first);
+            const index_t row0 = ic + ip * kMr;
+            ker.fn(static_cast<int>(kc), a.data + row0 * rs_a + pc * cs_a, rs_a, cs_a,
+                   bpack + jp * kNr * kc, c + row0 * ldc + jc + jp * kNr, ldc, mr, nr, first);
           }
         });
       }
@@ -180,6 +159,13 @@ void blocked_product(index_t m, index_t k, index_t n, GemmView a, GemmView b, fl
 
 void gemm_blocked_cfg(index_t m, index_t k, index_t n, GemmView a, GemmView b, float* c,
                       index_t ldc, const tune::GemmConfig& cfg, const GemmEpilogue& ep) {
+  if (a.conv) throw std::invalid_argument("gemm_blocked: A cannot be a conv view");
+  if (b.conv) {
+    const Conv2dGeom& g = b.geom;
+    if (k != g.in_channels * g.kernel * g.kernel || n != g.out_extent(b.h) * g.out_extent(b.w)) {
+      throw std::invalid_argument("gemm_blocked: conv view is not a k x n matrix");
+    }
+  }
   if (m <= 0 || n <= 0) return;
   static auto& calls = obs::Registry::instance().counter("tensor.gemm.calls");
   static auto& flops = obs::Registry::instance().counter("tensor.gemm.flops");

@@ -124,7 +124,8 @@ GemmConfig default_config(const simd::MicroKernel& kernel, const CacheInfo& cach
   const index_t kc_budget =
       static_cast<index_t>(caches.l1d * 3 / 4) / (4 * (kernel.mr + kernel.nr));
   cfg.kc = std::clamp<index_t>(round_down(kc_budget, 8), 64, 512);
-  // MC: the packed A block (MC x KC) fills at most half of L2.
+  // MC: the MC x KC block of A that one tile loop streams, read in place,
+  // fills at most half of L2.
   const index_t mc_budget = static_cast<index_t>(caches.l2 / 2) / (4 * cfg.kc);
   cfg.mc = std::clamp<index_t>(round_down(mc_budget, kernel.mr), kernel.mr * 4, 768);
   // NC: the packed B block (KC x NC) fills at most a quarter of L3 (shared

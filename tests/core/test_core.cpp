@@ -8,6 +8,7 @@
 #include "nodetr/obs/obs.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/tensor/parallel.hpp"
+#include "nodetr/tensor/tune.hpp"
 
 namespace core = nodetr::core;
 namespace nt = nodetr::tensor;
@@ -183,6 +184,33 @@ TEST(Core, BatchedPredictLogitsIsOnePoolRun) {
   (void)model.predict_logits(batch);
   const std::int64_t want = nt::ThreadPool::global().size() > 1 ? 1 : 0;
   EXPECT_EQ(runs.value() - before, want);
+}
+
+// The fork count of one batch-1 paper-model image: every parallel_for that
+// splits into two or more chunks counts once, in `runs` when it forks the
+// pool and in `serial_runs` when it runs its chunks on the caller, so the sum
+// does not depend on the pool size. It does depend on the GEMM blocking (a
+// k split adds pack and tile loops), so it is pinned under one config: the
+// ctest copy CoreForks.PaperModelBatch1.avx2_6x16 sets it
+// (tests/CMakeLists.txt). A change that adds or removes a fork moves it.
+TEST(CoreForks, PaperModelBatch1PredictLogits) {
+  constexpr const char* kSpec = "avx2_6x16:384:256:1024";
+  constexpr std::int64_t kForks = 112;
+  const auto& cfg = nt::tune::gemm_config();
+  if (nt::tune::to_spec(cfg) != kSpec) {
+    GTEST_SKIP() << "the fork count is pinned under " << kSpec << ", not "
+                 << nt::tune::to_spec(cfg);
+  }
+  core::LightweightTransformer model;
+  nt::Rng rng(58);
+  const auto image = rng.rand(nt::Shape{1, 3, 96, 96});
+  (void)model.predict_logits(image);  // warm-up
+  auto& reg = nodetr::obs::Registry::instance();
+  auto& runs = reg.counter("tensor.pool.runs");
+  auto& serial_runs = reg.counter("tensor.pool.serial_runs");
+  const std::int64_t before = runs.value() + serial_runs.value();
+  (void)model.predict_logits(image);
+  EXPECT_EQ(runs.value() + serial_runs.value() - before, kForks);
 }
 
 // The image tasks leave the MHSA diagnostics alone: they still describe the

@@ -9,7 +9,7 @@
 //   - bitwise-identical output whether the tile loops run on the pool or
 //     serially (what a different thread count changes).
 // This file is part of test_tensor, so it also rides the TSan CI job, which
-// exercises the shared packed-panel buffers across pool workers.
+// exercises the shared packed B panels across pool workers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -121,8 +121,9 @@ TEST_P(SimdKernels, TransposedViewsMatchPlain) {
                        nt::GemmView::plain(b.data(), 13), c_ta.data(), 13, cfg);
   nt::gemm_blocked_cfg(19, 21, 13, nt::GemmView::plain(a.data(), 21),
                        nt::GemmView::transposed(bt.data(), 21), c_tb.data(), 13, cfg);
-  // Packing normalizes both views to the same panel layout, so the products
-  // are bitwise equal, not merely close.
+  // The kernel reads the same A values by other strides, and the B pack
+  // normalizes both B views to one panel layout, so the products are bitwise
+  // equal, not merely close.
   EXPECT_EQ(std::memcmp(plain.data(), c_ta.data(), sizeof(float) * 19 * 13), 0);
   EXPECT_EQ(std::memcmp(plain.data(), c_tb.data(), sizeof(float) * 19 * 13), 0);
 }
@@ -219,7 +220,9 @@ TEST_P(SimdKernels, DefaultBlockingMatchesNaive) {
 // The vector kernels run one FMA chain per output element, so each output is
 // exactly a scalar std::fma chain in ascending k, started from 0 (`first`) or
 // from C's value, and stored. Checked bit for bit on every live tile shape,
-// with C's untouched region (rows and columns past mr x nr) left as it was.
+// with A read in place from a plain (mr x kc) and a transposed (kc x mr)
+// block, and C's untouched region (rows and columns past mr x nr) left as it
+// was.
 TEST(SimdKernelBits, FmaKernelsEqualScalarFmaChain) {
   nt::Rng rng(17);
   int kernels = 0;
@@ -228,38 +231,80 @@ TEST(SimdKernelBits, FmaKernelsEqualScalarFmaChain) {
     ++kernels;
     const nt::index_t kmr = kern.mr, knr = kern.nr, ldc = knr + 3;
     for (const int kc : {1, 2, 7, 64, 257}) {
-      const nt::Tensor a_src = rng.randn(nt::Shape{kc, kmr});
+      const nt::Tensor a = rng.randn(nt::Shape{kmr, kc});
       const nt::Tensor b = rng.randn(nt::Shape{kc, knr});
       const nt::Tensor c0 = rng.randn(nt::Shape{kmr + 1, ldc});
       for (nt::index_t mr = 1; mr <= kmr; ++mr) {
-        // Packed A: rows past mr are zero, as the GEMM packs a short tile.
-        nt::Tensor a(nt::Shape{kc, kmr});
-        for (int p = 0; p < kc; ++p)
-          for (nt::index_t i = 0; i < mr; ++i) a.at(p, i) = a_src.at(p, i);
-        for (nt::index_t nr = 1; nr <= knr; ++nr) {
-          for (const bool first : {true, false}) {
-            nt::Tensor c = c0;
-            kern.fn(kc, a.data(), b.data(), c.data(), ldc, mr, nr, first);
-            for (nt::index_t i = 0; i <= kmr; ++i)
-              for (nt::index_t j = 0; j < ldc; ++j) {
-                // Not first: the chain continues from C's value.
-                float want = c0.at(i, j);
-                if (i < mr && j < nr) {
-                  float acc = first ? 0.0f : want;
-                  for (int p = 0; p < kc; ++p) acc = std::fma(a.at(p, i), b.at(p, j), acc);
-                  want = acc;
+        // A's first mr rows, each view exactly mr * kc floats: a row past mr
+        // would read outside it.
+        const std::vector<float> plain(a.data(), a.data() + mr * kc);
+        std::vector<float> trans(static_cast<std::size_t>(mr * kc));
+        for (nt::index_t i = 0; i < mr; ++i)
+          for (int p = 0; p < kc; ++p) trans[static_cast<std::size_t>(p * mr + i)] = a.at(i, p);
+        const struct {
+          const float* data;
+          nt::index_t rs, cs;
+        } views[] = {{plain.data(), kc, 1}, {trans.data(), 1, mr}};
+        for (const auto& v : views)
+          for (nt::index_t nr = 1; nr <= knr; ++nr) {
+            for (const bool first : {true, false}) {
+              nt::Tensor c = c0;
+              kern.fn(kc, v.data, v.rs, v.cs, b.data(), c.data(), ldc, mr, nr, first);
+              for (nt::index_t i = 0; i <= kmr; ++i)
+                for (nt::index_t j = 0; j < ldc; ++j) {
+                  // Not first: the chain continues from C's value.
+                  float want = c0.at(i, j);
+                  if (i < mr && j < nr) {
+                    float acc = first ? 0.0f : want;
+                    for (int p = 0; p < kc; ++p) acc = std::fma(a.at(i, p), b.at(p, j), acc);
+                    want = acc;
+                  }
+                  ASSERT_EQ(std::memcmp(&c.at(i, j), &want, sizeof(float)), 0)
+                      << kern.name << " kc " << kc << " tile " << mr << "x" << nr << " rs "
+                      << v.rs << " first " << first << " at (" << i << ", " << j
+                      << "): " << c.at(i, j) << " vs " << want;
                 }
-                ASSERT_EQ(std::memcmp(&c.at(i, j), &want, sizeof(float)), 0)
-                    << kern.name << " kc " << kc << " tile " << mr << "x" << nr << " first "
-                    << first << " at (" << i << ", " << j << "): " << c.at(i, j) << " vs "
-                    << want;
-              }
+            }
           }
-        }
       }
     }
   }
   if (kernels == 0) GTEST_SKIP() << "no vector microkernel on this host";
+}
+
+// Through the GEMM, every kernel reads A where it lies, from a plain and a
+// transposed view, with m % mr != 0 (a bottom-edge tile) and KC values that
+// split k or not. Each view's storage is exactly A's m * k floats, so a read
+// past A is a heap overflow under ASan. The product is bitwise one chain per
+// element.
+TEST(SimdKernelBits, ReadsAInPlaceFromPlainAndTransposedViews) {
+  nt::Rng rng(19);
+  for (const auto& kern : simd::available_kernels()) {
+    const nt::index_t m = 3 * kern.mr + 1, k = 61, n = 2 * kern.nr + 5;
+    const auto a = rng.randn(nt::Shape{m, k});
+    const auto b = rng.randn(nt::Shape{k, n});
+    const nt::Tensor want = nodetr::testing::chain_matmul(kern, a, b);
+    const std::vector<float> plain(a.data(), a.data() + m * k);
+    std::vector<float> trans(static_cast<std::size_t>(m * k));
+    for (nt::index_t i = 0; i < m; ++i)
+      for (nt::index_t p = 0; p < k; ++p) trans[static_cast<std::size_t>(p * m + i)] = a.at(i, p);
+    const struct {
+      nt::GemmView view;
+      const char* name;
+    } views[] = {{nt::GemmView::plain(plain.data(), k), "plain"},
+                 {nt::GemmView::transposed(trans.data(), m), "transposed"}};
+    for (const nt::index_t kc : {8, 24, 61, 256}) {
+      auto cfg = tiny_config(kern);
+      cfg.kc = kc;
+      for (const auto& v : views) {
+        nt::Tensor got(nt::Shape{m, n});
+        nt::gemm_blocked_cfg(m, k, n, v.view, nt::GemmView::plain(b.data(), n), got.data(), n,
+                             cfg);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * m * n), 0)
+            << kern.name << " " << v.name << " KC " << kc;
+      }
+    }
+  }
 }
 
 // Blocking cannot move a bit. The paper's two downsample convolutions run
