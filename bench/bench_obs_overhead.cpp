@@ -9,14 +9,18 @@
 //     it is.
 //   2. Engine-level: wall requests/s through a CPU-backend InferenceEngine
 //     with (a) flight recorder on (the always-on default), (b) flight
-//     recorder off, and (c) full span tracing on as the worst case. The
-//     acceptance bar — recorder-on costs < 5% vs recorder-off — is this
-//     binary's exit code.
+//     recorder off, and (c) full span tracing on as the worst case, in
+//     kRounds rounds that alternate which of (a) and (b) runs first. Each
+//     round gives one off/on ratio; the acceptance bar — the median ratio
+//     says recorder-on costs < 5% vs recorder-off — is this binary's exit
+//     code. One unpaired pair of runs spread several times wider than the
+//     bar on unchanged code.
 //
 //   ./bench_obs_overhead [iters] [requests]   (default 20M / 192)
 //
 // Writes BENCH_obs.json with ns-per-op and requests/s for each mode, plus
 // seed_* frozen baselines from the machine that authored this bench.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -48,17 +52,12 @@ double ns_per_iter(std::int64_t iters, const std::function<void(std::int64_t)>& 
          static_cast<double>(iters);
 }
 
-/// Wall requests/s through a small CPU-backend engine (the hot path every
-/// observability hook sits on; no simulated device so the hooks dominate).
-double engine_rps(const hls::MhsaDesignPoint& point, const hls::MhsaWeights& weights,
-                  const std::vector<nt::Tensor>& pool, index_t requests) {
-  serve::EngineConfig cfg;
-  cfg.point = point;
-  cfg.backend = serve::Backend::kCpuFloat;
-  cfg.workers = 2;
-  cfg.queue_capacity = static_cast<std::size_t>(requests) + 1;
-  cfg.batcher.max_batch = 8;
-  serve::InferenceEngine engine(cfg, weights);
+/// Wall requests/s of `requests` submits through a small CPU-backend engine
+/// (the hot path every observability hook sits on; no simulated device so
+/// the hooks dominate). Every run goes through one engine, so its workers
+/// and their scratch are warm in every mode.
+double engine_rps(serve::InferenceEngine& engine, const std::vector<nt::Tensor>& pool,
+                  index_t requests) {
   std::vector<std::future<nt::Tensor>> futures;
   futures.reserve(static_cast<std::size_t>(requests));
   const auto t0 = Clock::now();
@@ -67,9 +66,19 @@ double engine_rps(const hls::MhsaDesignPoint& point, const hls::MhsaWeights& wei
   }
   for (auto& f : futures) (void)f.get();
   const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
-  engine.shutdown();
   return static_cast<double>(requests) / wall;
 }
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Engine rounds. One round's ratio spread about ±6% on a 4-vCPU VM at 96
+/// requests per run; the median of 21 stayed within -2.3..+1.5% over ten
+/// processes of unchanged code, and 21 rounds of 96 take about a second.
+constexpr int kRounds = 21;
 
 }  // namespace
 
@@ -132,31 +141,61 @@ int main(int argc, char** argv) {
     pool.push_back(rng.rand(nt::Shape{4, point.dim, point.height, point.width}));
   }
 
-  (void)engine_rps(point, weights, pool, requests / 4);  // warm-up
+  serve::EngineConfig cfg;
+  cfg.point = point;
+  cfg.backend = serve::Backend::kCpuFloat;
+  cfg.workers = 2;
+  cfg.queue_capacity = static_cast<std::size_t>(requests) + 1;
+  cfg.batcher.max_batch = 8;
+  serve::InferenceEngine engine(cfg, weights);
+  (void)engine_rps(engine, pool, requests);  // warm-up
 
-  flight.set_enabled(false);
-  const double rps_flight_off = engine_rps(point, weights, pool, requests);
-  flight.set_enabled(true);
-  const double rps_flight_on = engine_rps(point, weights, pool, requests);
-  tracer.set_enabled(true);
-  const double rps_traced = engine_rps(point, weights, pool, requests);
+  // Overhead of a mode against recorder-off in the same round, in percent.
+  auto overhead_pct = [](double off, double on) {
+    return on > 0.0 ? 100.0 * (off / on - 1.0) : 100.0;
+  };
+  std::vector<double> off_rps, on_rps, traced_rps, recorder_pct, tracing_pct;
+  for (int round = 0; round < kRounds; ++round) {
+    double off = 0.0, on = 0.0;
+    for (const bool recorder_on : {round % 2 == 1, round % 2 == 0}) {
+      flight.set_enabled(recorder_on);
+      (recorder_on ? on : off) = engine_rps(engine, pool, requests);
+    }
+    flight.set_enabled(true);
+    tracer.set_enabled(true);
+    const double traced = engine_rps(engine, pool, requests);
+    tracer.set_enabled(false);
+    flight.clear();
+    off_rps.push_back(off);
+    on_rps.push_back(on);
+    traced_rps.push_back(traced);
+    recorder_pct.push_back(overhead_pct(off, on));
+    tracing_pct.push_back(overhead_pct(off, traced));
+    std::printf("  round %d (%s first): recorder off %6.0f, on %6.0f (%+.1f%%), tracing %6.0f "
+                "(%+.1f%%) requests/s\n",
+                round + 1, round % 2 == 0 ? "off" : "on", off, on, recorder_pct.back(), traced,
+                tracing_pct.back());
+  }
+  engine.shutdown();
   tracer.set_enabled(tracer_was_enabled);
-  flight.clear();
 
-  const double recorder_overhead_pct =
-      rps_flight_on > 0.0 ? 100.0 * (rps_flight_off / rps_flight_on - 1.0) : 100.0;
-  const double tracing_overhead_pct =
-      rps_traced > 0.0 ? 100.0 * (rps_flight_off / rps_traced - 1.0) : 100.0;
+  const double rps_flight_off = median(off_rps);
+  const double rps_flight_on = median(on_rps);
+  const double rps_traced = median(traced_rps);
+  const double recorder_overhead_pct = median(recorder_pct);
+  const double tracing_overhead_pct = median(tracing_pct);
+  std::printf("  medians of %d rounds:\n", kRounds);
   std::printf("  engine, recorder off:     %8.0f requests/s\n", rps_flight_off);
   std::printf("  engine, recorder on:      %8.0f requests/s  (%+.1f%%)\n", rps_flight_on,
               recorder_overhead_pct);
   std::printf("  engine, tracing on:       %8.0f requests/s  (%+.1f%%)\n", rps_traced,
               tracing_overhead_pct);
-  std::printf("  recorder overhead target: < 5%%\n");
+  std::printf("  recorder overhead target: median < 5%%\n");
 
   bench::JsonReport report("obs");
   report.set("iters", iters);
   report.set("requests", static_cast<std::int64_t>(requests));
+  report.set("engine_rounds", static_cast<std::int64_t>(kRounds));
   report.set("empty_ns_per_op", empty_ns);
   report.set("disabled_span_ns_per_op", span_ns);
   report.set("flight_dormant_ns_per_op", flight_dormant_ns);
@@ -174,8 +213,7 @@ int main(int argc, char** argv) {
   report.set("seed_recorder_overhead_pct", 1.0);
   report.write();
 
-  // Engine throughput at this scale is noisy (± a few %); the acceptance bar
-  // allows the full 5% budget plus slack below zero for runs where
-  // recorder-on measured faster.
+  // The median of the rounds' ratios; a round where recorder-on measured
+  // faster reads below zero.
   return recorder_overhead_pct < 5.0 ? 0 : 1;
 }
