@@ -97,7 +97,7 @@ void BM_Microkernel(benchmark::State& state, const nt::simd::MicroKernel& kern) 
   for (nt::index_t i = 0; i < kKc * kern.mr; ++i) a[i] = rng.normal();
   for (nt::index_t i = 0; i < kKc * kern.nr; ++i) bp[i] = rng.normal();
   for (auto _ : state) {
-    kern.fn(kKc, a, kKc, 1, bp, c, kern.nr, kern.mr, kern.nr, /*first=*/true);
+    kern.fn(kKc, a, kKc, 1, bp, kern.nr, c, kern.nr, kern.mr, kern.nr, /*first=*/true);
     benchmark::DoNotOptimize(c);
     benchmark::ClobberMemory();
   }

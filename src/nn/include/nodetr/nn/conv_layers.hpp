@@ -47,6 +47,13 @@ class DepthwiseSeparableConv final : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
 
+  /// The inference forward of ReLU(bn(x)): bitwise `bn.eval_into(x, y,
+  /// true)` then forward(y), with y never stored. The depthwise applies
+  /// bn's eval expression and the ReLU as it reads each input plane (the
+  /// prologue of tensor::depthwise_separable_conv2d). Records nothing, so
+  /// only a Sequential running BN, ReLU and this conv as inference calls it.
+  [[nodiscard]] Tensor forward_bn_relu(const Tensor& x, const tensor::BatchNormEval& bn) const;
+
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::vector<Param*> local_parameters() override;
   [[nodiscard]] const Conv2dGeom& dw_geom() const { return dw_geom_; }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include "nodetr/nn/module.hpp"
+#include "nodetr/tensor/conv.hpp"
 
 namespace nodetr::nn {
 
@@ -16,11 +17,18 @@ class BatchNorm2d final : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
   /// The eval-mode forward as one pass into `out` (x's shape; may alias x):
-  /// g * ((x - running_mean) * istd) + beta per channel, then, when `relu` is
-  /// set, v > 0 ? v : 0 -- bitwise this module's eval forward followed by
-  /// ReLU's. Records nothing for backward. (Sample, channel) planes split
-  /// across the pool; small inputs run on the calling thread.
+  /// tensor::BnChannel of the running statistics per channel, then, when
+  /// `relu` is set, tensor::relu -- bitwise this module's eval forward
+  /// followed by ReLU's. Records nothing for backward. (Sample, channel)
+  /// planes split across the pool; small inputs run on the calling thread.
   void eval_into(const Tensor& x, Tensor& out, bool relu) const;
+
+  /// The running statistics and affine parameters that eval_into applies,
+  /// for a conv that applies them as its input prologue.
+  [[nodiscard]] tensor::BatchNormEval eval_params() const {
+    return {.channels = channels_, .mean = running_mean_.data(), .var = running_var_.data(),
+            .gamma = gamma_.value.data(), .beta = beta_.value.data(), .eps = eps_};
+  }
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::vector<Param*> local_parameters() override { return {&gamma_, &beta_}; }

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "nodetr/tensor/conv.hpp"
+
 namespace nodetr::nn {
 
 void ReLU::eval_into(const Tensor& x, Tensor& out) {
@@ -13,7 +15,7 @@ void ReLU::eval_into(const Tensor& x, Tensor& out) {
   }
   const float* p = x.data();
   float* o = out.data();
-  for (index_t i = 0; i < x.numel(); ++i) o[i] = p[i] > 0.0f ? p[i] : 0.0f;
+  for (index_t i = 0; i < x.numel(); ++i) o[i] = tensor::relu(p[i]);
 }
 
 Tensor ReLU::forward(const Tensor& x) {

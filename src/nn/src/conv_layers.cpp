@@ -57,6 +57,12 @@ Tensor DepthwiseSeparableConv::forward(const Tensor& x) {
   return out;
 }
 
+Tensor DepthwiseSeparableConv::forward_bn_relu(const Tensor& x,
+                                               const tensor::BatchNormEval& bn) const {
+  return nt::depthwise_separable_conv2d(x, dw_weight_.value, pw_weight_.value, dw_geom_,
+                                        /*mid=*/nullptr, &bn);
+}
+
 Tensor DepthwiseSeparableConv::backward(const Tensor& grad_out) {
   require_backward_state();
   Tensor no_bias;

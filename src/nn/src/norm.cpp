@@ -34,23 +34,18 @@ void BatchNorm2d::eval_into(const Tensor& x, Tensor& out, bool relu) const {
                                 out.shape().to_string() + " != input " + x.shape().to_string());
   }
   const index_t c_ = x.dim(1), plane = x.dim(2) * x.dim(3);
+  const tensor::BatchNormEval params = eval_params();
   // Each task owns whole (sample, channel) planes; `out` may alias `x`
   // because every element is read before it is written.
   tensor::parallel_for(0, x.dim(0) * c_, [&](index_t lo, index_t hi) {
     for (index_t sc = lo; sc < hi; ++sc) {
-      const index_t c = sc % c_;
-      const float mean = running_mean_[c];
-      const float istd = 1.0f / std::sqrt(running_var_[c] + eps_);
-      const float g = gamma_.value[c], bt = beta_.value[c];
+      const tensor::BnChannel bn = params.channel(sc % c_);
       const float* p = x.data() + sc * plane;
       float* o = out.data() + sc * plane;
       if (relu) {
-        for (index_t i = 0; i < plane; ++i) {
-          const float v = g * ((p[i] - mean) * istd) + bt;
-          o[i] = v > 0.0f ? v : 0.0f;
-        }
+        for (index_t i = 0; i < plane; ++i) o[i] = tensor::relu(bn(p[i]));
       } else {
-        for (index_t i = 0; i < plane; ++i) o[i] = g * ((p[i] - mean) * istd) + bt;
+        for (index_t i = 0; i < plane; ++i) o[i] = bn(p[i]);
       }
     }
   }, std::max<index_t>(1, kEvalChunkElems / std::max<index_t>(plane, 1)));

@@ -1,6 +1,7 @@
 #include "nodetr/nn/sequential.hpp"
 
 #include "nodetr/nn/activations.hpp"
+#include "nodetr/nn/conv_layers.hpp"
 #include "nodetr/nn/norm.hpp"
 
 namespace nodetr::nn {
@@ -19,6 +20,12 @@ bool inference_relu(const Module& m) {
   return relu != nullptr && !relu->recording();
 }
 
+/// `m` as a depthwise-separable conv whose forward records nothing, else null.
+const DepthwiseSeparableConv* inference_dsc(const Module& m) {
+  const auto* dsc = dynamic_cast<const DepthwiseSeparableConv*>(&m);
+  return dsc != nullptr && !dsc->recording() ? dsc : nullptr;
+}
+
 }  // namespace
 
 Tensor Sequential::forward(const Tensor& x) {
@@ -30,9 +37,17 @@ Tensor Sequential::forward(const Tensor& x) {
   for (std::size_t i = 0; i < modules_.size(); ++i) {
     Module& m = *modules_[i];
     BatchNorm2d* bn = eval_batchnorm(m);
-    if (bn != nullptr) {
+    const bool relu =
+        bn != nullptr && i + 1 < modules_.size() && inference_relu(*modules_[i + 1]);
+    const DepthwiseSeparableConv* dsc =
+        relu && i + 2 < modules_.size() ? inference_dsc(*modules_[i + 2]) : nullptr;
+    if (dsc != nullptr) {
+      // BN and ReLU as the depthwise's input prologue: no pass of their own.
+      h = dsc->forward_bn_relu(*in, bn->eval_params());
+      in = &h;
+      i += 2;
+    } else if (bn != nullptr) {
       // BN and a following ReLU as one pass, never into the caller's x.
-      const bool relu = i + 1 < modules_.size() && inference_relu(*modules_[i + 1]);
       if (in == &x) h = Tensor(x.shape());
       bn->eval_into(*in, h, relu);
       in = &h;

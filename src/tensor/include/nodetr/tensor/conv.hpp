@@ -5,9 +5,43 @@
 // the pointwise GEMM.
 #pragma once
 
+#include <cmath>
+
 #include "nodetr/tensor/tensor.hpp"
 
 namespace nodetr::tensor {
+
+/// One channel of an inference batch normalization:
+/// x -> gamma * ((x - mean) * istd) + beta, with istd = 1 / sqrt(var + eps).
+/// BatchNorm2d's eval pass and the depthwise-separable prologue both
+/// evaluate it here, so the two cannot round differently.
+struct BnChannel {
+  float mean = 0.0f, istd = 1.0f, gamma = 1.0f, beta = 0.0f;
+
+  [[nodiscard]] static BnChannel of(float mean, float var, float gamma, float beta, float eps) {
+    return {mean, 1.0f / std::sqrt(var + eps), gamma, beta};
+  }
+  [[nodiscard]] float operator()(float x) const { return gamma * ((x - mean) * istd) + beta; }
+};
+
+/// ReLU as every inference pass applies it: v > 0 ? v : 0, so -0 and NaN
+/// give +0.
+[[nodiscard]] inline float relu(float v) { return v > 0.0f ? v : 0.0f; }
+
+/// The running statistics and affine parameters of an inference batch
+/// normalization, one entry per channel.
+struct BatchNormEval {
+  index_t channels = 0;
+  const float* mean = nullptr;
+  const float* var = nullptr;
+  const float* gamma = nullptr;
+  const float* beta = nullptr;
+  float eps = 0.0f;
+
+  [[nodiscard]] BnChannel channel(index_t c) const {
+    return BnChannel::of(mean[c], var[c], gamma[c], beta[c], eps);
+  }
+};
 
 /// Static geometry of a 2-D convolution.
 struct Conv2dGeom {
@@ -64,9 +98,16 @@ void conv2d_backward_params(const Tensor& x, const Tensor& grad_out, const Conv2
 /// reads in place. A non-null `mid` instead receives them as (N,C,Ho,Wo),
 /// the buffer backward needs. Batch 1 splits the planes across the pool,
 /// larger batches split the samples.
+///
+/// A non-null `bn_relu` is an input prologue: the conv then reads
+/// relu(bn_relu(x)) per channel, bitwise as if that had been computed into
+/// a tensor first, and x itself is left alone. The depthwise applies it as
+/// it copies each plane into the zero-framed scratch of the 3x3 stride-1
+/// path, or into the same per-thread scratch before any other geometry.
 [[nodiscard]] Tensor depthwise_separable_conv2d(const Tensor& x, const Tensor& dw_weight,
                                                 const Tensor& pw_weight, const Conv2dGeom& g,
-                                                Tensor* mid = nullptr);
+                                                Tensor* mid = nullptr,
+                                                const BatchNormEval* bn_relu = nullptr);
 
 [[nodiscard]] Tensor depthwise_conv2d_backward_input(const Tensor& grad_out, const Tensor& weight,
                                                      const Conv2dGeom& g, index_t in_h,

@@ -36,7 +36,9 @@ namespace nodetr::tensor {
 /// Persistent pool of worker threads executing blocking fork-join tasks.
 class ThreadPool {
  public:
-  /// `num_threads == 0` selects hardware_concurrency(); 1 means serial.
+  /// `num_threads == 0` selects the number of CPUs in the calling thread's
+  /// affinity mask (hardware_concurrency() where it cannot be read); 1 means
+  /// serial.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 

@@ -1,11 +1,12 @@
 // SIMD microkernel registry for the blocked GEMM.
 //
 // Each entry is one MR x NR register-tiled inner kernel that reads A in place
-// and B from a packed micro-panel. Besides the portable scalar 4x8 kernel (the one the compiler
-// auto-vectorizes at -O3), explicit AVX2/FMA kernels in several shapes are
-// compiled with per-function target attributes, so they exist — and are
-// runtime-dispatched via CPUID — even in the default build without
-// `-DNODETR_NATIVE=ON`. On aarch64 a NEON kernel takes their place.
+// and B by a row stride, from a packed micro-panel or in place. Besides the
+// portable scalar 4x8 kernel (the one the compiler auto-vectorizes at -O3),
+// explicit AVX2/FMA kernels in two shapes are compiled with per-function
+// target attributes, so they exist — and are runtime-dispatched via CPUID —
+// even in the default build without `-DNODETR_NATIVE=ON`. On aarch64 a NEON
+// kernel takes their place.
 //
 // Contract every kernel obeys (NODETR_GEMM_CONFIG may pin any of them):
 //   - A is read where it lies, by strides, as BLIS does: element (i, p) of
@@ -14,9 +15,12 @@
 //     copied. Only rows i < mr are read: in a bottom-edge tile (mr < mr_max)
 //     the rows past mr re-read row mr - 1, and their sums are never stored,
 //     so nothing outside A is touched.
-//   - bp is a packed B micro-panel: element (p, j) at bp[p * nr_max + j],
-//     zero-padded columns when the tile is narrow. Panels come from
-//     ScratchArena, so their base addresses are 64-byte aligned.
+//   - B is read by rows: element (p, j) of the tile's k x nr_max block at
+//     b[p * ldb + j]. All nr_max columns of each of the kc rows are read, so
+//     they must exist. A packed micro-panel passes ldb = nr_max, its columns
+//     past nr zero-padded; panels come from ScratchArena, 64-byte aligned. A
+//     plain B whose tile spans a full nr_max columns is read where it lies,
+//     with ldb its row stride and any alignment.
 //   - Each output element's k-products are accumulated in ascending-k order
 //     in a single dependency chain (one FMA chain per element for the vector
 //     kernels). `first` starts the chain from zero; otherwise it starts from
@@ -40,12 +44,13 @@
 namespace nodetr::tensor::simd {
 
 /// One MR x NR inner kernel. `kc` is the depth, `a` the tile's first A
-/// element with row and column strides `rs_a`/`cs_a`, `bp` the packed B
-/// micro-panel, `c` the top-left of the output tile with row stride `ldc`,
-/// `mr`/`nr` the live tile extents (1 <= mr, nr <= the kernel's shape).
+/// element with row and column strides `rs_a`/`cs_a`, `b` the tile's first B
+/// element with row stride `ldb` (a packed panel's is the kernel's nr), `c`
+/// the top-left of the output tile with row stride `ldc`, `mr`/`nr` the live
+/// tile extents (1 <= mr, nr <= the kernel's shape).
 using MicroKernelFn = void (*)(int kc, const float* a, index_t rs_a, index_t cs_a,
-                               const float* bp, float* c, index_t ldc, index_t mr, index_t nr,
-                               bool first);
+                               const float* b, index_t ldb, float* c, index_t ldc, index_t mr,
+                               index_t nr, bool first);
 
 struct MicroKernel {
   const char* name;  ///< stable id, e.g. "scalar_4x8", "avx2_6x16"

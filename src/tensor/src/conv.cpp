@@ -77,23 +77,39 @@ bool dw3_padded(const Conv2dGeom& g, const float* ker, float b) {
   return std::all_of(ker, ker + 9, [](float k) { return std::isfinite(k); });
 }
 
-/// `src` (h x w) copied into the calling thread's (h + 2) x (w + 2) scratch
-/// plane inside a zero frame. The buffer is kept per thread and grows to the
-/// largest plane the thread has run, so a warm call allocates nothing. It is
-/// not taken from the ScratchArena: that made the batch-1 fork the first
-/// user of the pool workers' arenas, which moved glibc's heap placement and
-/// read about +6% peak RSS (DESIGN.md).
-const float* dw3_pad_copy(const float* src, index_t h, index_t w) {
+/// The calling thread's depthwise scratch plane, at least `n` floats. The
+/// buffer is kept per thread and grows to the largest plane the thread has
+/// run, so a warm call allocates nothing. It is not taken from the
+/// ScratchArena: that made the batch-1 fork the first user of the pool
+/// workers' arenas, which moved glibc's heap placement and read about +6%
+/// peak RSS (DESIGN.md).
+float* plane_scratch(index_t n) {
   thread_local std::vector<float> buf;
+  if (buf.size() < static_cast<std::size_t>(n)) buf.resize(static_cast<std::size_t>(n));
+  return buf.data();
+}
+
+/// dst[i] = relu(bn(src[i])) for i < n: the BN-then-ReLU prologue.
+void bn_relu_run(const float* __restrict__ src, index_t n, BnChannel bn,
+                 float* __restrict__ dst) {
+  for (index_t i = 0; i < n; ++i) dst[i] = relu(bn(src[i]));
+}
+
+/// `src` (h x w) copied into the calling thread's (h + 2) x (w + 2) scratch
+/// plane inside a zero frame; with a prologue `pre`, each value goes in as
+/// relu(pre(v)) instead.
+const float* dw3_pad_copy(const float* src, index_t h, index_t w, const BnChannel* pre) {
   const index_t pw = w + 2;
-  const auto n = static_cast<std::size_t>((h + 2) * pw);
-  if (buf.size() < n) buf.resize(n);
-  float* pad = buf.data();
+  float* pad = plane_scratch((h + 2) * pw);
   std::fill_n(pad, pw, 0.0f);
   for (index_t y = 0; y < h; ++y) {
     float* row = pad + (y + 1) * pw;
     row[0] = 0.0f;
-    std::copy_n(src + y * w, w, row + 1);
+    if (pre != nullptr) {
+      bn_relu_run(src + y * w, w, *pre, row + 1);
+    } else {
+      std::copy_n(src + y * w, w, row + 1);
+    }
     row[w + 1] = 0.0f;
   }
   std::fill_n(pad + (h + 1) * pw, pw, 0.0f);
@@ -225,15 +241,22 @@ Dw3PlaneFn dw3_plane_for_host() {
 }
 
 /// One depthwise output plane (ho x wo) of `src` (h x w) with the K x K
-/// kernel `ker` and bias `b`. A plane that `dw3_padded` admits runs through
-/// its zero-framed copy in `plane3`. Otherwise a cell whose window leaves the
-/// input adds its in-bounds taps, in row-major order, onto the bias, and an
-/// interior cell adds the bias to the full-window dot.
+/// kernel `ker` and bias `b`, reading relu(pre(src)) when the prologue `pre`
+/// is given. A plane that `dw3_padded` admits runs through its zero-framed
+/// copy in `plane3`. Otherwise the prologue first goes into the thread's
+/// scratch plane, and a cell whose window leaves the input adds its
+/// in-bounds taps, in row-major order, onto the bias, and an interior cell
+/// adds the bias to the full-window dot.
 void depthwise_plane(const float* src, index_t h, index_t w, const float* ker, float b,
-                     const Conv2dGeom& g, Dw3PlaneFn plane3, float* dst) {
+                     const Conv2dGeom& g, Dw3PlaneFn plane3, const BnChannel* pre, float* dst) {
   if (dw3_padded(g, ker, b)) {
-    plane3(dw3_pad_copy(src, h, w), h, w, ker, dst);
+    plane3(dw3_pad_copy(src, h, w, pre), h, w, ker, dst);
     return;
+  }
+  if (pre != nullptr) {
+    float* t = plane_scratch(h * w);
+    bn_relu_run(src, h * w, *pre, t);
+    src = t;
   }
   const index_t k = g.kernel;
   const index_t ho = g.out_extent(h), wo = g.out_extent(w);
@@ -435,15 +458,20 @@ Tensor depthwise_conv2d(const Tensor& x, const Tensor& weight, const Tensor& bia
     for (index_t sc = lo; sc < hi; ++sc) {
       const index_t c = sc % c_;
       depthwise_plane(x.data() + sc * h * w, h, w, weight.data() + c * g.kernel * g.kernel,
-                      bias.empty() ? 0.0f : bias[c], g, plane3, out.data() + sc * ho * wo);
+                      bias.empty() ? 0.0f : bias[c], g, plane3, nullptr,
+                      out.data() + sc * ho * wo);
     }
   }, /*grain=*/1);
   return out;
 }
 
 Tensor depthwise_separable_conv2d(const Tensor& x, const Tensor& dw_weight,
-                                  const Tensor& pw_weight, const Conv2dGeom& g, Tensor* mid) {
+                                  const Tensor& pw_weight, const Conv2dGeom& g, Tensor* mid,
+                                  const BatchNormEval* bn_relu) {
   check_input(x, g, "depthwise_separable_conv2d");
+  if (bn_relu != nullptr && bn_relu->channels != x.dim(1)) {
+    throw std::invalid_argument("depthwise_separable_conv2d: prologue channel mismatch");
+  }
   const index_t n = x.dim(0), c_ = x.dim(1), h = x.dim(2), w = x.dim(3);
   const index_t ho = g.out_extent(h), wo = g.out_extent(w);
   const index_t plane = ho * wo, cout = pw_weight.dim(0);
@@ -454,9 +482,10 @@ Tensor depthwise_separable_conv2d(const Tensor& x, const Tensor& dw_weight,
   // buffer; the pointwise conv is then the GEMM (Cout x C) * m, read in place.
   auto depthwise = [&](index_t s, index_t lo, index_t hi, float* m) {
     for (index_t c = lo; c < hi; ++c) {
+      const BnChannel pre = bn_relu != nullptr ? bn_relu->channel(c) : BnChannel{};
       depthwise_plane(x.data() + (s * c_ + c) * h * w, h, w,
                       dw_weight.data() + c * g.kernel * g.kernel, 0.0f, g, plane3,
-                      m + c * plane);
+                      bn_relu != nullptr ? &pre : nullptr, m + c * plane);
     }
   };
   auto pointwise = [&](index_t s, const float* m) {

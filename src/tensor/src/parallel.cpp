@@ -5,6 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "nodetr/obs/obs.hpp"
 
 namespace nodetr::tensor {
@@ -76,12 +80,25 @@ bool spin_until(Pred done) {
     if (i % 16 == 0 && std::chrono::steady_clock::now() >= deadline) return false;
   }
 }
+
+/// The CPUs the calling thread may run on: its affinity mask's count, so a
+/// taskset, cpuset or runner mask sizes the pool. hardware_concurrency
+/// counts the machine and is the fallback where the mask cannot be read.
+std::size_t usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
+#endif
+  return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+}
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  }
+  if (num_threads == 0) num_threads = usable_cpus();
   // The calling thread participates, so spawn n-1 workers.
   for (std::size_t i = 1; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

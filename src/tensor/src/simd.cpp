@@ -32,8 +32,8 @@ void a_row_offsets(index_t rs_a, index_t mr, index_t (&ra)[MR]) {
 /// at -O3. The k loop is unrolled by 4; each product lands in its accumulator
 /// in ascending-k order, starting from zero or, after the first panel, from C.
 void kern_scalar_4x8(int kc, const float* __restrict__ a, index_t rs_a, index_t cs_a,
-                     const float* __restrict__ bp, float* __restrict__ c, index_t ldc,
-                     index_t mr, index_t nr, bool first) {
+                     const float* __restrict__ b, index_t ldb, float* __restrict__ c,
+                     index_t ldc, index_t mr, index_t nr, bool first) {
   constexpr int kMr = 4, kNr = 8;
   float acc[kMr][kNr] = {};
   index_t ra[kMr];
@@ -41,7 +41,7 @@ void kern_scalar_4x8(int kc, const float* __restrict__ a, index_t rs_a, index_t 
   if (!first) copy_tile(c, ldc, &acc[0][0], kNr, mr, nr);
   auto step = [&](int p) {
     const float* ap = a + p * cs_a;
-    const float* bv = bp + p * kNr;
+    const float* bv = b + p * ldb;
     for (int i = 0; i < kMr; ++i) {
       const float av = ap[ra[i]];
       for (int j = 0; j < kNr; ++j) acc[i][j] += av * bv[j];
@@ -63,9 +63,9 @@ void kern_scalar_4x8(int kc, const float* __restrict__ a, index_t rs_a, index_t 
 // One __m256 FMA chain per (row, 8-column group) keeps each output element's
 // accumulation a single ascending-k dependency chain. A is broadcast from
 // where it lies, one element per (row, k). B rows are loaded with
-// unaligned loads: the packed panel base is 64-byte aligned, but an odd kc
-// can place later micro-panels off alignment, and loadu on aligned data costs
-// nothing on AVX2 hardware.
+// unaligned loads: a packed panel's base is 64-byte aligned, but an odd kc
+// can place later micro-panels off alignment, a B read in place has any
+// alignment, and loadu on aligned data costs nothing on AVX2 hardware.
 //
 // Every loop over MR or NV is unrolled in full, so each acc[i][v] is a named
 // register to the compiler. A loop it leaves rolled indexes `acc` at run time,
@@ -75,7 +75,7 @@ void kern_scalar_4x8(int kc, const float* __restrict__ a, index_t rs_a, index_t 
 template <int MR, int NV>
 __attribute__((target("avx2,fma"))) void kern_avx2(int kc, const float* __restrict__ a,
                                                    index_t rs_a, index_t cs_a,
-                                                   const float* __restrict__ bp,
+                                                   const float* __restrict__ b, index_t ldb,
                                                    float* __restrict__ c, index_t ldc,
                                                    index_t mr, index_t nr, bool first) {
   constexpr int kNr = NV * 8;
@@ -99,14 +99,14 @@ __attribute__((target("avx2,fma"))) void kern_avx2(int kc, const float* __restri
     }
   for (int p = 0; p < kc; ++p) {
     const float* ap = a + p * cs_a;
-    __m256 b[NV];
+    __m256 bv[NV];
 #pragma GCC unroll 16
-    for (int v = 0; v < NV; ++v) b[v] = _mm256_loadu_ps(bp + p * kNr + v * 8);
+    for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_ps(b + p * ldb + v * 8);
 #pragma GCC unroll 16
     for (int i = 0; i < MR; ++i) {
       const __m256 av = _mm256_broadcast_ss(ap + ra[i]);
 #pragma GCC unroll 16
-      for (int v = 0; v < NV; ++v) acc[i][v] = _mm256_fmadd_ps(av, b[v], acc[i][v]);
+      for (int v = 0; v < NV; ++v) acc[i][v] = _mm256_fmadd_ps(av, bv[v], acc[i][v]);
     }
   }
   if (full) {
@@ -132,8 +132,8 @@ bool host_has_avx2_fma() {
 /// 8x8 NEON kernel: 16 q-register accumulators, one vfmaq chain per
 /// (row, 4-column group).
 void kern_neon_8x8(int kc, const float* __restrict__ a, index_t rs_a, index_t cs_a,
-                   const float* __restrict__ bp, float* __restrict__ c, index_t ldc, index_t mr,
-                   index_t nr, bool first) {
+                   const float* __restrict__ b, index_t ldb, float* __restrict__ c, index_t ldc,
+                   index_t mr, index_t nr, bool first) {
   constexpr int kMr = 8, kNr = 8;
   const bool full = mr == kMr && nr == kNr;
   index_t ra[kMr];
@@ -156,8 +156,8 @@ void kern_neon_8x8(int kc, const float* __restrict__ a, index_t rs_a, index_t cs
   }
   for (int p = 0; p < kc; ++p) {
     const float* ap = a + p * cs_a;
-    const float32x4_t b0 = vld1q_f32(bp + p * kNr);
-    const float32x4_t b1 = vld1q_f32(bp + p * kNr + 4);
+    const float32x4_t b0 = vld1q_f32(b + p * ldb);
+    const float32x4_t b1 = vld1q_f32(b + p * ldb + 4);
     for (int i = 0; i < kMr; ++i) {
       const float32x4_t av = vdupq_n_f32(ap[ra[i]]);
       acc[i][0] = vfmaq_f32(acc[i][0], av, b0);
@@ -179,10 +179,9 @@ std::vector<MicroKernel> build_kernel_list() {
 #if defined(__x86_64__) || defined(__i386__)
   if (host_has_avx2_fma()) {
     // 6x16: 12 acc + 2 B + 1 A = 15 of 16 ymm. 4x16: a shallower tile for
-    // short-M (attention) shapes. 8x8: a tall tile for skinny-N products.
+    // short-M (attention) shapes. Id 3 was avx2_8x8 and is not reused.
     kernels.push_back({"avx2_6x16", 1, 6, 16, kern_avx2<6, 2>});
     kernels.push_back({"avx2_4x16", 2, 4, 16, kern_avx2<4, 2>});
-    kernels.push_back({"avx2_8x8", 3, 8, 8, kern_avx2<8, 1>});
   }
 #elif defined(__aarch64__)
   kernels.push_back({"neon_8x8", 4, 8, 8, kern_neon_8x8});

@@ -195,7 +195,7 @@ TEST(Core, BatchedPredictLogitsIsOnePoolRun) {
 // (tests/CMakeLists.txt). A change that adds or removes a fork moves it.
 TEST(CoreForks, PaperModelBatch1PredictLogits) {
   constexpr const char* kSpec = "avx2_6x16:384:256:1024";
-  constexpr std::int64_t kForks = 112;
+  constexpr std::int64_t kForks = 88;
   const auto& cfg = nt::tune::gemm_config();
   if (nt::tune::to_spec(cfg) != kSpec) {
     GTEST_SKIP() << "the fork count is pinned under " << kSpec << ", not "

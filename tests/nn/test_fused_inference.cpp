@@ -4,6 +4,7 @@
 // modules' own recording forwards, run one child at a time.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include "nodetr/nn/conv_layers.hpp"
 #include "nodetr/nn/norm.hpp"
 #include "nodetr/nn/sequential.hpp"
+#include "nodetr/tensor/parallel.hpp"
 #include "nodetr/tensor/rng.hpp"
 
 namespace nn = nodetr::nn;
@@ -165,6 +167,95 @@ TEST(SequentialInference, BitwiseEqualToChildByChildAndLeavesInputAlone) {
       EXPECT_TRUE(bitwise_equal(x, x_copy)) << seq->name() << " wrote its input";
     }
   }
+}
+
+// Inference BN -> ReLU -> DSC runs BN and ReLU as the depthwise's input
+// prologue. It is bitwise the unfused chain (BN's eval_into pass with ReLU,
+// then the DSC's inference forward) on the zero-framed 3x3/1/1 path, on the
+// generic path (stride 2, K = 5, and a 3x3/1/1 plane with a non-finite tap),
+// at batch 1, 3 and 8, on the calling thread and inside a pool task. BN has
+// running statistics away from (0, 1) and some negative gammas, so ReLU
+// clamps on both sides of the mean. The caller's input is never written.
+TEST(SequentialInference, BnReluDscPrologueBitwiseEqualToUnfused) {
+  nt::Rng rng(1806);
+  const struct {
+    index_t kernel, stride, pad;
+    bool non_finite_tap;
+  } geoms[] = {{3, 1, 1, false}, {3, 2, 1, false}, {5, 1, 2, false}, {3, 1, 1, true}};
+  constexpr index_t kC = 12, kCout = 10, kHw = 11;
+  for (const auto& geo : geoms) {
+    nn::Sequential seq;
+    auto& bn = seq.emplace<nn::BatchNorm2d>(kC);
+    seq.emplace<nn::ReLU>();
+    auto& dsc = seq.emplace<nn::DepthwiseSeparableConv>(kC, kCout, geo.kernel, geo.stride,
+                                                        geo.pad, rng);
+    randomize(bn, rng);
+    for (index_t c = 0; c < kC; c += 3) bn.gamma().value[c] = -bn.gamma().value[c];
+    if (geo.non_finite_tap) dsc.dw_weight().value[4 * 9 + 4] = INFINITY;
+    const std::string geom = "k" + std::to_string(geo.kernel) + " s" +
+                             std::to_string(geo.stride) +
+                             (geo.non_finite_tap ? " non-finite tap" : "");
+    for (index_t batch : {1, 3, 8}) {
+      const Tensor x = test_input(rng, nt::Shape{batch, kC, kHw, kHw});
+      const Tensor x_copy = x;
+      const nn::InferenceScope inference(seq);
+      Tensor y(x.shape());
+      bn.eval_into(x, y, /*relu=*/true);
+      const Tensor want = dsc.forward(y);
+      const std::string label = geom + " batch " + std::to_string(batch);
+      EXPECT_TRUE(bitwise_equal(seq.forward(x), want)) << label;
+      Tensor in_task;
+      nt::ThreadPool::global().run_chunks(2, [&](std::size_t chunk) {
+        if (chunk == 0) in_task = seq.forward(x);
+      });
+      EXPECT_TRUE(bitwise_equal(in_task, want)) << label << " in a pool task";
+      EXPECT_TRUE(bitwise_equal(x, x_copy)) << label << " wrote its input";
+    }
+  }
+}
+
+// BN -> ReLU keeps its own pass where no DSC follows it: a dense conv, or a
+// second ReLU before the DSC. Each layout is bitwise the child-by-child
+// chain.
+TEST(SequentialInference, BnReluWithoutFollowingDscKeepsItsPass) {
+  nt::Rng rng(1807);
+  auto conv_after = [&] {
+    auto s = std::make_unique<nn::Sequential>();
+    s->emplace<nn::BatchNorm2d>(6);
+    s->emplace<nn::ReLU>();
+    s->emplace<nn::Conv2d>(6, 6, 3, 1, 1, /*bias=*/false, rng);
+    return s;
+  };
+  auto relu_between = [&] {
+    auto s = std::make_unique<nn::Sequential>();
+    s->emplace<nn::BatchNorm2d>(6);
+    s->emplace<nn::ReLU>();
+    s->emplace<nn::ReLU>();
+    s->emplace<nn::DepthwiseSeparableConv>(6, 6, 3, 1, 1, rng);
+    return s;
+  };
+  std::vector<std::unique_ptr<nn::Sequential>> seqs;
+  seqs.push_back(conv_after());
+  seqs.push_back(relu_between());
+  for (auto& seq : seqs) {
+    randomize_batchnorms(*seq, rng);
+    const Tensor x = test_input(rng, nt::Shape{2, 6, 9, 9});
+    const Tensor want = child_by_child(*seq, x).back();
+    const nn::InferenceScope inference(*seq);
+    EXPECT_TRUE(bitwise_equal(seq->forward(x), want)) << seq->name();
+  }
+}
+
+// A BN whose channel count does not match its input throws whether or not
+// a DSC follows it.
+TEST(SequentialInference, BnReluDscRejectsChannelMismatch) {
+  nt::Rng rng(1808);
+  nn::Sequential seq;
+  seq.emplace<nn::BatchNorm2d>(4);
+  seq.emplace<nn::ReLU>();
+  seq.emplace<nn::DepthwiseSeparableConv>(8, 8, 3, 1, 1, rng);
+  const nn::InferenceScope inference(seq);
+  EXPECT_THROW((void)seq.forward(Tensor(nt::Shape{1, 8, 5, 5})), std::invalid_argument);
 }
 
 // The recording forward (depthwise planes kept for backward) and the

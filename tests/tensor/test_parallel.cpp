@@ -11,6 +11,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "nodetr/obs/obs.hpp"
 
 namespace nt = nodetr::tensor;
@@ -194,6 +198,35 @@ TEST(ThreadPool, DestroyedWhileWorkersSpinDoesNotHang) {
   }  // each destructor runs inside its workers' spin window
   EXPECT_EQ(total.load(), 500 * 8);
 }
+
+#if defined(__linux__)
+// A default pool spawns one thread per CPU it may use, not per CPU in the
+// machine: under a one-CPU mask it is serial. The mask is narrowed on this
+// thread only (a new thread inherits its creator's), then restored, and a
+// pool built after that spans the whole mask again.
+TEST(ThreadPool, DefaultSizeFollowsTheAffinityMask) {
+  cpu_set_t full;
+  CPU_ZERO(&full);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(full), &full), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &full)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  auto& threads = obs::Registry::instance().gauge("tensor.pool.threads");
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  {
+    nt::ThreadPool pool(0);
+    EXPECT_EQ(pool.size(), 1u);
+    EXPECT_EQ(threads.value(), 1.0);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(full), &full), 0);
+  const auto cpus = static_cast<std::size_t>(CPU_COUNT(&full));
+  nt::ThreadPool pool(0);
+  EXPECT_EQ(pool.size(), cpus);
+  EXPECT_EQ(threads.value(), static_cast<double>(cpus));
+}
+#endif
 
 TEST(ParallelFor, ConcurrentCallersComputeCorrectSums) {
   // parallel_for rides on the global pool; hammer it from several threads.
