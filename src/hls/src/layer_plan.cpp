@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "nodetr/nn/nn.hpp"
 #include "nodetr/ode/ode_block.hpp"
@@ -91,12 +92,21 @@ Shape lower_module(LayerPlan& plan, nn::Module& m, const std::string& path, cons
     return op.out;
   }
   if (auto* mhsa = dynamic_cast<nn::MultiHeadSelfAttention*>(&m)) {
-    if (mhsa->config().attention != nn::AttentionKind::kRelu) {
+    const nn::MhsaConfig& mc = mhsa->config();
+    if (mc.attention != nn::AttentionKind::kRelu) {
       throw std::invalid_argument("LayerPlan: the fixed MHSA datapath implements ReLU "
                                   "attention only (the paper's Eq. 16)");
     }
+    // The executor reads an NCHW map; a (B, N, D) sequence would be misread.
+    if (in.rank() != 4 || in.dim(1) != mc.dim || in.dim(2) != mc.height ||
+        in.dim(3) != mc.width) {
+      throw std::invalid_argument("LayerPlan: the fixed MHSA datapath takes an NCHW (B, " +
+                                  std::to_string(mc.dim) + ", " + std::to_string(mc.height) +
+                                  ", " + std::to_string(mc.width) + ") feature map, got " +
+                                  in.to_string());
+    }
     emit(OpKind::kMhsa, in).mhsa = std::make_shared<const MhsaIpCore>(
-        MhsaDesignPoint::from_config(mhsa->config(), DataType::kFixed, plan.scheme),
+        MhsaDesignPoint::from_config(mc, DataType::kFixed, plan.scheme),
         MhsaWeights::from_module(*mhsa));
     return in;
   }

@@ -23,10 +23,13 @@ struct ViTConfig {
   index_t mlp_dim = 3072;
 };
 
-/// One pre-LN encoder block: x += MHSA(LN(x)); x += MLP(LN(x)).
+/// One pre-LN encoder block: x += MHSA(LN(x)); x += MLP(LN(x)). The MHSA is
+/// the proposed model's, configured as the paper's Eq. 9: softmax, no
+/// positional encoding (the ViT adds its own embedding), no output LayerNorm,
+/// over a (B, tokens, D) sequence.
 class ViTBlock final : public Module {
  public:
-  ViTBlock(index_t dim, index_t heads, index_t mlp_dim, Rng& rng);
+  ViTBlock(index_t dim, index_t heads, index_t mlp_dim, index_t tokens, Rng& rng);
 
   Tensor forward(const Tensor& x) override;   ///< (B, T, D)
   Tensor backward(const Tensor& grad_out) override;
@@ -36,7 +39,7 @@ class ViTBlock final : public Module {
  private:
   index_t dim_, mlp_dim_;
   std::unique_ptr<LayerNorm> ln1_, ln2_;
-  std::unique_ptr<SeqMhsa> attn_;
+  std::unique_ptr<MultiHeadSelfAttention> attn_;
   std::unique_ptr<Linear> fc1_, fc2_;
   std::unique_ptr<GELU> gelu_;
   Shape seq_shape_{std::initializer_list<index_t>{0}};

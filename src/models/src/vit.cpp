@@ -4,10 +4,18 @@
 
 namespace nodetr::models {
 
-ViTBlock::ViTBlock(index_t dim, index_t heads, index_t mlp_dim, Rng& rng)
+ViTBlock::ViTBlock(index_t dim, index_t heads, index_t mlp_dim, index_t tokens, Rng& rng)
     : dim_(dim), mlp_dim_(mlp_dim) {
   ln1_ = std::make_unique<LayerNorm>(dim);
-  attn_ = std::make_unique<SeqMhsa>(dim, heads, rng);
+  attn_ = std::make_unique<MultiHeadSelfAttention>(
+      MhsaConfig{.dim = dim,
+                 .heads = heads,
+                 .height = tokens,
+                 .width = 1,
+                 .attention = AttentionKind::kSoftmax,
+                 .pos = PosEncodingKind::kNone,
+                 .layer_norm_out = false},
+      rng);
   ln2_ = std::make_unique<LayerNorm>(dim);
   fc1_ = std::make_unique<Linear>(dim, mlp_dim, /*bias=*/true, rng);
   gelu_ = std::make_unique<GELU>();
@@ -64,7 +72,8 @@ ViT::ViT(ViTConfig config, Rng& rng)
   cls_token_ = Param("cls", rng.randn(Shape{config_.dim}, 0.0f, 0.02f));
   pos_embed_ = Param("pos", rng.randn(Shape{tokens_, config_.dim}, 0.0f, 0.02f));
   for (index_t i = 0; i < config_.depth; ++i) {
-    blocks_.push_back(std::make_unique<ViTBlock>(config_.dim, config_.heads, config_.mlp_dim, rng));
+    blocks_.push_back(
+        std::make_unique<ViTBlock>(config_.dim, config_.heads, config_.mlp_dim, tokens_, rng));
   }
   final_ln_ = std::make_unique<LayerNorm>(config_.dim);
   head_ = std::make_unique<Linear>(config_.dim, config_.classes, /*bias=*/true, rng);

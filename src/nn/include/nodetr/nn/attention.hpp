@@ -4,10 +4,15 @@
 // none, absolute sinusoidal (Eq. 8), and the learnable 2-D relative encoding
 // of BoTNet (Eq. 15) with per-head vertical/horizontal vectors R_h, R_w.
 //
-// Input/output are NCHW feature maps (B, D, H, W); tokens are the H*W spatial
-// positions with D channels. Following BoTNet, the Q/K/V projections carry no
-// bias. With `layer_norm_out` the concatenated head outputs pass through a
-// LayerNorm (Eq. 17), stabilizing the un-normalized ReLU attention.
+// The input takes one of two forms, and the output has the input's form:
+// an NCHW feature map (B, D, H, W), whose tokens are the N = H*W spatial
+// positions with D channels, or a token sequence (B, N, D) with N = H*W (the
+// ViT baseline's form: height = tokens, width = 1). Both run one datapath;
+// the sequence form skips the map <-> token transposes. Following BoTNet and
+// the paper's Eq. 9, the Q/K/V projections carry no bias and the
+// concatenated heads have no output projection. With `layer_norm_out` they
+// pass through a LayerNorm (Eq. 17), stabilizing the un-normalized ReLU
+// attention.
 #pragma once
 
 #include <functional>
@@ -75,7 +80,7 @@ class MultiHeadSelfAttention final : public Module {
   /// Takes `weights` as they are; they must pass weights.check(config).
   MultiHeadSelfAttention(MhsaConfig config, MhsaWeights weights);
 
-  /// x: (B, D, H, W) -> (B, D, H, W).
+  /// x: (B, D, H, W) -> (B, D, H, W), or (B, H*W, D) -> (B, H*W, D).
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
 

@@ -37,7 +37,7 @@ class MhsaBlock final : public Module {
   Tensor backward(const Tensor& grad_out) override;
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::vector<Module*> children() override;
+  [[nodiscard]] std::vector<Module*> children() override { return chain_; }
 
   [[nodiscard]] MultiHeadSelfAttention& mhsa() { return *mhsa_; }
   [[nodiscard]] const MhsaBlockConfig& config() const { return config_; }
@@ -51,6 +51,7 @@ class MhsaBlock final : public Module {
   std::unique_ptr<ReLU> relu_mid_;
   std::unique_ptr<MultiHeadSelfAttention> mhsa_;
   std::unique_ptr<Conv2d> expand_;
+  std::vector<Module*> chain_;  ///< the seven above, in order
 };
 
 }  // namespace nodetr::nn

@@ -12,6 +12,5 @@
 #include "nodetr/nn/pool.hpp"
 #include "nodetr/nn/posenc.hpp"
 #include "nodetr/nn/residual.hpp"
-#include "nodetr/nn/seq_attention.hpp"
 #include "nodetr/nn/sequential.hpp"
 #include "nodetr/nn/summary.hpp"

@@ -22,8 +22,9 @@ index_t head_offset(index_t b, index_t n, index_t d, index_t h, index_t dh) {
   return b * n * d + h * dh;
 }
 
-/// (B, D, H, W) feature map -> (B*N, D) token rows.
+/// (B, D, H, W) feature map or (B, N, D) sequence -> (B*N, D) token rows.
 Tensor to_tokens(const Tensor& x) {
+  if (x.rank() == 3) return x.reshape(Shape{x.dim(0) * x.dim(1), x.dim(2)});
   const index_t b = x.dim(0), d = x.dim(1), n = x.dim(2) * x.dim(3);
   Tensor t(Shape{b * n, d});
   for (index_t s = 0; s < b; ++s) {
@@ -36,9 +37,14 @@ Tensor to_tokens(const Tensor& x) {
   return t;
 }
 
-/// (B*N, D) token rows -> (B, D, H, W) feature map.
-Tensor to_feature_map(const Tensor& t, index_t b, index_t h, index_t w) {
+/// (B*N, D) token rows -> (B, N, D) sequence when `seq`, else the
+/// (B, D, H, W) feature map.
+Tensor from_tokens(Tensor t, index_t b, bool seq, index_t h, index_t w) {
   const index_t d = t.dim(1), n = h * w;
+  if (seq) {
+    t.reshape_inplace(Shape{b, n, d});
+    return t;
+  }
   Tensor x(Shape{b, d, h, w});
   for (index_t s = 0; s < b; ++s) {
     const float* src = t.data() + s * n * d;
@@ -189,15 +195,18 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
     span.attr("offloaded", std::int64_t{1});
     return override_(x, *this);
   }
-  if (x.rank() != 4 || x.dim(1) != config_.dim || x.dim(2) != config_.height ||
-      x.dim(3) != config_.width) {
-    throw std::invalid_argument("MHSA: expected (B, " + std::to_string(config_.dim) + ", " +
+  const index_t d = config_.dim, n = config_.tokens();
+  const bool seq = x.rank() == 3;
+  if (seq ? x.dim(1) != n || x.dim(2) != d
+          : x.rank() != 4 || x.dim(1) != d || x.dim(2) != config_.height ||
+                x.dim(3) != config_.width) {
+    throw std::invalid_argument("MHSA: expected (B, " + std::to_string(d) + ", " +
                                 std::to_string(config_.height) + ", " +
-                                std::to_string(config_.width) + "), got " +
+                                std::to_string(config_.width) + ") or (B, " +
+                                std::to_string(n) + ", " + std::to_string(d) + "), got " +
                                 x.shape().to_string());
   }
-  const index_t b = x.dim(0), d = config_.dim, n = config_.tokens();
-  const index_t heads = config_.heads, dh = config_.head_dim();
+  const index_t b = x.dim(0), heads = config_.heads, dh = config_.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   // backward() needs attn_ and batch_, so a recording forward always keeps
   // them. An inference forward inside a task of the global pool may run
@@ -279,7 +288,7 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
     k_ = std::move(k);
     v_ = std::move(v);
   }
-  return to_feature_map(out, b, config_.height, config_.width);
+  return from_tokens(std::move(out), b, seq, config_.height, config_.width);
 }
 
 Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
@@ -377,7 +386,7 @@ Tensor MultiHeadSelfAttention::backward(const Tensor& grad_out) {
                    {.accumulate = true});
   // Absolute positional table is a constant; its addition passes the gradient
   // through unchanged.
-  return to_feature_map(gtok, b, config_.height, config_.width);
+  return from_tokens(std::move(gtok), b, grad_out.rank() == 3, config_.height, config_.width);
 }
 
 std::string MultiHeadSelfAttention::name() const {

@@ -28,19 +28,17 @@ const DepthwiseSeparableConv* inference_dsc(const Module& m) {
 
 }  // namespace
 
-Tensor Sequential::forward(const Tensor& x) {
-  begin_forward();
-  // `in` is the current activation: the caller's x until the first child
+Tensor forward_chain(std::span<Module* const> modules, const Tensor& x) {
+  // `in` is the current activation: the caller's x until the first module
   // returns, then `h`, which this call owns and may update in place.
   const Tensor* in = &x;
   Tensor h;
-  for (std::size_t i = 0; i < modules_.size(); ++i) {
-    Module& m = *modules_[i];
+  for (std::size_t i = 0; i < modules.size(); ++i) {
+    Module& m = *modules[i];
     BatchNorm2d* bn = eval_batchnorm(m);
-    const bool relu =
-        bn != nullptr && i + 1 < modules_.size() && inference_relu(*modules_[i + 1]);
+    const bool relu = bn != nullptr && i + 1 < modules.size() && inference_relu(*modules[i + 1]);
     const DepthwiseSeparableConv* dsc =
-        relu && i + 2 < modules_.size() ? inference_dsc(*modules_[i + 2]) : nullptr;
+        relu && i + 2 < modules.size() ? inference_dsc(*modules[i + 2]) : nullptr;
     if (dsc != nullptr) {
       // BN and ReLU as the depthwise's input prologue: no pass of their own.
       h = dsc->forward_bn_relu(*in, bn->eval_params());
@@ -59,26 +57,29 @@ Tensor Sequential::forward(const Tensor& x) {
       in = &h;
     }
   }
-  if (in == &x) return x;  // no children
+  if (in == &x) return x;  // no modules
   return h;
+}
+
+Tensor backward_chain(std::span<Module* const> modules, const Tensor& grad_out) {
+  if (modules.empty()) return grad_out;
+  Tensor g = modules.back()->backward(grad_out);
+  for (std::size_t i = modules.size() - 1; i-- > 0;) g = modules[i]->backward(g);
+  return g;
+}
+
+Tensor Sequential::forward(const Tensor& x) {
+  begin_forward();
+  return forward_chain(chain_, x);
 }
 
 Tensor Sequential::backward(const Tensor& grad_out) {
   require_backward_state();
-  Tensor g = grad_out;
-  for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) g = (*it)->backward(g);
-  return g;
+  return backward_chain(chain_, grad_out);
 }
 
 std::string Sequential::name() const {
-  return "Sequential[" + std::to_string(modules_.size()) + "]";
-}
-
-std::vector<Module*> Sequential::children() {
-  std::vector<Module*> out;
-  out.reserve(modules_.size());
-  for (auto& m : modules_) out.push_back(m.get());
-  return out;
+  return "Sequential[" + std::to_string(chain_.size()) + "]";
 }
 
 }  // namespace nodetr::nn

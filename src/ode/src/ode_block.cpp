@@ -34,28 +34,20 @@ Tensor OdeBlock::forward(const Tensor& x) {
   span.attr("solver", to_string(kind_));
   span.attr("steps", steps_);
   // Only a recording forward touches states_ and forward_was_euler_, so
-  // inference forwards may run concurrently.
-  const bool euler = kind_ == SolverKind::kEuler;
-  if (recording()) {
+  // inference forwards may run concurrently. A recording Euler forward keeps
+  // the state at which each step evaluates the dynamics: the trajectory
+  // backward() replays.
+  const bool record = recording();
+  if (record) {
     states_.clear();
-    forward_was_euler_ = euler;
+    forward_was_euler_ = kind_ == SolverKind::kEuler;
+    if (forward_was_euler_) states_.reserve(static_cast<std::size_t>(steps_));
   }
-  if (euler) {
-    // Inline Euler so the trajectory can be cached for backward.
-    const float h = (t1_ - t0_) / static_cast<float>(steps_);
-    if (recording()) states_.reserve(static_cast<std::size_t>(steps_));
-    Tensor z = x;
-    for (index_t j = 0; j < steps_; ++j) {
-      obs::ScopedSpan step_span("ode.euler_step");
-      step_span.attr("step", j);
-      if (recording()) states_.push_back(z);
-      const float t = t0_ + h * static_cast<float>(j);
-      z.add_scaled(eval_dynamics(z, t), h);
-    }
-    return z;
-  }
-  return solver_->integrate(x, t0_, t1_, steps_,
-                            [this](const Tensor& z, float t) { return eval_dynamics(z, t); });
+  const bool keep = record && forward_was_euler_;
+  return solver_->integrate(x, t0_, t1_, steps_, [this, keep](const Tensor& z, float t) {
+    if (keep) states_.push_back(z);
+    return eval_dynamics(z, t);
+  });
 }
 
 Tensor OdeBlock::backward(const Tensor& grad_out) {

@@ -178,10 +178,9 @@ std::vector<MicroKernel> build_kernel_list() {
   std::vector<MicroKernel> kernels;
 #if defined(__x86_64__) || defined(__i386__)
   if (host_has_avx2_fma()) {
-    // 6x16: 12 acc + 2 B + 1 A = 15 of 16 ymm. 4x16: a shallower tile for
-    // short-M (attention) shapes. Id 3 was avx2_8x8 and is not reused.
+    // 6x16: 12 acc + 2 B + 1 A = 15 of 16 ymm. Ids 2 and 3 were avx2_4x16
+    // and avx2_8x8 and are not reused.
     kernels.push_back({"avx2_6x16", 1, 6, 16, kern_avx2<6, 2>});
-    kernels.push_back({"avx2_4x16", 2, 4, 16, kern_avx2<4, 2>});
   }
 #elif defined(__aarch64__)
   kernels.push_back({"neon_8x8", 4, 8, 8, kern_neon_8x8});

@@ -93,11 +93,16 @@ TEST(QExec, DeterministicBitExactAcrossRuns) {
 
 TEST(QExec, RejectsUnsupportedModules) {
   nt::Rng rng(7);
-  nn::SeqMhsa unsupported(8, 2, rng);
+  // The ViT's attention: softmax over a (B, N, D) token sequence.
+  nn::MultiHeadSelfAttention unsupported(
+      nn::MhsaConfig{.dim = 8, .heads = 2, .height = 3, .width = 1,
+                     .attention = nn::AttentionKind::kSoftmax,
+                     .pos = nn::PosEncodingKind::kNone, .layer_norm_out = false},
+      rng);
   auto exec = default_exec();
   EXPECT_THROW((void)exec.run(unsupported, nt::Tensor(nt::Shape{1, 3, 8})),
                std::invalid_argument);
-  // The lowering itself refuses these two, before any op runs.
+  // The lowering itself refuses these, before any op runs.
   const auto expect_lowering_throws = [&](nn::Module& mod, const nt::Tensor& x) {
     try {
       (void)exec.run(mod, x);
@@ -111,6 +116,11 @@ TEST(QExec, RejectsUnsupportedModules) {
                          .attention = nn::AttentionKind::kSoftmax};
   nn::MultiHeadSelfAttention softmax_mhsa(softmax, rng);
   expect_lowering_throws(softmax_mhsa, nt::Tensor(nt::Shape{1, 8, 2, 2}));
+  // The IP reads an NCHW feature map: a ReLU MHSA fed a token sequence
+  // (B, N, D) must not lower and be read as (B, D, N).
+  nn::MhsaConfig relu_seq{.dim = 8, .heads = 2, .height = 4, .width = 1};
+  nn::MultiHeadSelfAttention relu_seq_mhsa(relu_seq, rng);
+  expect_lowering_throws(relu_seq_mhsa, nt::Tensor(nt::Shape{1, 4, 8}));
   // A LayerNorm runs only inside the MHSA IP (Eq. 17), never as a plan op.
   nn::LayerNorm layer_norm(8);
   expect_lowering_throws(layer_norm, nt::Tensor(nt::Shape{1, 3, 8}));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "../common/gradcheck.hpp"
 #include "nodetr/nn/mhsa_block.hpp"
 #include "nodetr/tensor/ops.hpp"
@@ -13,6 +15,26 @@ namespace {
 nn::MhsaConfig small_cfg(nn::AttentionKind kind, nn::PosEncodingKind pos) {
   return {.dim = 8, .heads = 2, .height = 3, .width = 3, .attention = kind, .pos = pos,
           .layer_norm_out = true};
+}
+
+/// The sequence-form MHSA as the ViT baseline configures it (Eq. 9): softmax,
+/// no positional encoding, no output LayerNorm, over `tokens` x 1 tokens.
+nn::MhsaConfig seq_cfg(nt::index_t dim, nt::index_t heads, nt::index_t tokens) {
+  return {.dim = dim, .heads = heads, .height = tokens, .width = 1,
+          .attention = nn::AttentionKind::kSoftmax, .pos = nn::PosEncodingKind::kNone,
+          .layer_norm_out = false};
+}
+
+/// (B, D, H, W) -> (B, H*W, D): the token view of a feature map.
+nt::Tensor map_to_seq(const nt::Tensor& x) {
+  const nt::index_t b = x.dim(0), d = x.dim(1), n = x.dim(2) * x.dim(3);
+  return x.reshape(nt::Shape{b, d, n}).permute({0, 2, 1});
+}
+
+bool bitwise_equal(const nt::Tensor& a, const nt::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
 }
 }  // namespace
 
@@ -240,4 +262,73 @@ TEST(Mhsa, ReluAttentionWeightsNonNegative) {
   mhsa.forward(rng.randn(nt::Shape{1, 8, 2, 2}));
   const auto& a = mhsa.attention_weights(0, 1);
   for (nt::index_t i = 0; i < a.numel(); ++i) EXPECT_GE(a[i], 0.0f);
+}
+
+TEST(MhsaSequence, ShapePreservedAndHeadsValidated) {
+  nt::Rng rng(6);
+  nn::MultiHeadSelfAttention attn(seq_cfg(8, 2, 5), rng);
+  auto x = rng.randn(nt::Shape{2, 5, 8});
+  EXPECT_EQ(attn.forward(x).shape(), x.shape());
+  EXPECT_THROW(nn::MultiHeadSelfAttention(seq_cfg(7, 2, 5), rng), std::invalid_argument);
+  EXPECT_THROW(attn.forward(nt::Tensor(nt::Shape{2, 5, 4})), std::invalid_argument);
+  EXPECT_THROW(attn.forward(nt::Tensor(nt::Shape{2, 4, 8})), std::invalid_argument);
+}
+
+TEST(MhsaSequence, NoBiasNoOutputProjectionParamCount) {
+  // Faithful to the paper's Eq. 9: exactly 3 D*D projection matrices.
+  nt::Rng rng(7);
+  nn::MultiHeadSelfAttention attn(seq_cfg(16, 4, 5), rng);
+  EXPECT_EQ(attn.num_parameters(), 3 * 16 * 16);
+}
+
+TEST(MhsaSequence, PermutationEquivariantOverTokens) {
+  nt::Rng rng(8);
+  nn::MultiHeadSelfAttention attn(seq_cfg(8, 2, 4), rng);
+  auto x = rng.randn(nt::Shape{1, 4, 8});
+  auto y = attn.forward(x);
+  // Swap tokens 0 and 3.
+  auto xs = x;
+  for (nt::index_t c = 0; c < 8; ++c) std::swap(xs.at(0, 0, c), xs.at(0, 3, c));
+  auto ys = attn.forward(xs);
+  for (nt::index_t c = 0; c < 8; ++c) {
+    EXPECT_NEAR(ys.at(0, 3, c), y.at(0, 0, c), 1e-4f);
+    EXPECT_NEAR(ys.at(0, 0, c), y.at(0, 3, c), 1e-4f);
+  }
+}
+
+TEST(MhsaSequence, GradCheck) {
+  nt::Rng rng(9);
+  nn::MultiHeadSelfAttention attn(seq_cfg(4, 2, 3), rng);
+  auto x = rng.randn(nt::Shape{2, 3, 4});
+  nodetr::testing::expect_gradients_match(attn, x, /*seed=*/13, /*checks=*/6, /*eps=*/1e-2f,
+                                          /*tol=*/5e-2f);
+}
+
+// The two input forms run one datapath: the sequence form of a feature map
+// gives the token view of its output and of its input gradient, and the
+// same parameter gradients, bit for bit.
+TEST(MhsaSequence, MatchesFeatureMapFormBitwise) {
+  for (const auto& cfg : {small_cfg(nn::AttentionKind::kRelu, nn::PosEncodingKind::kRelative2d),
+                          nn::MhsaConfig{.dim = 8, .heads = 4, .height = 2, .width = 3,
+                                         .attention = nn::AttentionKind::kSoftmax,
+                                         .pos = nn::PosEncodingKind::kAbsoluteSinusoidal,
+                                         .layer_norm_out = false}}) {
+    nt::Rng rng(10);
+    nn::MultiHeadSelfAttention map_form(cfg, rng);
+    nn::MultiHeadSelfAttention seq_form(cfg, nn::MhsaWeights::from_module(map_form));
+    const auto x = rng.randn(nt::Shape{2, cfg.dim, cfg.height, cfg.width});
+    const auto y = map_form.forward(x);
+    const auto y_seq = seq_form.forward(map_to_seq(x));
+    EXPECT_TRUE(bitwise_equal(y_seq, map_to_seq(y))) << map_form.name();
+    const auto g = rng.randn(y.shape());
+    const auto gx = map_form.backward(g);
+    const auto gx_seq = seq_form.backward(map_to_seq(g));
+    EXPECT_TRUE(bitwise_equal(gx_seq, map_to_seq(gx))) << map_form.name();
+    const auto params = map_form.parameters(), seq_params = seq_form.parameters();
+    ASSERT_EQ(params.size(), seq_params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(params[i]->grad, seq_params[i]->grad))
+          << map_form.name() << " " << params[i]->name;
+    }
+  }
 }

@@ -76,7 +76,14 @@ std::vector<Case> module_cases() {
       {"MultiHeadSelfAttention",
        [](nt::Rng& rng) { return std::make_unique<nn::MultiHeadSelfAttention>(small_mhsa(), rng); },
        nt::Shape{2, 8, 3, 3}},
-      {"SeqMhsa", [](nt::Rng& rng) { return std::make_unique<nn::SeqMhsa>(8, 2, rng); },
+      {"MultiHeadSelfAttention (B, N, D)",
+       [](nt::Rng& rng) {
+         return std::make_unique<nn::MultiHeadSelfAttention>(
+             nn::MhsaConfig{.dim = 8, .heads = 2, .height = 4, .width = 1,
+                            .attention = nn::AttentionKind::kSoftmax,
+                            .pos = nn::PosEncodingKind::kNone, .layer_norm_out = false},
+             rng);
+       },
        nt::Shape{2, 4, 8}},
       {"MhsaBlock",
        [](nt::Rng& rng) {

@@ -5,7 +5,6 @@
 #include "nodetr/nn/linear.hpp"
 #include "nodetr/nn/norm.hpp"
 #include "nodetr/nn/residual.hpp"
-#include "nodetr/nn/seq_attention.hpp"
 #include "nodetr/nn/sequential.hpp"
 #include "nodetr/tensor/ops.hpp"
 
@@ -69,43 +68,4 @@ TEST(Residual, GradCheckProjectionSkip) {
 
 TEST(Residual, NullBodyRejected) {
   EXPECT_THROW(nn::Residual(nullptr), std::invalid_argument);
-}
-
-TEST(SeqMhsa, ShapePreservedAndHeadsValidated) {
-  nt::Rng rng(6);
-  nn::SeqMhsa attn(8, 2, rng);
-  auto x = rng.randn(nt::Shape{2, 5, 8});
-  EXPECT_EQ(attn.forward(x).shape(), x.shape());
-  EXPECT_THROW(nn::SeqMhsa(7, 2, rng), std::invalid_argument);
-  EXPECT_THROW(attn.forward(nt::Tensor(nt::Shape{2, 5, 4})), std::invalid_argument);
-}
-
-TEST(SeqMhsa, NoBiasNoOutputProjectionParamCount) {
-  // Faithful to the paper's Eq. 9: exactly 3 D*D projection matrices.
-  nt::Rng rng(7);
-  nn::SeqMhsa attn(16, 4, rng);
-  EXPECT_EQ(attn.num_parameters(), 3 * 16 * 16);
-}
-
-TEST(SeqMhsa, PermutationEquivariantOverTokens) {
-  nt::Rng rng(8);
-  nn::SeqMhsa attn(8, 2, rng);
-  auto x = rng.randn(nt::Shape{1, 4, 8});
-  auto y = attn.forward(x);
-  // Swap tokens 0 and 3.
-  auto xs = x;
-  for (nt::index_t c = 0; c < 8; ++c) std::swap(xs.at(0, 0, c), xs.at(0, 3, c));
-  auto ys = attn.forward(xs);
-  for (nt::index_t c = 0; c < 8; ++c) {
-    EXPECT_NEAR(ys.at(0, 3, c), y.at(0, 0, c), 1e-4f);
-    EXPECT_NEAR(ys.at(0, 0, c), y.at(0, 3, c), 1e-4f);
-  }
-}
-
-TEST(SeqMhsa, GradCheck) {
-  nt::Rng rng(9);
-  nn::SeqMhsa attn(4, 2, rng);
-  auto x = rng.randn(nt::Shape{2, 3, 4});
-  nodetr::testing::expect_gradients_match(attn, x, /*seed=*/13, /*checks=*/6, /*eps=*/1e-2f,
-                                          /*tol=*/5e-2f);
 }
